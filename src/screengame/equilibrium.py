@@ -15,7 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .model import (
     BudgetExceededError,
@@ -23,8 +24,10 @@ from .model import (
     HONEST,
     Model,
     Seq,
+    beaten_masks,
     classify_type,
     enumerate_sequences,
+    transpose_masks,
 )
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
@@ -47,6 +50,9 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
 
     Singletons have no competing member, so they are kept outright. Honest
     types keep everything: per-letter strict wins stay strict under sums.
+    This scan stops at a member's first beater, which makes one cold
+    evaluation cheaper than building `beaten_masks`; it is also the
+    reference the exact search is tested against.
     """
     mem = _normalize_members(members)
     if classify_type(model, type_id) == HONEST:
@@ -169,59 +175,6 @@ class EquilibriumResult:
     subsets_pruned: int
 
 
-class _SubsetTables:
-    """Integer payoff tables over vertex ids for one (model, n) search."""
-
-    def __init__(self, model: Model, n: int, enum_budget: int):
-        self.model = model
-        self.seqs = enumerate_sequences(model, n, budget=enum_budget)
-        self.count = len(self.seqs)
-        self.honest = [classify_type(model, t) == HONEST for t in range(model.num_types)]
-        self.diag: list[list[int] | None] = []
-        self.cross: list[list[list[int]] | None] = []  # [type][reported id][truth id]
-        for type_id in range(model.num_types):
-            if self.honest[type_id]:
-                self.diag.append(None)
-                self.cross.append(None)
-                continue
-            _, table = model.scaled_utility[type_id]
-            self.diag.append([sum(table[s][s] for s in seq) for seq in self.seqs])
-            self.cross.append(
-                [
-                    [sum(table[r][t] for r, t in zip(rep, tru)) for tru in self.seqs]
-                    for rep in self.seqs
-                ]
-            )
-        self._objective_cache: dict[tuple[int, ...], Fraction] = {}
-
-    def truthful_count(self, type_id: int, subset: tuple[int, ...]) -> int:
-        if self.honest[type_id]:
-            return len(subset)
-        diag = self.diag[type_id]
-        cross = self.cross[type_id]
-        count = 0
-        for x in subset:
-            own = diag[x]
-            for y in subset:
-                if y != x and cross[y][x] >= own:
-                    break
-            else:
-                count += 1
-        return count
-
-    def objective(self, subset: tuple[int, ...]) -> Fraction:
-        counts = tuple(
-            self.truthful_count(t, subset) for t in range(self.model.num_types)
-        )
-        cached = self._objective_cache.get(counts)
-        if cached is None:
-            cached = sum(
-                (p * c for p, c in zip(self.model.prior, counts)), Fraction(0)
-            )
-            self._objective_cache[counts] = cached
-        return cached
-
-
 def solve_exact(
     model: Model,
     n: int,
@@ -239,52 +192,70 @@ def solve_exact(
     incumbent is seeded from the closure reduction of the full space. Both
     rules only discard sets that are provably not maximizers, so the optimum
     and the complete maximizer list match the unpruned search exactly.
+
+    A member x of I is truthful for a type when no other member beats it, so
+    the type's truthful count is |I| minus |I & (OR of beats[y] over y in I)|,
+    where beats[y] is the transposed beaten-by mask. Honest types count |I|.
+    Objectives are compared as integers, priors scaled by `scale`.
     """
-    tables = _SubsetTables(model, n, enum_budget)
-    count = tables.count
+    count = model.num_symbols**n
     if count > subset_budget:
         raise BudgetExceededError("questionnaire search", count, subset_budget)
+    seqs = enumerate_sequences(model, n, budget=enum_budget)
+    bits = [1 << v for v in range(count)]  # subsets are enumerated as tuples of these
 
-    best: Fraction | None = None
+    scale = math.lcm(*(p.denominator for p in model.prior))
+    weights = [int(p * scale) for p in model.prior]
+    deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
+    # Deceptive type number `slot` owns bits slot * count .. slot * count +
+    # count - 1 of beats[y], so one OR over the members serves every type;
+    # multiplying I by `copies` places it in each type's bits.
+    beats = dict.fromkeys(bits, 0)
+    for slot, type_id in enumerate(deceptive):
+        beaten = beaten_masks(model, type_id, seqs)
+        for bit, mask in zip(bits, transpose_masks(beaten)):
+            beats[bit] |= mask << slot * count
+    copies = sum(1 << slot * count for slot in range(len(deceptive)))
+    slices = [(weights[t], slot * count) for slot, t in enumerate(deceptive)]
+    low = (1 << count) - 1
+
+    best: int | None = None
     maximizers: list[tuple[int, ...]] = []
     examined = 0
     pruned = 0
 
     if prune:
-        seed_members = reduce_closure(model, tables.seqs)
-        best = receiver_objective(model, seed_members)
+        seed_members = reduce_closure(model, seqs)
+        best = int(receiver_objective(model, seed_members) * scale)
 
     for size in range(count, 0, -1):
-        if prune and best is not None and size < best:
+        if prune and best is not None and size * scale < best:
             pruned += sum(math.comb(count, k) for k in range(1, size + 1))
             break
-        for subset in itertools.combinations(range(count), size):
+        everyone = sum(weights) * size
+        for subset in itertools.combinations(bits, size):
             examined += 1
-            value = tables.objective(subset)
+            beaten_members = sum(subset) * copies & reduce(or_, map(beats.__getitem__, subset))
+            value = everyone
+            for weight, shift in slices:
+                value -= weight * (beaten_members >> shift & low).bit_count()
             if best is None or value > best:
                 best = value
                 maximizers = [subset]
             elif value == best:
                 maximizers.append(subset)
 
-    if not maximizers:
-        # The closure seed was already optimal and pruning skipped everything
-        # else; recover its id form so the result is populated. Cannot happen
-        # with size-based pruning (the seed's own size class is never pruned),
-        # kept as a guard.
-        raise RuntimeError("search ended with no maximizer recorded")
-
     maximizers.sort()
-    assert best is not None
     member_sets = tuple(
-        tuple(tables.seqs[v] for v in ids) for ids in maximizers[:report_cap]
+        tuple(seqs[bit.bit_length() - 1] for bit in subset)
+        for subset in maximizers[:report_cap]
     )
     designated = evaluate_questionnaire(model, member_sets[0])
     return EquilibriumResult(
         n=n,
         mode="exact",
         certified=True,
-        optimum=best,
+        optimum=Fraction(best, scale),
         maximizers=member_sets,
         maximizer_count=len(maximizers),
         designated=designated,

@@ -5,6 +5,9 @@ that maximize its own averaged payoff against the decoded outcome. Ties are
 resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan so they can cross-check the truthful-subset formula.
+
+A strategy is any object with an `image` tuple and a `decode` method;
+`ReceiverStrategy` and `TableStrategy` both qualify.
 """
 
 from __future__ import annotations
@@ -59,12 +62,6 @@ def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrate
     return TableStrategy(n, normalized)
 
 
-def _image(strategy) -> tuple[Seq, ...]:
-    # Any object with an `image` tuple and a `decode` method plays the
-    # receiver: ReceiverStrategy and TableStrategy both qualify.
-    return strategy.image
-
-
 @dataclass(frozen=True)
 class BestReportOutcome:
     truth: Seq
@@ -83,7 +80,7 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     scale, table = model.scaled_utility[type_id]
     best_total: int | None = None
     chosen: list[Seq] = []
-    for candidate in _image(strategy):
+    for candidate in strategy.image:
         total = sum(table[r][t] for r, t in zip(candidate, truth))
         if best_total is None or total > best_total:
             best_total = total
@@ -109,7 +106,7 @@ def robust_recovery_set(
     itself.
     """
     _, table = model.scaled_utility[type_id]
-    image = _image(strategy)
+    image = strategy.image
     n = len(image[0])
     robust: list[Seq] = []
     for truth in enumerate_sequences(model, n, budget=enum_budget):
@@ -125,28 +122,6 @@ def robust_recovery_set(
         if len(winners) == 1 and winners[0] == truth:
             robust.append(truth)
     return tuple(robust)
-
-
-def optimistic_recovery_set(
-    model: Model,
-    strategy,
-    type_id: int,
-    *,
-    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[Seq, ...]:
-    """Diagnostic only: sequences recoverable if ties broke in the receiver's favor.
-
-    The worst-case scoring used everywhere else never consults this.
-    """
-    _, table = model.scaled_utility[type_id]
-    image = _image(strategy)
-    n = len(image[0])
-    out: list[Seq] = []
-    for truth in enumerate_sequences(model, n, budget=enum_budget):
-        outcome = best_reports(model, strategy, type_id, truth)
-        if truth in outcome.decoded:
-            out.append(truth)
-    return tuple(out)
 
 
 def worst_case_recovery(
@@ -183,7 +158,7 @@ def recovery_report(
     number of reports achieving the optimum, since best responses choose
     independently at each true sequence.
     """
-    n = len(_image(strategy)[0])
+    n = len(strategy.image[0])
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     decoded_by_report = [strategy.decode(y) for y in seqs]
     robust: list[tuple[Seq, ...]] = []

@@ -13,14 +13,16 @@ the truth is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .model import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
-    Seq,
+    beaten_masks,
     enumerate_sequences,
     format_sequence,
+    transpose_masks,
 )
 
 DEFAULT_EXACT_MIS_BUDGET = 512
@@ -67,24 +69,16 @@ def build_sender_graph(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SenderGraph:
-    """Graph of length-n sequence pairs the given type can confuse."""
+    """Graph of length-n sequence pairs the given type can confuse.
+
+    x and y are adjacent when either one weakly beats the other as a report,
+    so the adjacency is the beaten-by matrix OR its transpose.
+    """
     seqs = enumerate_sequences(model, n, budget=budget)
-    _, table = model.scaled_utility[type_id]
-    count = len(seqs)
-    diag = [sum(table[s][s] for s in seq) for seq in seqs]
-    adjacency = [0] * count
-    for u in range(count):
-        su = seqs[u]
-        du = diag[u]
-        for v in range(u + 1, count):
-            sv = seqs[v]
-            if du <= sum(table[r][t] for r, t in zip(sv, su)) or diag[v] <= sum(
-                table[r][t] for r, t in zip(su, sv)
-            ):
-                adjacency[u] |= 1 << v
-                adjacency[v] |= 1 << u
+    beaten = beaten_masks(model, type_id, seqs)
+    adjacency = tuple(map(or_, beaten, transpose_masks(beaten)))
     labels = tuple(format_sequence(model, seq) for seq in seqs)
-    return SenderGraph(n, labels, tuple(adjacency), model.types[type_id])
+    return SenderGraph(n, labels, adjacency, model.types[type_id])
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
@@ -139,24 +133,6 @@ def max_independent_set(
     best_mask = 0
     best_size = 0
 
-    def clique_cover_bound(cand: int) -> int:
-        # Partition candidates into cliques; an independent set meets each at
-        # most once, so the number of cliques bounds the independence number.
-        classes: list[int] = []
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            placed = False
-            for i, cls in enumerate(classes):
-                if adjacency[v] & cls == cls:
-                    classes[i] = cls | 1 << v
-                    placed = True
-                    break
-            if not placed:
-                classes.append(1 << v)
-        return len(classes)
-
     def expand(current: int, size: int, cand: int) -> None:
         nonlocal best_mask, best_size
         if not cand:
@@ -179,7 +155,7 @@ def max_independent_set(
                 best_size = total
                 best_mask = current | cand
             return
-        if size + clique_cover_bound(cand) <= best_size:
+        if size + clique_cover_bound(adjacency, cand) <= best_size:
             return
         pivot = max(degrees, key=lambda vd: (vd[1], -vd[0]))[0]
         expand(current | 1 << pivot, size + 1, cand & ~(adjacency[pivot] | 1 << pivot))
@@ -187,6 +163,26 @@ def max_independent_set(
 
     expand(0, 0, (1 << graph.vertex_count) - 1)
     return IndependentSetResult(_mask_to_members(best_mask), best_size, True)
+
+
+def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
+    """Size of a greedy clique cover of the vertices in `cand`.
+
+    An independent set meets each clique at most once, so this bounds the
+    independence number of the induced subgraph from above.
+    """
+    classes: list[int] = []
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        for i, cls in enumerate(classes):
+            if adjacency[v] & cls == cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
@@ -216,12 +212,6 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return tuple(out)
-
-
-def independent_set_members(model: Model, graph: SenderGraph, result: IndependentSetResult) -> list[Seq]:
-    """Decode an independent set back to sequences (lexicographic order)."""
-    seqs = enumerate_sequences(model, graph.n)
-    return [seqs[v] for v in result.members]
 
 
 def export_dot(graph: SenderGraph) -> str:

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, itemgetter
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -298,15 +299,6 @@ def enumerate_sequences(
     return list(itertools.product(range(model.num_symbols), repeat=n))
 
 
-def sequence_index(model: Model, seq: Seq) -> int:
-    """Rank of `seq` in lexicographic order (mixed-radix value)."""
-    k = model.num_symbols
-    idx = 0
-    for s in seq:
-        idx = idx * k + s
-    return idx
-
-
 def format_sequence(model: Model, seq: Seq) -> str:
     labels = [model.alphabet[s] for s in seq]
     if all(len(lab) == 1 for lab in model.alphabet):
@@ -342,6 +334,51 @@ def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> F
     scale, _ = model.scaled_utility[type_id]
     total = scaled_sequence_utility(model, type_id, reported, truth)
     return Fraction(total, len(truth) * scale)
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def beaten_masks(model: Model, type_id: int, seqs: list[Seq]) -> list[int]:
+    """Per truth, the ids of the other sequences this type weakly prefers to report.
+
+    Bit j of masks[i] (j != i) is set when U(seqs[j], seqs[i]) >= U(seqs[i],
+    seqs[i]), compared on the scaled integer tables. The payoffs of all
+    candidates against one truth are summed letter by letter from per-position
+    rows; consecutive truths share the sums over their common prefix, so a
+    lexicographic list costs about one pass of C-level additions per truth.
+    All sequences must share one length.
+    """
+    _, table = model.scaled_utility[type_id]
+    n = len(seqs[0]) if seqs else 0
+    columns = list(zip(*table))  # columns[t][r] == table[r][t]
+    rows = []  # rows[p][t][j]: payoff of letter p of seqs[j] against true letter t
+    for p in range(n):
+        letters = list(map(itemgetter(p), seqs))
+        rows.append([list(map(col.__getitem__, letters)) for col in columns])
+    masks = []
+    sums: list[list[int]] = []  # sums[p][j]: payoff of seqs[j] over letters 0..p
+    previous: Seq = ()
+    for i, truth in enumerate(seqs):
+        shared = 0
+        while shared < len(sums) and truth[shared] == previous[shared]:
+            shared += 1
+        del sums[shared:]
+        for p in range(shared, n):
+            row = rows[p][truth[p]]
+            sums.append(list(map(add, sums[-1], row)) if p else row)
+        previous = truth
+        own = sums[-1][i]
+        weakly_better = bytes(map(own.__le__, sums[-1]))  # one 0/1 byte per candidate
+        masks.append(int(weakly_better[::-1].translate(_BIT_CHARS), 2) & ~(1 << i))
+    return masks
+
+
+def transpose_masks(masks: list[int]) -> list[int]:
+    """Transpose a square bit matrix: bit i of out[j] is bit j of masks[i]."""
+    width = len(masks)
+    rows = [format(mask, f"0{width}b")[::-1] for mask in masks]  # char j is bit j
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
 
 def classify_type(model: Model, type_id: int) -> str:

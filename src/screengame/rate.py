@@ -21,6 +21,7 @@ from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
     SenderGraph,
     build_sender_graph,
+    clique_cover_bound,
     max_independent_set,
     union_graph,
 )
@@ -68,11 +69,11 @@ class RateBounds:
         return extraction_rate(self.achieved, self.n)
 
 
-def _alpha(graph: SenderGraph, mis_budget: int) -> tuple[int, bool]:
-    """Independent set size with a certification flag, degrading past budget."""
-    if graph.vertex_count <= mis_budget:
-        return max_independent_set(graph, budget=mis_budget).size, True
-    return max_independent_set(graph, mode="greedy").size, False
+def _certified_alpha(graph: SenderGraph, mis_budget: int) -> int:
+    """Exact independence number; raises past the budget rather than degrade."""
+    if graph.vertex_count > mis_budget:
+        raise BudgetExceededError("certified independent set", graph.vertex_count, mis_budget)
+    return max_independent_set(graph, budget=mis_budget).size
 
 
 def finite_bounds(
@@ -86,23 +87,25 @@ def finite_bounds(
 ) -> RateBounds:
     """Bound the optimal recovery value at horizon n by independence numbers.
 
-    When a graph is over the exact-search budget the greedy size is used and
-    the field is flagged uncertified; an uncertified ceiling is an estimate,
-    not a bound. With `solve`, the achieved value comes from the exhaustive
-    search, or from the heuristic (uncertified) when the space is over the
-    subset budget.
+    Past the exact-search budget both flags are false, but each value stays
+    on its side of the true number: a per-type ceiling is the greedy clique
+    cover, which never understates an independence number, and the union
+    floor is a greedy independent set, which never overstates it. With
+    `solve`, the achieved value comes from the exhaustive search, or from
+    the heuristic (uncertified) when the space is over the subset budget.
     """
     graphs = [
         build_sender_graph(model, t, n, budget=enum_budget)
         for t in range(model.num_types)
     ]
-    per_type: list[int] = []
-    upper_certified = True
-    for g in graphs:
-        size, exact = _alpha(g, mis_budget)
-        per_type.append(size)
-        upper_certified = upper_certified and exact
-    union_alpha, lower_certified = _alpha(union_graph(graphs), mis_budget)
+    union = union_graph(graphs)
+    certified = union.vertex_count <= mis_budget  # every graph has one vertex per sequence
+    if certified:
+        per_type = [max_independent_set(g, budget=mis_budget).size for g in graphs]
+        union_alpha = max_independent_set(union, budget=mis_budget).size
+    else:
+        per_type = [clique_cover_bound(g.adjacency, (1 << g.vertex_count) - 1) for g in graphs]
+        union_alpha = max_independent_set(union, mode="greedy").size
     weighted = Fraction(0)
     for p, size in zip(model.prior, per_type):
         weighted += p * size
@@ -125,8 +128,8 @@ def finite_bounds(
         alpha_per_type=tuple(per_type),
         weighted_alpha=weighted,
         achieved=achieved,
-        lower_certified=lower_certified,
-        upper_certified=upper_certified,
+        lower_certified=certified,
+        upper_certified=certified,
         achieved_certified=achieved_certified,
     )
 
@@ -159,22 +162,25 @@ def fekete_check(
     """
     if m < 1 or n < 1:
         raise ValueError("horizons must be >= 1")
-    sizes = {}
-    for horizon in (m, n, m + n):
-        graph = build_sender_graph(model, type_id, horizon, budget=enum_budget)
-        if graph.vertex_count > mis_budget:
-            raise BudgetExceededError(
-                "certified independent set", graph.vertex_count, mis_budget
-            )
-        sizes[horizon] = max_independent_set(graph, budget=mis_budget).size
+    alphas = {
+        horizon: _certified_alpha(
+            build_sender_graph(model, type_id, horizon, budget=enum_budget), mis_budget
+        )
+        for horizon in (m, n, m + n)
+    }
+    return _witness(type_id, m, n, alphas)
+
+
+def _witness(type_id: int, m: int, n: int, alphas: dict[int, int]) -> FeketeWitness:
+    """Witness from independence numbers `alphas[h]` at horizons m, n, m + n."""
     return FeketeWitness(
         type_id=type_id,
         m=m,
         n=n,
-        alpha_m=sizes[m],
-        alpha_n=sizes[n],
-        alpha_sum=sizes[m + n],
-        holds=sizes[m + n] >= sizes[m] * sizes[n],
+        alpha_m=alphas[m],
+        alpha_n=alphas[n],
+        alpha_sum=alphas[m + n],
+        holds=alphas[m + n] >= alphas[m] * alphas[n],
     )
 
 
@@ -214,22 +220,16 @@ def asymptotic_bounds(
         build_sender_graph(model, t, 1, budget=enum_budget)
         for t in range(model.num_types)
     ]
-    alpha1 = []
-    for g in one_letter:
-        if g.vertex_count > mis_budget:
-            raise BudgetExceededError("certified independent set", g.vertex_count, mis_budget)
-        alpha1.append(max_independent_set(g, budget=mis_budget).size)
+    alpha1 = [_certified_alpha(g, mis_budget) for g in one_letter]
     best_type = max(range(model.num_types), key=lambda t: (alpha1[t], -t))
     union_floor = max_independent_set(union_graph(one_letter), budget=mis_budget).size
 
-    alphas = []
-    for horizon in range(1, n_max + 1):
-        graph = build_sender_graph(model, best_type, horizon, budget=enum_budget)
-        if graph.vertex_count > mis_budget:
-            raise BudgetExceededError(
-                "certified independent set", graph.vertex_count, mis_budget
-            )
-        alphas.append(max_independent_set(graph, budget=mis_budget).size)
+    alphas = [
+        _certified_alpha(
+            build_sender_graph(model, best_type, horizon, budget=enum_budget), mis_budget
+        )
+        for horizon in range(1, n_max + 1)
+    ]
     estimates = tuple(extraction_rate(a, k + 1) for k, a in enumerate(alphas))
     # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h),
     # never by comparing the float views; first horizon wins ties.
@@ -238,20 +238,12 @@ def asymptotic_bounds(
         if alphas[h - 1] ** floor_h > alphas[floor_h - 1] ** h:
             floor_h = h
 
-    witnesses = []
-    for m in range(1, n_max):
-        for n in range(m, n_max - m + 1):
-            witnesses.append(
-                FeketeWitness(
-                    type_id=best_type,
-                    m=m,
-                    n=n,
-                    alpha_m=alphas[m - 1],
-                    alpha_n=alphas[n - 1],
-                    alpha_sum=alphas[m + n - 1],
-                    holds=alphas[m + n - 1] >= alphas[m - 1] * alphas[n - 1],
-                )
-            )
+    by_horizon = dict(enumerate(alphas, start=1))
+    witnesses = [
+        _witness(best_type, m, n, by_horizon)
+        for m in range(1, n_max)
+        for n in range(m, n_max - m + 1)
+    ]
     return AsymptoticReport(
         n_max=n_max,
         alpha_per_type=tuple(alpha1),

@@ -164,6 +164,18 @@ def test_solve_exact_respects_budget(example):
         sg.solve_exact(example, 2, subset_budget=8)
 
 
+def test_solve_exact_refuses_before_enumerating(example, monkeypatch):
+    # 3^9 sequences: the refusal must come before any table is built.
+    def enumerate_forbidden(*args, **kwargs):
+        raise AssertionError("sequences enumerated before the subset budget check")
+
+    monkeypatch.setattr(sg.equilibrium, "enumerate_sequences", enumerate_forbidden)
+    with pytest.raises(sg.BudgetExceededError, match="questionnaire search") as info:
+        sg.solve_exact(example, 9)
+    assert info.value.requested == 3**9
+    assert info.value.budget == sg.equilibrium.DEFAULT_SUBSET_BUDGET
+
+
 def test_report_cap_truncates_list_not_count():
     m = sg.Model.from_tables(["a", "b"], ["t"], {"t": 1}, {"t": [[0, 0], [0, 0]]})
     result = sg.solve_exact(m, 1, report_cap=1)

@@ -190,18 +190,6 @@ def test_honest_types_always_recover_under_the_naive_strategy():
     assert checked >= 3  # the pool must actually exercise honest types
 
 
-def test_optimistic_contains_robust():
-    rng = random.Random(17)
-    for m in model_pool(15, seed=67):
-        seqs = sg.enumerate_sequences(m, 1)
-        members = rng.sample(seqs, rng.randint(1, len(seqs)))
-        strategy = sg.canonical_strategy(members)
-        for t in range(m.num_types):
-            robust = set(sg.robust_recovery_set(m, strategy, t))
-            optimistic = set(sg.optimistic_recovery_set(m, strategy, t))
-            assert robust <= optimistic
-
-
 def test_cross_check_example_all_subsets(example):
     result = sg.cross_check_equivalence(example, 1)
     assert result.image_sets_checked == 7

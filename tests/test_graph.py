@@ -46,25 +46,31 @@ def test_no_self_loops_and_symmetry():
 
 
 def test_edge_rule_matches_direct_average_comparison():
-    # Recompute every adjacency from raw Fraction averages, the long way.
+    # Recompute adjacencies from raw Fraction averages, the long way: every
+    # pair on spaces of up to 9 sequences, 100 sampled pairs on 27 to 81.
+    rng = random.Random(37)
     for m in model_pool(20, seed=23):
         for t in range(m.num_types):
-            for n in (1, 2):
-                if m.num_symbols**n > 9:
+            for n in range(1, 7):
+                size = m.num_symbols**n
+                if size > 81 or 9 < size < 27:
                     continue
                 g = sg.build_sender_graph(m, t, n)
                 seqs = sg.enumerate_sequences(m, n)
-                for i, x in enumerate(seqs):
-                    for j in range(i + 1, len(seqs)):
-                        y = seqs[j]
-                        expected = (
-                            sg.sequence_utility(m, t, x, x)
-                            <= sg.sequence_utility(m, t, y, x)
-                        ) or (
-                            sg.sequence_utility(m, t, y, y)
-                            <= sg.sequence_utility(m, t, x, y)
-                        )
-                        assert g.has_edge(i, j) == expected
+                if size <= 9:
+                    pairs = itertools.combinations(range(size), 2)
+                else:
+                    pairs = (sorted(rng.sample(range(size), 2)) for _ in range(100))
+                for i, j in pairs:
+                    x, y = seqs[i], seqs[j]
+                    expected = (
+                        sg.sequence_utility(m, t, x, x)
+                        <= sg.sequence_utility(m, t, y, x)
+                    ) or (
+                        sg.sequence_utility(m, t, y, y)
+                        <= sg.sequence_utility(m, t, x, y)
+                    )
+                    assert g.has_edge(i, j) == g.has_edge(j, i) == expected
 
 
 def test_union_is_edge_union(example):
@@ -168,13 +174,6 @@ def test_supermultiplicative_growth_single_type():
         a3 = sg.max_independent_set(sg.build_sender_graph(m, t, 3)).size
         assert a2 >= a1 * a1
         assert a3 >= a1 * a2
-
-
-def test_independent_set_members_decodes_sequences(example):
-    g = sg.build_sender_graph(example, 0, 2)
-    result = sg.max_independent_set(g)
-    members = sg.independent_set_members(example, g, result)
-    assert members == sg.enumerate_sequences(example, 2)
 
 
 def test_export_dot_is_frozen_and_deterministic(example):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import screengame as sg
-from screengame.model import ModelSyntaxError
+from screengame.model import ModelSyntaxError, transpose_masks
 
 from conftest import make_random_model, model_pool
 
@@ -97,8 +97,6 @@ def test_enumerate_is_lexicographic(example):
     assert len(seqs) == 9
     assert seqs == sorted(seqs)
     assert seqs[0] == (0, 0) and seqs[-1] == (2, 2)
-    for i, s in enumerate(seqs):
-        assert sg.sequence_index(example, s) == i
 
 
 def test_enumerate_budget(example):
@@ -109,6 +107,42 @@ def test_enumerate_budget(example):
         sg.enumerate_sequences(example, 2, budget=8)
     with pytest.raises(ValueError):
         sg.enumerate_sequences(example, 0)
+
+
+def test_beaten_masks_match_definition_beyond_nine_sequences():
+    # Spaces of 27 to 81 sequences: sampled bits against raw Fraction
+    # averages, and the unbeaten members of random subsets against the
+    # reference scan in truthful_subset.
+    rng = random.Random(29)
+    for m in model_pool(9, seed=31):
+        for n in range(1, 7):
+            if not 27 <= m.num_symbols**n <= 81:
+                continue
+            seqs = sg.enumerate_sequences(m, n)
+            for t in range(m.num_types):
+                masks = sg.beaten_masks(m, t, seqs)
+                assert len(masks) == len(seqs)
+                assert all(not mask >> i & 1 for i, mask in enumerate(masks))
+                assert all(0 <= mask < 1 << len(seqs) for mask in masks)
+                for _ in range(200):
+                    i, j = rng.randrange(len(seqs)), rng.randrange(len(seqs))
+                    x, y = seqs[i], seqs[j]
+                    expected = i != j and (
+                        sg.sequence_utility(m, t, y, x) >= sg.sequence_utility(m, t, x, x)
+                    )
+                    assert bool(masks[i] >> j & 1) == expected
+                for _ in range(20):
+                    ids = sorted(rng.sample(range(len(seqs)), rng.randint(1, len(seqs))))
+                    subset = sum(1 << v for v in ids)
+                    unbeaten = tuple(seqs[v] for v in ids if not masks[v] & subset)
+                    assert unbeaten == sg.truthful_subset(m, [seqs[v] for v in ids], t)
+
+
+def test_transpose_masks():
+    masks = [0b0110, 0b0000, 0b1001, 0b0100]
+    assert transpose_masks(masks) == [0b0100, 0b0001, 0b1001, 0b0100]
+    assert transpose_masks(transpose_masks(masks)) == masks
+    assert transpose_masks([]) == []
 
 
 def test_format_sequence():

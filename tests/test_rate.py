@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import screengame as sg
 
-from conftest import model_pool
+from conftest import make_random_model, model_pool
 
 
 def only_deceptive_model():
@@ -70,6 +71,21 @@ def test_small_mis_budget_degrades_to_uncertified(example):
     # the greedy sizes still happen to be exact on graphs this small
     assert bounds.alpha_per_type == (3, 1)
     assert bounds.alpha_union == 1
+
+
+def test_ceiling_past_mis_budget_never_understates_alpha():
+    # Random(7) draws (3,2), (3,2), (4,2); on the third model at n=4, type 1
+    # has a greedy independent set of 8 but independence number 16.
+    rng = random.Random(7)
+    m = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))][2]
+    exact = sg.finite_bounds(m, 4)  # 256 vertices, inside the default budget
+    assert exact.upper_certified and exact.lower_certified
+    assert exact.alpha_per_type[1] == 16
+    past = sg.finite_bounds(m, 4, mis_budget=100)
+    assert not past.upper_certified and not past.lower_certified
+    assert all(a >= b for a, b in zip(past.alpha_per_type, exact.alpha_per_type))
+    assert past.weighted_alpha >= exact.weighted_alpha
+    assert past.alpha_union <= exact.alpha_union  # the floor stays greedy
 
 
 def test_small_subset_budget_degrades_achieved(example):
