@@ -10,13 +10,11 @@ all nonempty I.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .model import (
     BudgetExceededError,
@@ -186,41 +184,54 @@ def solve_exact(
 ) -> EquilibriumResult:
     """Exhaustive questionnaire search over all nonempty sets of sequences.
 
-    Enumerates subsets largest first. With pruning on, a whole size class is
-    skipped once no set of that size can reach the incumbent: the objective of
-    I never exceeds |I| because every truthful subset lives inside I. The
-    incumbent is seeded from the closure reduction of the full space. Both
-    rules only discard sets that are provably not maximizers, so the optimum
-    and the complete maximizer list match the unpruned search exactly.
+    A branch and bound over membership: a depth-first walk decides sequences
+    0, 1, ..., N-1 in turn, trying "include" before "exclude", so it meets
+    the subsets in lexicographic order. A member x of I is truthful for a
+    deceptive type when no other member beats it, so the type's truthful
+    count is |I| minus |I & beaten|, where beaten is the OR of beats[y] over
+    y in I and beats[y] is the transposed beaten-by mask; honest types count
+    |I|. Each node carries I and beaten, so including a sequence costs one OR.
 
-    A member x of I is truthful for a type when no other member beats it, so
-    the type's truthful count is |I| minus |I & (OR of beats[y] over y in I)|,
-    where beats[y] is the transposed beaten-by mask. Honest types count |I|.
+    With pruning on, a node whose undecided sequences are R is cut when its
+    ceiling is strictly below the incumbent. A member that I beats stays
+    beaten in every I | S with S inside R, so a deceptive type counts at most
+    |(I | R) - beaten| and an honest type at most |I | R|. The incumbent is
+    seeded from the closure reduction of the full space. Ties are never cut,
+    so the optimum and the complete maximizer list match the unpruned search
+    exactly. `subsets_pruned` counts the nonempty extensions of every cut
+    node, a whole subtree at a time, so examined plus pruned is 2^N - 1.
     Objectives are compared as integers, priors scaled by `scale`.
     """
     count = model.num_symbols**n
     if count > subset_budget:
         raise BudgetExceededError("questionnaire search", count, subset_budget)
     seqs = enumerate_sequences(model, n, budget=enum_budget)
-    bits = [1 << v for v in range(count)]  # subsets are enumerated as tuples of these
 
     scale = math.lcm(*(p.denominator for p in model.prior))
     weights = [int(p * scale) for p in model.prior]
+    everyone = sum(weights)
     deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
     # Deceptive type number `slot` owns bits slot * count .. slot * count +
-    # count - 1 of beats[y], so one OR over the members serves every type;
-    # multiplying I by `copies` places it in each type's bits.
-    beats = dict.fromkeys(bits, 0)
+    # count - 1 of beats[y], so one OR serves every type; multiplying a
+    # member set by `copies` places it in each type's bits.
+    beats = [0] * count
     for slot, type_id in enumerate(deceptive):
-        beaten = beaten_masks(model, type_id, seqs)
-        for bit, mask in zip(bits, transpose_masks(beaten)):
-            beats[bit] |= mask << slot * count
+        for y, mask in enumerate(transpose_masks(beaten_masks(model, type_id, seqs))):
+            beats[y] |= mask << slot * count
     copies = sum(1 << slot * count for slot in range(len(deceptive)))
     slices = [(weights[t], slot * count) for slot, t in enumerate(deceptive)]
     low = (1 << count) - 1
 
+    def score(members: int, beaten: int) -> int:
+        """Scaled objective of `members` when `beaten` holds every type's losers."""
+        hit = members * copies & beaten
+        value = everyone * members.bit_count()
+        for weight, shift in slices:
+            value -= weight * (hit >> shift & low).bit_count()
+        return value
+
     best: int | None = None
-    maximizers: list[tuple[int, ...]] = []
+    maximizers: list[int] = []  # member bitmasks, in lexicographic order
     examined = 0
     pruned = 0
 
@@ -228,27 +239,27 @@ def solve_exact(
         seed_members = reduce_closure(model, seqs)
         best = int(receiver_objective(model, seed_members) * scale)
 
-    for size in range(count, 0, -1):
-        if prune and best is not None and size * scale < best:
-            pruned += sum(math.comb(count, k) for k in range(1, size + 1))
-            break
-        everyone = sum(weights) * size
-        for subset in itertools.combinations(bits, size):
-            examined += 1
-            beaten_members = sum(subset) * copies & reduce(or_, map(beats.__getitem__, subset))
-            value = everyone
-            for weight, shift in slices:
-                value -= weight * (beaten_members >> shift & low).bit_count()
-            if best is None or value > best:
-                best = value
-                maximizers = [subset]
-            elif value == best:
-                maximizers.append(subset)
+    stack = [(0, 0, 0)]  # (members, beaten, first undecided sequence)
+    while stack:
+        members, beaten, k = stack.pop()
+        if prune and score(members | low >> k << k, beaten) < best:
+            pruned += (1 << count - k) - 1
+            continue
+        grown, grown_beaten = members | 1 << k, beaten | beats[k]
+        examined += 1
+        value = score(grown, grown_beaten)
+        if best is None or value > best:
+            best = value
+            maximizers = [grown]
+        elif value == best:
+            maximizers.append(grown)
+        if k + 1 < count:
+            stack.append((members, beaten, k + 1))  # exclude k
+            stack.append((grown, grown_beaten, k + 1))  # include k, walked first
 
-    maximizers.sort()
     member_sets = tuple(
-        tuple(seqs[bit.bit_length() - 1] for bit in subset)
-        for subset in maximizers[:report_cap]
+        tuple(seqs[v] for v in range(count) if members >> v & 1)
+        for members in maximizers[:report_cap]
     )
     designated = evaluate_questionnaire(model, member_sets[0])
     return EquilibriumResult(
@@ -277,8 +288,11 @@ def solve_heuristic(
     Starts from a seeded random singleton, repeatedly adds the best candidate
     (tolerating `patience` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
-    not certified optimal, but it is never worse than the best singleton,
-    whose objective is exactly 1.
+    not certified optimal, but it is never below the closure seed, the
+    closure reduction of the full space that also seeds the exact search:
+    the seed is returned instead whenever it scores strictly higher. Nor is
+    it below the best singleton, whose objective is exactly 1, because local
+    search starts from a singleton and never loses value.
     """
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     rng = random.Random(seed)
@@ -336,6 +350,11 @@ def solve_heuristic(
             improved = True
 
     members = tuple(seqs[v] for v in current)
+    seed_members = reduce_closure(model, seqs)
+    seed_value = receiver_objective(model, seed_members)
+    evaluations += 1
+    if seed_value > current_value:
+        members, current_value = seed_members, seed_value
     designated = evaluate_questionnaire(model, members)
     return EquilibriumResult(
         n=n,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .model import (
+    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
@@ -205,6 +206,10 @@ def simulate(
     replay identically.
     """
     truth = tuple(truth)
+    n = len(truth)
+    space = model.num_symbols**n  # the report is located by scanning this space
+    if space > enum_budget:
+        raise BudgetExceededError("report search", space, enum_budget)
     outcome = best_reports(model, strategy, type_id, truth)
     options = outcome.decoded
     if policy == ADVERSARIAL:
@@ -220,9 +225,6 @@ def simulate(
     else:
         raise ValueError(f"unknown tie policy {policy!r}")
     reported = None
-    n = len(truth)
-    if model.num_symbols**n > enum_budget:
-        raise ValueError("sequence space too large to locate a report")
     for y in itertools.product(range(model.num_symbols), repeat=n):
         if strategy.decode(y) == decoded:
             reported = y
@@ -262,16 +264,17 @@ def cross_check_equivalence(
     For each image set I, the worst-case recovery of the canonical strategy on
     I must equal the receiver objective of I exactly. `strategies` is "all"
     (every nonempty subset, requires a small sequence space) or "random"
-    (`count` seeded draws).
+    (`count` seeded draws). The exhaustive mode is refused before any
+    sequence is enumerated when the space exceeds `subset_cap` sequences.
     """
+    space = model.num_symbols**n
+    if strategies == "all" and space > subset_cap:
+        raise BudgetExceededError(
+            "exhaustive cross-check (use strategies='random')", space, subset_cap
+        )
     seqs = enumerate_sequences(model, n, budget=enum_budget)
-    space = len(seqs)
     image_sets: list[tuple[Seq, ...]] = []
     if strategies == "all":
-        if space > subset_cap:
-            raise ValueError(
-                f"{space} sequences means 2^{space}-1 subsets; use strategies='random'"
-            )
         for size in range(1, space + 1):
             image_sets.extend(
                 tuple(seqs[v] for v in combo)

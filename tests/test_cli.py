@@ -218,6 +218,17 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1
     assert "exceeds budget" in err
 
+    code, _, err = run(capsys, "oracle-check", "--model", "example1", "--n", "3")
+    assert code == 1
+    assert "exhaustive cross-check" in err and "exceeds budget 20" in err
+
+    code, _, err = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "1,1",
+        "--members", "0,0;1,1", "--enum-budget", "8",
+    )
+    assert code == 1
+    assert "report search: requested 9 exceeds budget 8" in err
+
     bad = tmp_path / "bad.json"
     bad.write_text('{"alphabet": ["0"]}', encoding="utf-8")
     code, _, err = run(capsys, "validate", "--model", str(bad))

@@ -8,7 +8,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import brute_best, model_pool
+from conftest import brute_best, make_random_model, model_pool
 
 
 def test_truthful_subset_known_cases(example):
@@ -123,6 +123,16 @@ def test_solve_exact_example_two_letters(example):
     # the full space is the unique maximizer at this horizon
     assert result.maximizer_count == 1
     assert result.maximizers[0] == tuple(sg.enumerate_sequences(example, 2))
+    # golden work counters: 24 subsets evaluated, the other 487 cut in subtrees
+    assert (result.subsets_examined, result.subsets_pruned) == (24, 487)
+
+
+def test_solve_exact_example_three_letters_past_the_default_budget(example):
+    result = sg.solve_exact(example, 3, subset_budget=27)
+    assert result.certified
+    assert result.optimum == 9
+    assert sg.receiver_objective(example, result.designated.members) == 9
+    assert result.subsets_examined + result.subsets_pruned == 2**27 - 1
 
 
 def test_solve_exact_constant_model_prefers_singletons():
@@ -143,18 +153,23 @@ def test_solve_exact_agrees_with_bruteforce():
 
 
 def test_pruned_and_unpruned_agree_exactly():
-    for m in model_pool(20, seed=47):
-        for n in (1, 2):
-            if m.num_symbols**n > 9:
-                continue
-            pruned = sg.solve_exact(m, n, prune=True, report_cap=1 << 20)
-            full = sg.solve_exact(m, n, prune=False, report_cap=1 << 20)
-            assert pruned.optimum == full.optimum
-            assert pruned.maximizers == full.maximizers
-            assert full.subsets_pruned == 0
-            total = 2 ** (m.num_symbols**n) - 1
-            assert full.subsets_examined == total
-            assert pruned.subsets_examined + pruned.subsets_pruned == total
+    # Branch and bound against the unpruned walk and the brute-force scan, on
+    # spaces of 2-12 sequences: one letter over 2-12 symbols, or longer words.
+    rng = random.Random(61)
+    shapes = [(k, 1) for k in range(2, 13)] + [(2, 2), (2, 3), (3, 2)]
+    for trial in range(110):
+        num_symbols, n = shapes[trial % len(shapes)]
+        m = make_random_model(rng, num_symbols, rng.randint(1, 3))
+        pruned = sg.solve_exact(m, n, prune=True, report_cap=1 << 20)
+        full = sg.solve_exact(m, n, prune=False, report_cap=1 << 20)
+        best, sets = brute_best(m, n)
+        assert pruned.optimum == full.optimum == best
+        assert list(pruned.maximizers) == list(full.maximizers) == sets
+        assert pruned.maximizer_count == full.maximizer_count == len(sets)
+        assert full.subsets_pruned == 0
+        total = 2 ** (num_symbols**n) - 1
+        assert full.subsets_examined == total
+        assert pruned.subsets_examined + pruned.subsets_pruned == total
 
 
 def test_solve_exact_respects_budget(example):
@@ -197,6 +212,16 @@ def test_heuristic_is_deterministic_per_seed(example):
     a = sg.solve_heuristic(example, 2, seed=3)
     b = sg.solve_heuristic(example, 2, seed=3)
     assert a == b
+
+
+def test_heuristic_never_below_the_closure_seed(example):
+    # Local search alone stalls at 2 (n=2) and 34/3 (n=4); the closure of the
+    # full space scores 3 and 27.
+    for seed in range(5):
+        assert sg.solve_heuristic(example, 2, seed=seed).optimum == 3
+    result = sg.solve_heuristic(example, 4)
+    assert result.optimum >= 27
+    assert sg.receiver_objective(example, result.designated.members) == result.optimum
 
 
 def test_heuristic_bounded_by_singleton_and_exact():

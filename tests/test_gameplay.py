@@ -158,6 +158,13 @@ def test_simulate_rejects_unknown_policy(example):
         sg.simulate(example, naive_strategy(example), 0, (0,), policy="upbeat")
 
 
+def test_simulate_refuses_a_space_over_the_enumeration_budget(example):
+    strategy = sg.canonical_strategy([(0, 0), (1, 1)])
+    with pytest.raises(sg.BudgetExceededError, match="report search") as info:
+        sg.simulate(example, strategy, 0, (1, 1), enum_budget=8)
+    assert (info.value.requested, info.value.budget) == (9, 8)
+
+
 def test_simulated_outcomes_are_realizable():
     rng = random.Random(14)
     for m in model_pool(15, seed=59):
@@ -209,8 +216,15 @@ def test_cross_check_random_mode(example):
     assert result.agreed
 
 
-def test_cross_check_refuses_oversized_exhaustive(example):
-    with pytest.raises(ValueError, match="random"):
-        sg.cross_check_equivalence(example, 3)
+def test_cross_check_refuses_oversized_exhaustive(example, monkeypatch):
+    def enumerate_forbidden(*args, **kwargs):
+        raise AssertionError("sequences enumerated before the subset cap check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "enumerate_sequences", enumerate_forbidden)
+        with pytest.raises(sg.BudgetExceededError, match="random") as info:
+            sg.cross_check_equivalence(example, 3)
+    assert info.value.requested == 27
+    assert info.value.budget == sg.equilibrium.DEFAULT_SUBSET_BUDGET
     with pytest.raises(ValueError, match="unknown strategies mode"):
         sg.cross_check_equivalence(example, 1, strategies="some")
