@@ -168,15 +168,13 @@ def _cmd_graph(args) -> tuple[dict | None, int]:
         raise ModelError("choose a sender type with --type, or --union")
     if args.type is not None and args.union:
         raise ModelError("--type and --union are mutually exclusive")
-    if args.union:
-        graphs = [
-            build_sender_graph(model, t, args.n, budget=args.enum_budget)
-            for t in range(model.num_types)
-        ]
-        graph = union_graph(graphs)
-    else:
-        type_id = model.type_index(args.type)
-        graph = build_sender_graph(model, type_id, args.n, budget=args.enum_budget)
+    type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
+    vertices = model.num_symbols**args.n
+    if args.alpha == "exact" and not args.export and vertices > args.mis_budget:
+        # the same refusal max_independent_set makes, before the graph exists
+        raise BudgetExceededError("exact independent set", vertices, args.mis_budget)
+    graphs = [build_sender_graph(model, t, args.n, budget=args.enum_budget) for t in type_ids]
+    graph = union_graph(graphs) if args.union else graphs[0]
     if args.export:
         sys.stdout.write(export_dot(graph))
         return None, 0

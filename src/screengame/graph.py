@@ -107,6 +107,7 @@ class IndependentSetResult:
     members: tuple[int, ...]  # vertex ids, ascending
     size: int
     certified: bool  # True only for the exact search
+    nodes: int = 0  # branch-and-bound nodes visited; 0 in greedy mode
 
 
 def max_independent_set(
@@ -117,9 +118,16 @@ def max_independent_set(
 ) -> IndependentSetResult:
     """Maximum independent set, certified in exact mode.
 
-    Exact mode is a deterministic branch and bound: branch on the vertex of
-    highest degree among remaining candidates (ties to the lowest id), bound
-    by a greedy clique cover of the candidates. Greedy mode grows a maximal
+    Exact mode is a deterministic branch and reduce on an explicit stack,
+    seeded with the greedy set. Each node first takes every candidate of
+    degree 0 or 1, or of degree 2 inside a triangle, and drops its
+    neighbours: they are pairwise adjacent, so some maximum set takes it.
+    It then cuts when a greedy clique cover of the candidates, grown from
+    the lowest or from the highest id, cannot beat the incumbent, and
+    otherwise branches on the candidate of highest degree (ties to the
+    lowest id), "exclude" first. The "include" branch is skipped when a
+    neighbour u of the pivot has N[u] inside N[pivot]: u can then replace
+    the pivot in any independent set. Greedy mode grows a maximal
     independent set by repeated minimum-degree choice and is not certified.
     """
     if mode == "greedy":
@@ -130,59 +138,98 @@ def max_independent_set(
         raise BudgetExceededError("exact independent set", graph.vertex_count, budget)
 
     adjacency = graph.adjacency
-    best_mask = 0
-    best_size = 0
-
-    def expand(current: int, size: int, cand: int) -> None:
-        nonlocal best_mask, best_size
-        if not cand:
+    seed = _greedy_independent_set(graph)
+    best_size = seed.size
+    best_mask = sum(1 << v for v in seed.members)
+    nodes = 0
+    stack = [(0, 0, (1 << graph.vertex_count) - 1)]
+    while stack:
+        current, size, cand = stack.pop()
+        nodes += 1
+        reduced = True
+        while reduced:
+            reduced = False
+            pivot = -1
+            pivot_degree = 1
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                neighbours = adjacency[v] & cand
+                degree = neighbours.bit_count()
+                # v's neighbours are pairwise adjacent, so some maximum set takes v
+                if degree <= 1 or (
+                    degree == 2
+                    and adjacency[(neighbours & -neighbours).bit_length() - 1] & neighbours
+                ):
+                    current |= low
+                    size += 1
+                    cand &= ~(low | neighbours)
+                    rest &= cand
+                    reduced = True
+                elif degree > pivot_degree:
+                    pivot, pivot_degree = v, degree
+        if pivot < 0:  # every candidate was taken
             if size > best_size:
                 best_size, best_mask = size, current
-            return
-        degrees: list[tuple[int, int]] = []
-        rest = cand
-        edgeless = True
+            continue
+        # Two greedy covers, grown from opposite ends, often differ by several
+        # cliques; the second runs only when the first does not cut.
+        if (
+            size + clique_cover_bound(adjacency, cand) <= best_size
+            or size + _descending_cover_bound(adjacency, cand) <= best_size
+        ):
+            continue
+        bit = 1 << pivot
+        closed = (adjacency[pivot] | bit) & cand
+        rest = closed ^ bit
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (adjacency[v] & cand).bit_count()
-            if d:
-                edgeless = False
-            degrees.append((v, d))
-        if edgeless:
-            total = size + len(degrees)
-            if total > best_size:
-                best_size = total
-                best_mask = current | cand
-            return
-        if size + clique_cover_bound(adjacency, cand) <= best_size:
-            return
-        pivot = max(degrees, key=lambda vd: (vd[1], -vd[0]))[0]
-        expand(current | 1 << pivot, size + 1, cand & ~(adjacency[pivot] | 1 << pivot))
-        expand(current, size, cand & ~(1 << pivot))
-
-    expand(0, 0, (1 << graph.vertex_count) - 1)
-    return IndependentSetResult(_mask_to_members(best_mask), best_size, True)
+            low = rest & -rest
+            rest ^= low
+            if (adjacency[low.bit_length() - 1] | low) & cand & ~closed == 0:
+                break  # dominated: some maximum set avoids the pivot
+        else:
+            stack.append((current | bit, size + 1, cand & ~closed))
+        stack.append((current, size, cand ^ bit))
+    return IndependentSetResult(_mask_to_members(best_mask), best_size, True, nodes)
 
 
 def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
     """Size of a greedy clique cover of the vertices in `cand`.
 
-    An independent set meets each clique at most once, so this bounds the
+    Each clique starts at the lowest uncovered vertex and takes, in
+    ascending order, every uncovered vertex adjacent to all its members (one
+    AND per member), which is the first-fit partition in vertex order. An
+    independent set meets each clique at most once, so this bounds the
     independence number of the induced subgraph from above.
     """
-    classes: list[int] = []
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        for i, cls in enumerate(classes):
-            if adjacency[v] & cls == cls:
-                classes[i] = cls | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
+    count = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        joinable = adjacency[low.bit_length() - 1] & cand
+        while joinable:
+            low = joinable & -joinable
+            cand ^= low
+            joinable &= adjacency[low.bit_length() - 1]
+        count += 1
+    return count
+
+
+def _descending_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
+    """`clique_cover_bound` with the vertices taken from the highest id down."""
+    count = 0
+    while cand:
+        v = cand.bit_length() - 1
+        cand ^= 1 << v
+        joinable = adjacency[v] & cand
+        while joinable:
+            v = joinable.bit_length() - 1
+            cand ^= 1 << v
+            joinable &= adjacency[v]
+        count += 1
+    return count
 
 
 def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
@@ -200,6 +247,8 @@ def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
             if d < best_deg:
                 best_deg = d
                 best_v = v
+                if not d:
+                    break  # no later vertex beats degree 0
         chosen |= 1 << best_v
         remaining &= ~(adjacency[best_v] | 1 << best_v)
     members = _mask_to_members(chosen)

@@ -19,7 +19,6 @@ from .model import (
 )
 from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
-    SenderGraph,
     build_sender_graph,
     clique_cover_bound,
     max_independent_set,
@@ -69,11 +68,16 @@ class RateBounds:
         return extraction_rate(self.achieved, self.n)
 
 
-def _certified_alpha(graph: SenderGraph, mis_budget: int) -> int:
-    """Exact independence number; raises past the budget rather than degrade."""
-    if graph.vertex_count > mis_budget:
-        raise BudgetExceededError("certified independent set", graph.vertex_count, mis_budget)
-    return max_independent_set(graph, budget=mis_budget).size
+def _check_mis_budget(model: Model, horizons, mis_budget: int) -> None:
+    """Refuse, before any graph is built, a horizon whose graph is over the budget.
+
+    Every graph at horizon h has one vertex per sequence, k^h of them; the
+    first horizon over the budget, in the order given, is the one named.
+    """
+    for h in horizons:
+        vertices = model.num_symbols**h
+        if vertices > mis_budget:
+            raise BudgetExceededError("certified independent set", vertices, mis_budget)
 
 
 def finite_bounds(
@@ -102,7 +106,9 @@ def finite_bounds(
     certified = union.vertex_count <= mis_budget  # every graph has one vertex per sequence
     if certified:
         per_type = [max_independent_set(g, budget=mis_budget).size for g in graphs]
-        union_alpha = max_independent_set(union, budget=mis_budget).size
+        # A union with no edge beyond one type's graph has that type's number.
+        same = [size for g, size in zip(graphs, per_type) if g.adjacency == union.adjacency]
+        union_alpha = same[0] if same else max_independent_set(union, budget=mis_budget).size
     else:
         per_type = [clique_cover_bound(g.adjacency, (1 << g.vertex_count) - 1) for g in graphs]
         union_alpha = max_independent_set(union, mode="greedy").size
@@ -162,10 +168,11 @@ def fekete_check(
     """
     if m < 1 or n < 1:
         raise ValueError("horizons must be >= 1")
+    _check_mis_budget(model, (m, n, m + n), mis_budget)
     alphas = {
-        horizon: _certified_alpha(
-            build_sender_graph(model, type_id, horizon, budget=enum_budget), mis_budget
-        )
+        horizon: max_independent_set(
+            build_sender_graph(model, type_id, horizon, budget=enum_budget), budget=mis_budget
+        ).size
         for horizon in (m, n, m + n)
     }
     return _witness(type_id, m, n, alphas)
@@ -216,19 +223,20 @@ def asymptotic_bounds(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_mis_budget(model, range(1, n_max + 1), mis_budget)
     one_letter = [
         build_sender_graph(model, t, 1, budget=enum_budget)
         for t in range(model.num_types)
     ]
-    alpha1 = [_certified_alpha(g, mis_budget) for g in one_letter]
+    alpha1 = [max_independent_set(g, budget=mis_budget).size for g in one_letter]
     best_type = max(range(model.num_types), key=lambda t: (alpha1[t], -t))
     union_floor = max_independent_set(union_graph(one_letter), budget=mis_budget).size
 
-    alphas = [
-        _certified_alpha(
-            build_sender_graph(model, best_type, horizon, budget=enum_budget), mis_budget
-        )
-        for horizon in range(1, n_max + 1)
+    alphas = [alpha1[best_type]] + [
+        max_independent_set(
+            build_sender_graph(model, best_type, horizon, budget=enum_budget), budget=mis_budget
+        ).size
+        for horizon in range(2, n_max + 1)
     ]
     estimates = tuple(extraction_rate(a, k + 1) for k, a in enumerate(alphas))
     # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h),

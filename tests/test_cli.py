@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import screengame as sg
 from screengame.cli import main
+
+from conftest import make_random_model
 
 EXAMPLE1_DIGEST = "145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738"
 
@@ -234,6 +238,44 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--model", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_graph_refuses_exact_alpha_before_building(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built before the budget check")
+
+    monkeypatch.setattr(sg.cli, "build_sender_graph", fail)
+    code, _, err = run(
+        capsys, "graph", "--model", "example1", "--union", "--n", "3", "--mis-budget", "20"
+    )
+    assert code == 1
+    assert "exact independent set: requested 27 exceeds budget 20" in err
+
+
+def test_graph_exact_witness_is_a_maximum_independent_set(capsys, tmp_path):
+    # Which maximum set is printed is not part of the contract: check that it
+    # is independent and of the certified size, not which members it has.
+    # Random(7) draws (3,2), (3,2), (4,2); the second model's type b at n=4
+    # has 81 vertices and independence number 6.
+    rng = random.Random(7)
+    model = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))][1]
+    path = tmp_path / "r7.json"
+    path.write_text(sg.serialize_model(model), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "graph", "--model", str(path), "--type", "b", "--n", "4",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert "alpha=6" in out and "alpha_certified=true" in out
+    members = [
+        line.split("=", 1)[1]
+        for line in out.splitlines()
+        if line.startswith("independent_set.") and "count" not in line
+    ]
+    graph = sg.build_sender_graph(model, 1, 4)
+    ids = sorted(graph.labels.index(label) for label in members)
+    assert len(set(ids)) == 6
+    assert not any(graph.has_edge(u, v) for u in ids for v in ids)
 
 
 def test_reports_are_deterministic(capsys):

@@ -2,12 +2,71 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 import screengame as sg
+from screengame.graph import _descending_cover_bound, clique_cover_bound
 
-from conftest import brute_alpha, model_pool
+from conftest import brute_alpha, make_random_model, model_pool
+
+
+def graph_from_edges(count: int, edges) -> sg.SenderGraph:
+    adjacency = [0] * count
+    for u, v in edges:
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    return sg.SenderGraph(1, tuple(map(str, range(count))), tuple(adjacency), "test")
+
+
+def structured_graph(rng: random.Random) -> sg.SenderGraph:
+    """Random core plus isolated, pendant, triangle and dominated vertices, relabelled.
+
+    A triangle vertex is joined to both ends of an edge. A dominated vertex
+    u is joined to a vertex v and to some of v's neighbours, so N[u] is
+    inside N[v].
+    """
+    core = rng.randint(0, 10)
+    p = rng.choice((0.1, 0.25, 0.5, 0.8))
+    edges = {(u, v) for u, v in itertools.combinations(range(core), 2) if rng.random() < p}
+    count = core
+    for _ in range(rng.randint(0, 16 - core)):
+        kind = rng.choice(("isolated", "pendant", "triangle", "dominated")) if count else "isolated"
+        if kind == "pendant":
+            edges.add((rng.randrange(count), count))
+        elif kind == "triangle" and edges:
+            u, v = rng.choice(sorted(edges))
+            edges.update({(u, count), (v, count)})
+        elif kind == "dominated":
+            v = rng.randrange(count)
+            edges.add((v, count))
+            for w in range(count):
+                if ((v, w) in edges or (w, v) in edges) and rng.random() < 0.5:
+                    edges.add((w, count))
+        count += 1
+    order = list(range(count))
+    rng.shuffle(order)
+    return graph_from_edges(count, [(order[u], order[v]) for u, v in edges])
+
+
+def first_fit_cover(adjacency, cand: int, order) -> int:
+    """Reference: each vertex of `cand`, in `order`, joins the first clique it can."""
+    classes: list[int] = []
+    for v in order:
+        if not cand >> v & 1:
+            continue
+        for i, cls in enumerate(classes):
+            if adjacency[v] & cls == cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def matching(count: int) -> sg.SenderGraph:
+    return graph_from_edges(count, [(v, v + 1) for v in range(0, count, 2)])
 
 
 def test_deceptive_one_letter_graph_is_a_triangle(example):
@@ -194,3 +253,95 @@ def test_export_dot_is_frozen_and_deterministic(example):
         [sg.build_sender_graph(example, t, 1) for t in range(2)]
     )
     assert sg.export_dot(union).startswith("graph sender_union_n1 {")
+
+
+def test_exact_engine_matches_bruteforce_on_structured_and_dense_graphs():
+    rng = random.Random(89)
+    graphs = [structured_graph(rng) for _ in range(240)]
+    for _ in range(80):
+        count = rng.randint(1, 16)
+        p = rng.choice((0.6, 0.8, 0.95))
+        graphs.append(
+            graph_from_edges(
+                count,
+                [e for e in itertools.combinations(range(count), 2) if rng.random() < p],
+            )
+        )
+    for g in graphs:
+        result = sg.max_independent_set(g)
+        assert result.certified
+        assert result.size == len(result.members) == brute_alpha(g)
+        chosen = sum(1 << v for v in result.members)
+        assert all(not g.adjacency[v] & chosen for v in result.members)
+        assert list(result.members) == sorted(set(result.members))
+
+
+def test_clique_cover_bounds_are_first_fit_partitions():
+    rng = random.Random(97)
+    for m in model_pool(20, seed=101):
+        for t in range(m.num_types):
+            for n in (1, 2, 3):
+                if m.num_symbols**n > 81:
+                    continue
+                g = sg.build_sender_graph(m, t, n)
+                up = range(g.vertex_count)
+                full = (1 << g.vertex_count) - 1
+                for cand in (full, rng.getrandbits(g.vertex_count), 0):
+                    assert clique_cover_bound(g.adjacency, cand) == first_fit_cover(
+                        g.adjacency, cand, up
+                    )
+                    assert _descending_cover_bound(g.adjacency, cand) == first_fit_cover(
+                        g.adjacency, cand, reversed(up)
+                    )
+                alpha = sg.max_independent_set(g).size
+                assert clique_cover_bound(g.adjacency, full) >= alpha
+                assert _descending_cover_bound(g.adjacency, full) >= alpha
+
+
+def test_search_node_count_is_golden():
+    # Random(7) draws (3,2), (3,2), (4,2); the second model's type 1 at n=4
+    # has 81 vertices, a greedy set of 4 and independence number 6.
+    rng = random.Random(7)
+    m = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))][1]
+    g = sg.build_sender_graph(m, 1, 4)
+    assert sg.max_independent_set(g, mode="greedy") == sg.IndependentSetResult(
+        (53, 71, 77, 79), 4, False, 0
+    )
+    result = sg.max_independent_set(g)
+    assert (result.size, result.nodes) == (6, 105)
+    assert sg.max_independent_set(g) == result
+
+
+def test_perfect_matchings_reduce_without_branching():
+    start = time.perf_counter()
+    result = sg.max_independent_set(matching(1200), budget=1200)
+    assert time.perf_counter() - start < 1.0
+    assert (result.size, result.nodes) == (600, 1)
+    result = sg.max_independent_set(matching(2400), budget=2400)
+    assert result.size == 1200
+    assert result.members == tuple(range(0, 2400, 2))
+
+
+def test_exact_engine_matches_networkx_on_boosted_sparse_graphs():
+    nx = pytest.importorskip("networkx")  # an oracle only; the package never imports it
+    # One type, payoffs in [-3, 3] plus a diagonal boost that sparsifies
+    # the graph; seeds chosen so that networkx settles each in about a second.
+    for seed in (0, 1, 28):
+        rng = random.Random(seed)
+        k, n = rng.choice([(3, 5), (4, 4), (2, 8)])
+        boost = rng.randint(1, 3)
+        utility = [
+            [rng.randint(-3, 3) + (boost if i == j else 0) for j in range(k)]
+            for i in range(k)
+        ]
+        m = sg.Model.from_tables([str(i) for i in range(k)], ["a"], {"a": 1}, {"a": utility})
+        g = sg.build_sender_graph(m, 0, n)
+        assert 243 <= g.vertex_count <= 256
+        h = nx.Graph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges())
+        expected = nx.max_weight_clique(nx.complement(h), weight=None)[1]
+        result = sg.max_independent_set(g)
+        assert result.size == expected
+        chosen = sum(1 << v for v in result.members)
+        assert all(not g.adjacency[v] & chosen for v in result.members)

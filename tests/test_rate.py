@@ -113,6 +113,43 @@ def test_fekete_check_refuses_uncertifiable_horizons(example):
         sg.fekete_check(example, 0, 0, 1)
 
 
+def test_mis_budget_refuses_before_any_graph_is_built(example, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built before the budget check")
+
+    monkeypatch.setattr(sg.rate, "build_sender_graph", fail)
+    with pytest.raises(sg.BudgetExceededError) as caught:
+        sg.fekete_check(example, 0, 2, 1, mis_budget=10)
+    assert (caught.value.what, caught.value.requested, caught.value.budget) == (
+        "certified independent set", 27, 10
+    )
+    with pytest.raises(sg.BudgetExceededError) as caught:
+        sg.asymptotic_bounds(example, 4, mis_budget=30)
+    assert (caught.value.what, caught.value.requested, caught.value.budget) == (
+        "certified independent set", 81, 30
+    )
+
+
+def test_exact_searches_are_not_repeated(example, monkeypatch):
+    searched = []
+    solve = sg.rate.max_independent_set
+
+    def counting(graph, **kwargs):
+        searched.append((graph.provenance, graph.n))
+        return solve(graph, **kwargs)
+
+    monkeypatch.setattr(sg.rate, "max_independent_set", counting)
+    single = only_deceptive_model()
+    assert sg.finite_bounds(single, 2).alpha_union == 1
+    assert searched == [("d", 2)]  # the union is the one type's graph
+    searched.clear()
+    assert sg.finite_bounds(example, 1).alpha_union == 1
+    assert searched == [("h", 1), ("d", 1)]  # the union has only d's edges
+    searched.clear()
+    assert sg.asymptotic_bounds(example, 3).alphas == (3, 9, 27)
+    assert searched == [("h", 1), ("d", 1), ("union", 1), ("h", 2), ("h", 3)]
+
+
 def test_asymptotic_example_golden(example):
     report = sg.asymptotic_bounds(example, 3)
     assert report.alpha_per_type == (3, 1)
