@@ -14,7 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
+from operator import or_
 
 from .model import (
     BudgetExceededError,
@@ -30,7 +32,7 @@ from .model import (
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
-DEFAULT_PATIENCE = 2  # zero-gain growth steps the heuristic tolerates
+PATIENCE = 2  # zero-gain growth steps the heuristic tolerates
 
 
 def _normalize_members(members) -> tuple[Seq, ...]:
@@ -69,11 +71,7 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
 
 def receiver_objective(model: Model, members) -> Fraction:
     """Prior-weighted count of members every sender type reports truthfully."""
-    mem = _normalize_members(members)
-    total = Fraction(0)
-    for type_id, p in enumerate(model.prior):
-        total += p * len(truthful_subset(model, mem, type_id))
-    return total
+    return evaluate_questionnaire(model, members).objective
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,47 @@ def reduce_closure(model: Model, members) -> tuple[Seq, ...]:
         current, current_objective = reduced, reduced_objective
 
 
+def _packed_scorer(model: Model, seqs: list[Seq]):
+    """The receiver objective on member bitmasks: (scale, beats, score).
+
+    A member x of I is truthful for a deceptive type when no other member
+    beats it, so the type's truthful count is |I| minus |I & beaten|, where
+    beaten is the OR of beats[y] over y in I and beats[y] is the transposed
+    beaten-by mask; honest types count |I|. Deceptive type number `slot`
+    owns bits slot * N .. slot * N + N - 1 of beats[y], so one OR serves
+    every type. score(members, beaten) is the objective times `scale`, the
+    lcm of the prior denominators, so searches compare integers.
+    """
+    count = len(seqs)
+    scale = math.lcm(*(p.denominator for p in model.prior))
+    weights = [int(p * scale) for p in model.prior]
+    everyone = sum(weights)
+    deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
+    beats = [0] * count
+    for slot, type_id in enumerate(deceptive):
+        for y, mask in enumerate(transpose_masks(beaten_masks(model, type_id, seqs))):
+            beats[y] |= mask << slot * count
+    # Multiplying a member set by `copies` places it in each type's bits.
+    copies = sum(1 << slot * count for slot in range(len(deceptive)))
+    slices = [(weights[t], slot * count) for slot, t in enumerate(deceptive)]
+    low = (1 << count) - 1
+
+    def score(members: int, beaten: int) -> int:
+        """Scaled objective of `members` when `beaten` holds every type's losers."""
+        hit = members * copies & beaten
+        value = everyone * members.bit_count()
+        for weight, shift in slices:
+            value -= weight * (hit >> shift & low).bit_count()
+        return value
+
+    return scale, beats, score
+
+
+def _ids(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     n: int
@@ -186,11 +225,9 @@ def solve_exact(
 
     A branch and bound over membership: a depth-first walk decides sequences
     0, 1, ..., N-1 in turn, trying "include" before "exclude", so it meets
-    the subsets in lexicographic order. A member x of I is truthful for a
-    deceptive type when no other member beats it, so the type's truthful
-    count is |I| minus |I & beaten|, where beaten is the OR of beats[y] over
-    y in I and beats[y] is the transposed beaten-by mask; honest types count
-    |I|. Each node carries I and beaten, so including a sequence costs one OR.
+    the subsets in lexicographic order. Each node carries I and the OR of
+    beats[y] over y in I (see `_packed_scorer`), so including a sequence
+    costs one OR.
 
     With pruning on, a node whose undecided sequences are R is cut when its
     ceiling is strictly below the incumbent. A member that I beats stays
@@ -200,35 +237,18 @@ def solve_exact(
     so the optimum and the complete maximizer list match the unpruned search
     exactly. `subsets_pruned` counts the nonempty extensions of every cut
     node, a whole subtree at a time, so examined plus pruned is 2^N - 1.
-    Objectives are compared as integers, priors scaled by `scale`.
+    At most `report_cap` maximizers are listed; the designated one is the
+    first whatever the cap.
     """
+    if report_cap < 0:
+        raise ValueError(f"report cap must be >= 0, got {report_cap}")
     count = model.num_symbols**n
     if count > subset_budget:
         raise BudgetExceededError("questionnaire search", count, subset_budget)
     seqs = enumerate_sequences(model, n, budget=enum_budget)
 
-    scale = math.lcm(*(p.denominator for p in model.prior))
-    weights = [int(p * scale) for p in model.prior]
-    everyone = sum(weights)
-    deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
-    # Deceptive type number `slot` owns bits slot * count .. slot * count +
-    # count - 1 of beats[y], so one OR serves every type; multiplying a
-    # member set by `copies` places it in each type's bits.
-    beats = [0] * count
-    for slot, type_id in enumerate(deceptive):
-        for y, mask in enumerate(transpose_masks(beaten_masks(model, type_id, seqs))):
-            beats[y] |= mask << slot * count
-    copies = sum(1 << slot * count for slot in range(len(deceptive)))
-    slices = [(weights[t], slot * count) for slot, t in enumerate(deceptive)]
+    scale, beats, score = _packed_scorer(model, seqs)
     low = (1 << count) - 1
-
-    def score(members: int, beaten: int) -> int:
-        """Scaled objective of `members` when `beaten` holds every type's losers."""
-        hit = members * copies & beaten
-        value = everyone * members.bit_count()
-        for weight, shift in slices:
-            value -= weight * (hit >> shift & low).bit_count()
-        return value
 
     best: int | None = None
     maximizers: list[int] = []  # member bitmasks, in lexicographic order
@@ -257,11 +277,8 @@ def solve_exact(
             stack.append((members, beaten, k + 1))  # exclude k
             stack.append((grown, grown_beaten, k + 1))  # include k, walked first
 
-    member_sets = tuple(
-        tuple(seqs[v] for v in range(count) if members >> v & 1)
-        for members in maximizers[:report_cap]
-    )
-    designated = evaluate_questionnaire(model, member_sets[0])
+    member_sets = tuple(tuple(seqs[v] for v in _ids(m)) for m in maximizers[:report_cap])
+    designated = evaluate_questionnaire(model, [seqs[v] for v in _ids(maximizers[0])])
     return EquilibriumResult(
         n=n,
         mode="exact",
@@ -280,78 +297,71 @@ def solve_heuristic(
     n: int,
     *,
     seed: int = 0,
-    patience: int = DEFAULT_PATIENCE,
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EquilibriumResult:
     """Greedy questionnaire growth with one-element local search.
 
     Starts from a seeded random singleton, repeatedly adds the best candidate
-    (tolerating `patience` zero-gain additions), then improves by single drops
+    (tolerating `PATIENCE` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
     not certified optimal, but it is never below the closure seed, the
     closure reduction of the full space that also seeds the exact search:
     the seed is returned instead whenever it scores strictly higher. Nor is
     it below the best singleton, whose objective is exactly 1, because local
     search starts from a singleton and never loses value.
+
+    Trials are scored like the exact search's subsets (see `_packed_scorer`):
+    the walk keeps the OR of beats[y] over its members, so adding a member
+    costs one OR, and a drop recomputes the OR of the kept members once.
+    Among equal-scoring trials the first one visited wins.
     """
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     rng = random.Random(seed)
-    evaluations = 0
-
-    def objective(ids: tuple[int, ...]) -> Fraction:
-        nonlocal evaluations
-        evaluations += 1
-        return receiver_objective(model, [seqs[v] for v in ids])
+    scale, beats, score = _packed_scorer(model, seqs)
+    full = (1 << len(seqs)) - 1
 
     start = rng.randrange(len(seqs))
-    current: tuple[int, ...] = (start,)
-    current_value = objective(current)
-    grace = patience
+    current, beaten = 1 << start, beats[start]
+    current_value = score(current, beaten)
+    evaluations = 1
+    grace = PATIENCE
 
-    while len(current) < len(seqs):
-        candidates = [v for v in range(len(seqs)) if v not in current]
-        best_gain: Fraction | None = None
-        best_pick: tuple[int, ...] | None = None
-        for v in candidates:
-            trial = tuple(sorted(current + (v,)))
-            gain = objective(trial) - current_value
-            if best_gain is None or gain > best_gain:
-                best_gain, best_pick = gain, trial
-        assert best_gain is not None and best_pick is not None
-        if best_gain > 0:
-            current, current_value = best_pick, current_value + best_gain
-            grace = patience
-        elif best_gain == 0 and grace > 0:
-            current, grace = best_pick, grace - 1
+    while current != full:
+        best_value: int | None = None
+        for v in _ids(full ^ current):
+            evaluations += 1
+            value = score(current | 1 << v, beaten | beats[v])
+            if best_value is None or value > best_value:
+                best_value, pick = value, v
+        if best_value > current_value:
+            grace = PATIENCE
+        elif best_value == current_value and grace > 0:
+            grace -= 1
         else:
             break
+        current, beaten, current_value = current | 1 << pick, beaten | beats[pick], best_value
 
-    improved = True
-    while improved:
-        improved = False
-        best_value = current_value
-        best_next: tuple[int, ...] | None = None
-        if len(current) > 1:
-            for drop in current:
-                trial = tuple(v for v in current if v != drop)
-                value = objective(trial)
-                if value > best_value:
-                    best_value, best_next = value, trial
-        outside = [v for v in range(len(seqs)) if v not in current]
-        for drop in current:
-            kept = tuple(v for v in current if v != drop)
-            for add in outside:
-                trial = tuple(sorted(kept + (add,)))
-                value = objective(trial)
-                if value > best_value:
-                    best_value, best_next = value, trial
-        if best_next is not None:
-            current, current_value = best_next, best_value
-            improved = True
+    while True:
+        ids, outside = _ids(current), _ids(full ^ current)
+        drops = [
+            (current ^ 1 << d, reduce(or_, (beats[v] for v in ids if v != d), 0)) for d in ids
+        ]
+        swaps = (
+            (kept | 1 << v, kept_beaten | beats[v]) for kept, kept_beaten in drops for v in outside
+        )
+        best_value, best_next = current_value, None
+        for trial in chain(drops if len(ids) > 1 else (), swaps):
+            evaluations += 1
+            value = score(*trial)
+            if value > best_value:
+                best_value, best_next = value, trial
+        if best_next is None:
+            break
+        (current, beaten), current_value = best_next, best_value
 
-    members = tuple(seqs[v] for v in current)
+    members = tuple(seqs[v] for v in _ids(current))
     seed_members = reduce_closure(model, seqs)
-    seed_value = receiver_objective(model, seed_members)
+    seed_value = int(receiver_objective(model, seed_members) * scale)
     evaluations += 1
     if seed_value > current_value:
         members, current_value = seed_members, seed_value
@@ -360,7 +370,7 @@ def solve_heuristic(
         n=n,
         mode="heuristic",
         certified=False,
-        optimum=current_value,
+        optimum=Fraction(current_value, scale),
         maximizers=(designated.members,),
         maximizer_count=1,
         designated=designated,

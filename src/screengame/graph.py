@@ -13,6 +13,7 @@ the truth is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import or_
 
 from .model import (
@@ -89,17 +90,8 @@ def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGr
     for g in graphs[1:]:
         if g.n != first.n or g.vertex_count != first.vertex_count:
             raise ValueError("cannot union graphs over different sequence spaces")
-    adjacency = tuple(
-        _or_all(g.adjacency[v] for g in graphs) for v in range(first.vertex_count)
-    )
+    adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
     return SenderGraph(first.n, first.labels, adjacency, UNION)
-
-
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 @dataclass(frozen=True)

@@ -315,12 +315,6 @@ def _check_sequence(model: Model, seq: Seq, name: str) -> None:
             raise ValueError(f"{name}: symbol id {s} out of range")
 
 
-def scaled_sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> int:
-    """Integer payoff sum over letters; exact value is this over n * scale."""
-    _, table = model.scaled_utility[type_id]
-    return sum(table[r][t] for r, t in zip(reported, truth))
-
-
 def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> Fraction:
     """Average per-letter payoff for reporting `reported` when `truth` holds."""
     if len(reported) != len(truth):
@@ -331,8 +325,8 @@ def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> F
     _check_sequence(model, truth, "truth")
     if not 0 <= type_id < model.num_types:
         raise ValueError(f"type id {type_id} out of range")
-    scale, _ = model.scaled_utility[type_id]
-    total = scaled_sequence_utility(model, type_id, reported, truth)
+    scale, table = model.scaled_utility[type_id]
+    total = sum(table[r][t] for r, t in zip(reported, truth))
     return Fraction(total, len(truth) * scale)
 
 

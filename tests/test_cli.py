@@ -240,6 +240,19 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_solve_report_cap_zero_and_negative(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--model", "example1", "--n", "2", "--report-cap", "0",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert "maximizers.count=0" in out and "designated.members.count=9" in out
+
+    code, _, err = run(capsys, "solve", "--model", "example1", "--report-cap", "-1")
+    assert code == 1
+    assert "report cap must be >= 0" in err
+
+
 def test_graph_refuses_exact_alpha_before_building(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a graph was built before the budget check")

@@ -199,6 +199,15 @@ def test_report_cap_truncates_list_not_count():
     assert result.maximizers[0] == ((0,),)
 
 
+def test_report_cap_zero_lists_none_and_negative_is_refused(example):
+    result = sg.solve_exact(example, 1, report_cap=0)
+    assert result.maximizers == ()
+    assert result.maximizer_count == 2
+    assert result.designated.members == ((0,), (2,))
+    with pytest.raises(ValueError, match="report cap"):
+        sg.solve_exact(example, 1, report_cap=-1)
+
+
 def test_heuristic_finds_the_one_letter_optimum(example):
     for seed in range(5):
         result = sg.solve_heuristic(example, 1, seed=seed)
@@ -230,6 +239,71 @@ def test_heuristic_bounded_by_singleton_and_exact():
         for seed in (0, 1):
             value = sg.solve_heuristic(m, 1, seed=seed).optimum
             assert 1 <= value <= exact
+
+
+def _member_mask(model, result) -> int:
+    seqs = sg.enumerate_sequences(model, result.n)
+    return sum(1 << seqs.index(x) for x in result.designated.members)
+
+
+# (optimum, designated members as a bitmask over enumerate_sequences order,
+# subsets_examined), recorded from the reference implementation of the
+# heuristic that rescored every trial with receiver_objective. The packed
+# walk must visit the same trials and break ties the same way.
+HEURISTIC_EXAMPLE_GOLDEN = {
+    1: [("4/3", 0x6, 9), ("4/3", 0x5, 9), ("4/3", 0x6, 9)],
+    2: [("3", 0x1FF, 52)] * 3,
+    3: [("9", 0x7FFFFFF, 420)] * 3,
+    4: [("27", (1 << 81) - 1, 3666)] * 3,
+}
+# Per random model: the same record for seeds 0 and 1.
+HEURISTIC_RANDOM_GOLDEN = [
+    [("1", 0x2, 4), ("1", 0x1, 4)],
+    [("2", 0x7, 8), ("2", 0x7, 8)],
+    [("2", 0x9, 13), ("2", 0x9, 20)],
+    [("2", 0xE, 20), ("2", 0xE, 14)],
+    [("2", 0x4F, 57), ("2", 0x4F, 57)],
+    [("1", 0x43, 38), ("3/2", 0x17, 44)],
+    [("5/2", 0x150C, 127), ("3/2", 0x4054, 108)],
+    [("1", 0x9008, 152), ("1", 0x32, 152)],
+    [("1", 0x2, 4), ("1", 0x1, 4)],
+    [("1", 0x2, 6), ("9/8", 0x5, 9)],
+    [("26/17", 0xF, 12), ("33/17", 0x6, 13)],
+    [("1", 0x8, 8), ("1", 0x2, 8)],
+    [("15/4", 0x1B0, 81), ("15/4", 0x1B0, 81)],
+    [("3", 0x7E, 47), ("3", 0x16, 38)],
+    [("31/7", 0x777, 245), ("31/7", 0x777, 173)],
+    [("27/10", 0x20B, 292), ("27/10", 0x20B, 292)],
+    [("1", 0x2, 4), ("1", 0x1, 4)],
+    [("17/10", 0x5, 13), ("17/10", 0x5, 9)],
+    [("2", 0xB, 14), ("2", 0xB, 14)],
+    [("1", 0x8, 8), ("1", 0x2, 8)],
+]
+
+
+def test_heuristic_golden_values(example):
+    for n, records in HEURISTIC_EXAMPLE_GOLDEN.items():
+        for seed, record in zip((0, 1, 7), records):
+            result = sg.solve_heuristic(example, n, seed=seed)
+            got = (str(result.optimum), _member_mask(example, result), result.subsets_examined)
+            assert got == record, (n, seed)
+    rng = random.Random(89)
+    shapes = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
+    for trial, records in enumerate(HEURISTIC_RANDOM_GOLDEN):
+        num_symbols, n = shapes[trial % len(shapes)]
+        m = make_random_model(rng, num_symbols, rng.randint(1, 3))
+        for seed, record in zip((0, 1), records):
+            result = sg.solve_heuristic(m, n, seed=seed)
+            got = (str(result.optimum), _member_mask(m, result), result.subsets_examined)
+            assert got == record, (trial, seed)
+
+
+def test_heuristic_example_five_letters(example):
+    # The closure seed, the whole space, beats the local search's result.
+    result = sg.solve_heuristic(example, 5)
+    assert result.optimum == 81
+    assert len(result.designated.members) == 3**5
+    assert result.subsets_examined == 33079
 
 
 def test_empty_questionnaire_rejected(example):
