@@ -199,6 +199,8 @@ def _cmd_graph(args) -> tuple[dict | None, int]:
 
 def _cmd_solve(args) -> tuple[dict | None, int]:
     model, digest = _load_model(args.model)
+    if args.report_cap < 0:  # refused in both modes, though only exact mode lists maximizers
+        raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
     if args.mode == "exact":
         result = solve_exact(
             model,

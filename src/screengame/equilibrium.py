@@ -24,10 +24,9 @@ from .model import (
     HONEST,
     Model,
     Seq,
-    beaten_masks,
     classify_type,
     enumerate_sequences,
-    transpose_masks,
+    preference_masks,
 )
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
@@ -51,7 +50,7 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
     Singletons have no competing member, so they are kept outright. Honest
     types keep everything: per-letter strict wins stay strict under sums.
     This scan stops at a member's first beater, which makes one cold
-    evaluation cheaper than building `beaten_masks`; it is also the
+    evaluation cheaper than building `preference_masks`; it is also the
     reference the exact search is tested against.
     """
     mem = _normalize_members(members)
@@ -163,11 +162,12 @@ def _packed_scorer(model: Model, seqs: list[Seq]):
 
     A member x of I is truthful for a deceptive type when no other member
     beats it, so the type's truthful count is |I| minus |I & beaten|, where
-    beaten is the OR of beats[y] over y in I and beats[y] is the transposed
-    beaten-by mask; honest types count |I|. Deceptive type number `slot`
-    owns bits slot * N .. slot * N + N - 1 of beats[y], so one OR serves
-    every type. score(members, beaten) is the objective times `scale`, the
-    lcm of the prior denominators, so searches compare integers.
+    beaten is the OR of beats[y] over y in I and beats[y] holds the members
+    y weakly beats (see `preference_masks`); honest types count |I|.
+    Deceptive type number `slot` owns bits slot * N .. slot * N + N - 1 of
+    beats[y], so one OR serves every type. score(members, beaten) is the
+    objective times `scale`, the lcm of the prior denominators, so searches
+    compare integers.
     """
     count = len(seqs)
     scale = math.lcm(*(p.denominator for p in model.prior))
@@ -176,7 +176,8 @@ def _packed_scorer(model: Model, seqs: list[Seq]):
     deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
     beats = [0] * count
     for slot, type_id in enumerate(deceptive):
-        for y, mask in enumerate(transpose_masks(beaten_masks(model, type_id, seqs))):
+        _, type_beats = preference_masks(model, type_id, seqs, beaten_by=False)
+        for y, mask in enumerate(type_beats):
             beats[y] |= mask << slot * count
     # Multiplying a member set by `copies` places it in each type's bits.
     copies = sum(1 << slot * count for slot in range(len(deceptive)))

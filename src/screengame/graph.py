@@ -20,10 +20,9 @@ from .model import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
-    beaten_masks,
     enumerate_sequences,
     format_sequence,
-    transpose_masks,
+    preference_masks,
 )
 
 DEFAULT_EXACT_MIS_BUDGET = 512
@@ -73,11 +72,10 @@ def build_sender_graph(
     """Graph of length-n sequence pairs the given type can confuse.
 
     x and y are adjacent when either one weakly beats the other as a report,
-    so the adjacency is the beaten-by matrix OR its transpose.
+    so the adjacency is the kernel's beaten-by masks OR its beats masks.
     """
     seqs = enumerate_sequences(model, n, budget=budget)
-    beaten = beaten_masks(model, type_id, seqs)
-    adjacency = tuple(map(or_, beaten, transpose_masks(beaten)))
+    adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
     labels = tuple(format_sequence(model, seq) for seq in seqs)
     return SenderGraph(n, labels, adjacency, model.types[type_id])
 

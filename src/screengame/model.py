@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter
+from operator import sub
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -330,49 +330,89 @@ def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> F
     return Fraction(total, len(truth) * scale)
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+# Maps a lane's top byte to b"1" when its high bit is set, else to b"0".
+_TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 
 
-def beaten_masks(model: Model, type_id: int, seqs: list[Seq]) -> list[int]:
-    """Per truth, the ids of the other sequences this type weakly prefers to report.
+def preference_masks(
+    model: Model, type_id: int, seqs: list[Seq], *, beaten_by: bool = True
+) -> tuple[list[int] | None, list[int]]:
+    """Which sequences this type weakly prefers to report, as (beaten_by, beats).
 
-    Bit j of masks[i] (j != i) is set when U(seqs[j], seqs[i]) >= U(seqs[i],
-    seqs[i]), compared on the scaled integer tables. The payoffs of all
-    candidates against one truth are summed letter by letter from per-position
-    rows; consecutive truths share the sums over their common prefix, so a
-    lexicographic list costs about one pass of C-level additions per truth.
-    All sequences must share one length.
+    Bit j of beaten_by[i] and bit i of beats[j] (j != i) are both set when
+    U(seqs[j], seqs[i]) >= U(seqs[i], seqs[i]), i.e. when the sum over letters
+    p of D[j_p][i_p] is >= 0, where D[r][t] = table[r][t] - table[t][t] on the
+    scaled integer table. All sequences must share one length n.
+
+    Both directions are summed in SIMD-within-a-register style: sequence v
+    owns bits v*w .. v*w + w - 1 of one Python int, with w = 8 * nbytes the
+    least lane width such that n * max|D| < 2^(w-1). Per position p and
+    letter c there is one packed row over truths for beats (lane i:
+    D[c][i_p]) and one over candidates for beaten_by (lane j: D[j_p][c]),
+    each lane shifted up by max|D| so it is never negative. Summing a
+    vertex's n rows, plus a bias on position 0, leaves lane u at 2^(w-1) +
+    (its sum of D): every lane stays in [1, 2^w), so no carry crosses lanes
+    and the lane's top bit is set exactly when its sum is >= 0. The top
+    bytes are cut out with one `to_bytes` and a stride, turned into "0"/"1"
+    by `translate`, and read back as a bitmask. Consecutive sequences share
+    the sums over their common prefix, so a lexicographic list costs about
+    one big-int addition per vertex and direction. With `beaten_by=False`
+    only beats is built, and None stands in for beaten_by.
     """
+    if not seqs:
+        return ([] if beaten_by else None), []
     _, table = model.scaled_utility[type_id]
-    n = len(seqs[0]) if seqs else 0
-    columns = list(zip(*table))  # columns[t][r] == table[r][t]
-    rows = []  # rows[p][t][j]: payoff of letter p of seqs[j] against true letter t
-    for p in range(n):
-        letters = list(map(itemgetter(p), seqs))
-        rows.append([list(map(col.__getitem__, letters)) for col in columns])
+    n = len(seqs[0])
+    diagonal = [row[t] for t, row in enumerate(table)]
+    delta = [list(map(sub, row, diagonal)) for row in table]
+    shift = max(max(map(abs, row)) for row in delta)
+    nbytes = 1
+    while n * shift >> 8 * nbytes - 1:
+        nbytes += 1
+    lane = [[(d + shift).to_bytes(nbytes, "big") for d in row] for row in delta]
+    # (2^(w-1) - n * shift) in every lane: the offsets' total comes back out.
+    bias = ((1 << 8 * nbytes - 1) - n * shift) * int.from_bytes(
+        (bytes(nbytes - 1) + b"\x01") * len(seqs), "big"
+    )
+    beats = _top_bit_masks(lane, seqs, bias, nbytes)
+    if not beaten_by:
+        return None, beats
+    return _top_bit_masks(list(zip(*lane)), seqs, bias, nbytes), beats
+
+
+def _top_bit_masks(grid, seqs: list[Seq], bias: int, nbytes: int) -> list[int]:
+    """Per vertex v, the lanes u whose sum over p of grid[v_p][u_p] is >= 0, minus v.
+
+    grid[c][x] is one lane's bytes for vertex letter c against lane letter x.
+    The rows are rows[p][c], whose lane u holds grid[c][u_p]; `bias` rides
+    on position 0.
+    """
+    size = len(seqs) * nbytes
+    rows = []
+    for p in range(len(seqs[0])):
+        letters = [seq[p] for seq in reversed(seqs)]  # lane 0 is least significant
+        start = bias if p == 0 else 0
+        rows.append(
+            [
+                start + int.from_bytes(b"".join(map(chunks.__getitem__, letters)), "big")
+                for chunks in grid
+            ]
+        )
     masks = []
-    sums: list[list[int]] = []  # sums[p][j]: payoff of seqs[j] over letters 0..p
+    sums: list[int] = []  # sums[p]: rows summed over letters 0..p of the previous vertex
     previous: Seq = ()
-    for i, truth in enumerate(seqs):
+    for v, seq in enumerate(seqs):
         shared = 0
-        while shared < len(sums) and truth[shared] == previous[shared]:
+        while shared < len(sums) and seq[shared] == previous[shared]:
             shared += 1
         del sums[shared:]
-        for p in range(shared, n):
-            row = rows[p][truth[p]]
-            sums.append(list(map(add, sums[-1], row)) if p else row)
-        previous = truth
-        own = sums[-1][i]
-        weakly_better = bytes(map(own.__le__, sums[-1]))  # one 0/1 byte per candidate
-        masks.append(int(weakly_better[::-1].translate(_BIT_CHARS), 2) & ~(1 << i))
+        for p in range(shared, len(seq)):
+            row = rows[p][seq[p]]
+            sums.append(sums[-1] + row if p else row)
+        previous = seq
+        top = sums[-1].to_bytes(size, "big")[::nbytes].translate(_TOP_BIT)
+        masks.append(int(top, 2) ^ 1 << v)  # lane v ties itself, so its bit is set
     return masks
-
-
-def transpose_masks(masks: list[int]) -> list[int]:
-    """Transpose a square bit matrix: bit i of out[j] is bit j of masks[i]."""
-    width = len(masks)
-    rows = [format(mask, f"0{width}b")[::-1] for mask in masks]  # char j is bit j
-    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
 
 def classify_type(model: Model, type_id: int) -> str:

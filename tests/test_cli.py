@@ -253,6 +253,15 @@ def test_solve_report_cap_zero_and_negative(capsys):
     assert "report cap must be >= 0" in err
 
 
+def test_solve_refuses_negative_report_cap_in_both_modes(capsys):
+    for mode in ("exact", "heuristic"):
+        code, out, err = run(
+            capsys, "solve", "--model", "example1", "--mode", mode, "--report-cap", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert "report cap must be >= 0, got -1" in err
+
+
 def test_graph_refuses_exact_alpha_before_building(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a graph was built before the budget check")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import screengame as sg
-from screengame.model import ModelSyntaxError, transpose_masks
+from screengame.model import ModelSyntaxError
 
 from conftest import make_random_model, model_pool
 
@@ -120,7 +120,8 @@ def test_beaten_masks_match_definition_beyond_nine_sequences():
                 continue
             seqs = sg.enumerate_sequences(m, n)
             for t in range(m.num_types):
-                masks = sg.beaten_masks(m, t, seqs)
+                masks, beats = sg.preference_masks(m, t, seqs)
+                assert beats == _bit_transpose(masks)
                 assert len(masks) == len(seqs)
                 assert all(not mask >> i & 1 for i, mask in enumerate(masks))
                 assert all(0 <= mask < 1 << len(seqs) for mask in masks)
@@ -138,11 +139,100 @@ def test_beaten_masks_match_definition_beyond_nine_sequences():
                     assert unbeaten == sg.truthful_subset(m, [seqs[v] for v in ids], t)
 
 
-def test_transpose_masks():
-    masks = [0b0110, 0b0000, 0b1001, 0b0100]
-    assert transpose_masks(masks) == [0b0100, 0b0001, 0b1001, 0b0100]
-    assert transpose_masks(transpose_masks(masks)) == masks
-    assert transpose_masks([]) == []
+def _bit_transpose(masks):
+    """Bit i of out[j] is bit j of masks[i], one bit at a time."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        for j in range(len(masks)):
+            if mask >> j & 1:
+                out[j] |= 1 << i
+    return out
+
+
+def test_beats_is_the_bit_transpose_of_beaten_by(pool):
+    for m in pool[:40]:
+        for n in (1, 2, 3):
+            seqs = sg.enumerate_sequences(m, n)
+            for t in range(m.num_types):
+                beaten_by, beats = sg.preference_masks(m, t, seqs)
+                assert beats == _bit_transpose(beaten_by)
+                assert sg.preference_masks(m, t, seqs, beaten_by=False) == (None, beats)
+    assert sg.preference_masks(sg.example_model(), 1, []) == ([], [])
+
+
+def _assert_masks_match_sequence_utility(m, t, n):
+    """Every bit of both directions against raw Fraction averages; returns beaten_by."""
+    seqs = sg.enumerate_sequences(m, n)
+    beaten_by, beats = sg.preference_masks(m, t, seqs)
+    own = [sg.sequence_utility(m, t, x, x) for x in seqs]
+    for i, x in enumerate(seqs):
+        expected = sum(
+            1 << j
+            for j, y in enumerate(seqs)
+            if j != i and sg.sequence_utility(m, t, y, x) >= own[i]
+        )
+        assert beaten_by[i] == expected
+    assert beats == _bit_transpose(beaten_by)
+    return beaten_by
+
+
+def test_preference_masks_with_multi_byte_lanes():
+    # Denominators 997 and 2^40 scale payoffs of up to 10^9 far past one byte.
+    rng = random.Random(3)
+    big = 10**9
+    for den in (997, 2**40):
+        for _ in range(3):
+            utility = {
+                lab: [[f"{rng.randint(-big, big)}/{rng.choice((1, den))}" for _ in range(3)]
+                      for _ in range(3)]
+                for lab in ("a", "b")
+            }
+            m = sg.Model.from_tables(["0", "1", "2"], ["a", "b"], {"a": "1/2", "b": "1/2"}, utility)
+            for t in range(2):
+                _, table = m.scaled_utility[t]
+                reach = max(abs(table[r][c] - table[c][c]) for r in range(3) for c in range(3))
+                assert reach >= 2**16
+                for n in (1, 2, 3):
+                    _assert_masks_match_sequence_utility(m, t, n)
+    # n * max|D| on either side of 2^7 and 2^8, where lanes widen to two bytes.
+    for a in (63, 64, 127, 128):
+        m = sg.Model.from_tables(
+            ["0", "1"], ["x", "y"], {"x": "1/2", "y": "1/2"},
+            {"x": [[0, a], [-a, 0]], "y": [[a, -a], [0, 0]]},
+        )
+        for t in range(2):
+            for n in (1, 2, 3, 4):
+                _assert_masks_match_sequence_utility(m, t, n)
+
+
+def test_preference_masks_all_zero_table_ties_every_pair():
+    m = sg.Model.from_tables(["0", "1", "2"], ["z"], {"z": 1}, {"z": [[0] * 3] * 3})
+    for n in (1, 2, 3):
+        beaten_by = _assert_masks_match_sequence_utility(m, 0, n)
+        everyone = (1 << len(beaten_by)) - 1
+        assert beaten_by == [everyone ^ 1 << i for i in range(len(beaten_by))]
+
+
+def test_preference_masks_strictly_honest_type_beats_nothing():
+    m = sg.Model.from_tables(
+        ["0", "1", "2"], ["h"], {"h": 1}, {"h": [[5, -2, 0], [1, 3, -7], [4, 2, 9]]}
+    )
+    assert sg.classify_type(m, 0) == sg.HONEST
+    for n in (1, 2, 3):
+        assert not any(_assert_masks_match_sequence_utility(m, 0, n))
+
+
+def test_preference_masks_one_letter_binary():
+    m = sg.Model.from_tables(["a", "b"], ["t"], {"t": 1}, {"t": [[1, 0], [1, 1]]})
+    # reporting b ties the truth a; reporting a when b holds loses 1
+    assert _assert_masks_match_sequence_utility(m, 0, 1) == [0b10, 0b00]
+
+
+def test_preference_masks_binary_eight_letters():
+    m = make_random_model(random.Random(17), 2, 2)
+    for t in range(2):
+        beaten_by = _assert_masks_match_sequence_utility(m, t, 8)
+        assert len(beaten_by) == 256
 
 
 def test_format_sequence():
