@@ -138,20 +138,12 @@ def _seq_labels(model: Model, seqs) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers; each returns (payload or None, exit code)
+# subcommand handlers; each gets the loaded model and returns (its report
+# fields or None, exit code)
 
 
-def _cmd_example(args) -> tuple[dict | None, int]:
-    sys.stdout.write(EXAMPLE1_TEXT)
-    return None, 0
-
-
-def _cmd_validate(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_validate(args, model: Model) -> tuple[dict | None, int]:
     payload = {
-        "command": "validate",
-        "model": args.model,
-        "digest": digest,
         "alphabet": list(model.alphabet),
         "types": {
             label: classify_type(model, t) for t, label in enumerate(model.types)
@@ -162,8 +154,7 @@ def _cmd_validate(args) -> tuple[dict | None, int]:
     return payload, 0
 
 
-def _cmd_graph(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     if args.type is None and not args.union:
         raise ModelError("choose a sender type with --type, or --union")
     if args.type is not None and args.union:
@@ -179,9 +170,6 @@ def _cmd_graph(args) -> tuple[dict | None, int]:
         sys.stdout.write(export_dot(graph))
         return None, 0
     payload = {
-        "command": "graph",
-        "model": args.model,
-        "digest": digest,
         "provenance": graph.provenance,
         "n": graph.n,
         "vertices": graph.vertex_count,
@@ -197,8 +185,7 @@ def _cmd_graph(args) -> tuple[dict | None, int]:
     return payload, 0
 
 
-def _cmd_solve(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
     if args.report_cap < 0:  # refused in both modes, though only exact mode lists maximizers
         raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
     if args.mode == "exact":
@@ -216,9 +203,6 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
         )
     designated = result.designated
     payload = {
-        "command": "solve",
-        "model": args.model,
-        "digest": digest,
         "n": args.n,
         "mode": result.mode,
         "certified": result.certified,
@@ -241,8 +225,7 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
     return payload, 0
 
 
-def _cmd_oracle_check(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
     result = cross_check_equivalence(
         model,
         args.n,
@@ -253,9 +236,6 @@ def _cmd_oracle_check(args) -> tuple[dict | None, int]:
         enum_budget=args.enum_budget,
     )
     payload = {
-        "command": "oracle-check",
-        "model": args.model,
-        "digest": digest,
         "n": args.n,
         "strategies": args.strategies,
         "image_sets_checked": result.image_sets_checked,
@@ -270,8 +250,7 @@ def _cmd_oracle_check(args) -> tuple[dict | None, int]:
     return payload, 0 if result.agreed else 1
 
 
-def _cmd_bounds(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
     bounds = finite_bounds(
         model,
         args.n,
@@ -281,9 +260,6 @@ def _cmd_bounds(args) -> tuple[dict | None, int]:
         enum_budget=args.enum_budget,
     )
     payload = {
-        "command": "bounds",
-        "model": args.model,
-        "digest": digest,
         "n": args.n,
         "alpha_union": bounds.alpha_union,
         "alpha_per_type": {
@@ -302,15 +278,11 @@ def _cmd_bounds(args) -> tuple[dict | None, int]:
     return payload, 0
 
 
-def _cmd_asymptotic(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
     report = asymptotic_bounds(
         model, args.n_max, mis_budget=args.mis_budget, enum_budget=args.enum_budget
     )
     payload = {
-        "command": "asymptotic",
-        "model": args.model,
-        "digest": digest,
         "n_max": report.n_max,
         "alpha_per_type": {
             label: a for label, a in zip(model.types, report.alpha_per_type)
@@ -331,8 +303,7 @@ def _cmd_asymptotic(args) -> tuple[dict | None, int]:
     return payload, 0
 
 
-def _cmd_simulate(args) -> tuple[dict | None, int]:
-    model, digest = _load_model(args.model)
+def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
     type_id = model.type_index(args.type)
     truth = _parse_sequence(model, args.truth)
     n = len(truth)
@@ -360,9 +331,6 @@ def _cmd_simulate(args) -> tuple[dict | None, int]:
     )
     report = recovery_report(model, strategy, enum_budget=args.enum_budget)
     payload = {
-        "command": "simulate",
-        "model": args.model,
-        "digest": digest,
         "n": n,
         "type": args.type,
         "strategy_origin": origin,
@@ -426,8 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("example", help="print the built-in example model file")
-    sub.set_defaults(handler=_cmd_example)
+    subs.add_parser("example", help="print the built-in example model file")
 
     sub = subs.add_parser("validate", help="parse a model and report its shape")
     _add_common(sub, enum=False)
@@ -503,12 +470,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, code = args.handler(args)
+        if args.command == "example":
+            sys.stdout.write(EXAMPLE1_TEXT)
+            return 0
+        model, digest = _load_model(args.model)
+        fields, code = args.handler(args, model)
     except (ModelError, BudgetExceededError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if payload is not None:
-        _emit(payload, args.format, started)
+    if fields is not None:
+        header = {"command": args.command, "model": args.model, "digest": digest}
+        _emit(header | fields, args.format, started)
     return code
 
 

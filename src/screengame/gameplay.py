@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem
 
 from .model import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
+    _check_sequence,
     enumerate_sequences,
 )
 from .equilibrium import (
@@ -71,6 +74,14 @@ class BestReportOutcome:
     utility: Fraction  # the optimal averaged payoff
 
 
+def _best_response(table, image, truth: Seq) -> tuple[int, list[Seq]]:
+    """Best scaled payoff total over the image at this truth, and the members reaching it."""
+    columns = [[row[t] for row in table] for t in truth]  # columns[p][r] = table[r][truth[p]]
+    totals = [sum(map(getitem, columns, candidate)) for candidate in image]
+    best_total = max(totals)
+    return best_total, [c for c, total in zip(image, totals) if total == best_total]
+
+
 def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReportOutcome:
     """Decoded outcomes a sender of this type can force with optimal reports.
 
@@ -78,19 +89,16 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     the strategy's image rather than over raw reports.
     """
     truth = tuple(truth)
+    image = strategy.image
+    if len(truth) != len(image[0]):
+        raise ValueError(f"truth length {len(truth)} differs from the strategy's {len(image[0])}")
+    _check_sequence(model, truth, "truth")
+    if not 0 <= type_id < model.num_types:
+        raise ValueError(f"type id {type_id} out of range")
     scale, table = model.scaled_utility[type_id]
-    best_total: int | None = None
-    chosen: list[Seq] = []
-    for candidate in strategy.image:
-        total = sum(table[r][t] for r, t in zip(candidate, truth))
-        if best_total is None or total > best_total:
-            best_total = total
-            chosen = [candidate]
-        elif total == best_total:
-            chosen.append(candidate)
-    assert best_total is not None
+    best_total, winners = _best_response(table, image, truth)
     return BestReportOutcome(
-        truth, type_id, tuple(chosen), Fraction(best_total, len(truth) * scale)
+        truth, type_id, tuple(winners), Fraction(best_total, len(truth) * scale)
     )
 
 
@@ -108,21 +116,11 @@ def robust_recovery_set(
     """
     _, table = model.scaled_utility[type_id]
     image = strategy.image
-    n = len(image[0])
-    robust: list[Seq] = []
-    for truth in enumerate_sequences(model, n, budget=enum_budget):
-        best_total: int | None = None
-        winners: list[Seq] = []
-        for candidate in image:
-            total = sum(table[r][t] for r, t in zip(candidate, truth))
-            if best_total is None or total > best_total:
-                best_total = total
-                winners = [candidate]
-            elif total == best_total:
-                winners.append(candidate)
-        if len(winners) == 1 and winners[0] == truth:
-            robust.append(truth)
-    return tuple(robust)
+    return tuple(
+        truth
+        for truth in enumerate_sequences(model, len(image[0]), budget=enum_budget)
+        if _best_response(table, image, truth)[1] == [truth]
+    )
 
 
 def worst_case_recovery(
@@ -134,9 +132,8 @@ def worst_case_recovery(
     """Prior-weighted count of sequences recovered against worst-case senders."""
     value = Fraction(0)
     for type_id, p in enumerate(model.prior):
-        value += p * len(
-            robust_recovery_set(model, strategy, type_id, enum_budget=enum_budget)
-        )
+        robust = robust_recovery_set(model, strategy, type_id, enum_budget=enum_budget)
+        value += p * len(robust)
     return value
 
 
@@ -156,24 +153,25 @@ def recovery_report(
     """Full worst-case picture: robust sets plus how many best responses exist.
 
     The multiplicity for a type is the product over true sequences of the
-    number of reports achieving the optimum, since best responses choose
-    independently at each true sequence.
+    number of reports that decode into an optimal outcome, since best
+    responses choose independently at each true sequence.
     """
-    n = len(strategy.image[0])
-    seqs = enumerate_sequences(model, n, budget=enum_budget)
-    decoded_by_report = [strategy.decode(y) for y in seqs]
+    image = strategy.image
+    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    reach = Counter(strategy.decode(y) for y in seqs)  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
-    value = Fraction(0)
-    for type_id, p in enumerate(model.prior):
-        robust_t = robust_recovery_set(model, strategy, type_id, enum_budget=enum_budget)
-        robust.append(robust_t)
-        value += p * len(robust_t)
+    for _, table in model.scaled_utility:
+        robust_t: list[Seq] = []
         multiplicity = 1
         for truth in seqs:
-            options = set(best_reports(model, strategy, type_id, truth).decoded)
-            multiplicity *= sum(1 for d in decoded_by_report if d in options)
+            _, winners = _best_response(table, image, truth)
+            if winners == [truth]:
+                robust_t.append(truth)
+            multiplicity *= sum(reach[d] for d in winners)
+        robust.append(tuple(robust_t))
         multiplicities.append(multiplicity)
+    value = sum(p * len(r) for p, r in zip(model.prior, robust))
     return RecoveryReport(value, tuple(robust), tuple(multiplicities))
 
 

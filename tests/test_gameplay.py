@@ -7,7 +7,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import model_pool
+from conftest import make_random_model, model_pool
 
 
 def naive_strategy(model, n=1):
@@ -36,6 +36,23 @@ def test_best_reports_known_cases(example):
     assert out.utility == 0
 
 
+def test_best_reports_validates_the_truth(example):
+    strategy = sg.canonical_strategy([(0, 0), (2, 2)])
+    # a truth shorter than the reports used to be scored on a truncated zip
+    with pytest.raises(ValueError, match="truth length 1 differs"):
+        sg.simulate(example, strategy, 1, (2,))
+    with pytest.raises(ValueError, match="truth length 3 differs"):
+        sg.best_reports(example, strategy, 0, (0, 0, 0))
+    with pytest.raises(ValueError, match="symbol id 5 out of range"):
+        sg.simulate(example, strategy, 0, (5, 5))
+    with pytest.raises(ValueError, match="symbol id -1 out of range"):
+        sg.best_reports(example, strategy, 0, (0, -1))
+    for type_id in (7, 2, -1):
+        with pytest.raises(ValueError, match=f"type id {type_id} out of range"):
+            sg.best_reports(example, strategy, type_id, (0, 0))
+    assert sg.best_reports(example, strategy, 1, (2, 2)).decoded == ((0, 0),)
+
+
 def test_robust_recovery_sets(example):
     h = example.type_index("h")
     d = example.type_index("d")
@@ -60,6 +77,57 @@ def test_recovery_report_multiplicities(example):
     assert report.robust == (((0,), (1,), (2,)), ())
     # the deceptive type is indifferent between two reports at one truth
     assert report.multiplicities == (1, 2)
+
+
+def test_multiplicities_match_the_definition():
+    # A best response picks, at each truth, any report whose decoded outcome
+    # pays the most, so a type's multiplicity is the product over truths of
+    # the number of such reports, counted here report by report. Canonical
+    # and table strategies on random models with 8-81 sequences.
+    rng = random.Random(71)
+    for k, n in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
+        m = make_random_model(rng, k, rng.randint(1, 3))
+        seqs = sg.enumerate_sequences(m, n)
+        image = rng.sample(seqs, rng.randint(1, 8))
+        table = sg.table_strategy(m, n, {y: rng.choice(image) for y in seqs})
+        for strategy in (sg.canonical_strategy(image), table):
+            report = sg.recovery_report(m, strategy)
+            for t in range(m.num_types):
+                expected = 1
+                for truth in seqs:
+                    payoffs = [
+                        sg.sequence_utility(m, t, strategy.decode(y), truth) for y in seqs
+                    ]
+                    expected *= payoffs.count(max(payoffs))
+                assert report.multiplicities[t] == expected
+            assert report.value == sg.worst_case_recovery(m, strategy)
+            assert report.robust == tuple(
+                sg.robust_recovery_set(m, strategy, t) for t in range(m.num_types)
+            )
+
+
+def test_oracle_never_uses_the_formula(monkeypatch):
+    # The played-out scan cross-checks the truthful-subset formula, so it must
+    # not reach the preference kernel or the truthful-subset scan.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gameplay oracle used the formula's code")
+
+    monkeypatch.setattr(sg.model, "preference_masks", forbidden)
+    monkeypatch.setattr(sg.equilibrium, "preference_masks", forbidden)
+    monkeypatch.setattr(sg.equilibrium, "truthful_subset", forbidden)
+    rng = random.Random(73)
+    for k, n in ((3, 3), (3, 4)):
+        m = make_random_model(rng, k, 3)
+        seqs = sg.enumerate_sequences(m, n)
+        strategy = sg.canonical_strategy(rng.sample(seqs, 6))
+        report = sg.recovery_report(m, strategy)
+        assert report.value == sg.worst_case_recovery(m, strategy)
+        for t in range(m.num_types):
+            for policy in sg.TIE_POLICIES:
+                outcome = sg.simulate(m, strategy, t, rng.choice(seqs), policy=policy)
+                assert outcome.decoded in strategy.image
+    with pytest.raises(AssertionError, match="formula's code"):
+        sg.receiver_objective(m, strategy.image)
 
 
 def test_only_the_image_matters(example):
