@@ -157,7 +157,7 @@ def reduce_closure(model: Model, members) -> tuple[Seq, ...]:
         current, current_objective = reduced, reduced_objective
 
 
-def _packed_scorer(model: Model, seqs: list[Seq]):
+def packed_scorer(model: Model, seqs: list[Seq]):
     """The receiver objective on member bitmasks: (scale, beats, score).
 
     A member x of I is truthful for a deceptive type when no other member
@@ -227,7 +227,7 @@ def solve_exact(
     A branch and bound over membership: a depth-first walk decides sequences
     0, 1, ..., N-1 in turn, trying "include" before "exclude", so it meets
     the subsets in lexicographic order. Each node carries I and the OR of
-    beats[y] over y in I (see `_packed_scorer`), so including a sequence
+    beats[y] over y in I (see `packed_scorer`), so including a sequence
     costs one OR.
 
     With pruning on, a node whose undecided sequences are R is cut when its
@@ -248,7 +248,7 @@ def solve_exact(
         raise BudgetExceededError("questionnaire search", count, subset_budget)
     seqs = enumerate_sequences(model, n, budget=enum_budget)
 
-    scale, beats, score = _packed_scorer(model, seqs)
+    scale, beats, score = packed_scorer(model, seqs)
     low = (1 << count) - 1
 
     best: int | None = None
@@ -311,14 +311,14 @@ def solve_heuristic(
     it below the best singleton, whose objective is exactly 1, because local
     search starts from a singleton and never loses value.
 
-    Trials are scored like the exact search's subsets (see `_packed_scorer`):
+    Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
     costs one OR, and a drop recomputes the OR of the kept members once.
     Among equal-scoring trials the first one visited wins.
     """
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     rng = random.Random(seed)
-    scale, beats, score = _packed_scorer(model, seqs)
+    scale, beats, score = packed_scorer(model, seqs)
     full = (1 << len(seqs)) - 1
 
     start = rng.randrange(len(seqs))

@@ -4,7 +4,8 @@ Given a committed decoding strategy, a sender of known type picks reports
 that maximize its own averaged payoff against the decoded outcome. Ties are
 resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
-by direct scan so they can cross-check the truthful-subset formula.
+by direct scan, never through the preference kernel, so they can cross-check
+the receiver objective the questionnaire searches score.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -17,8 +18,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import getitem
+from functools import cached_property, reduce
+from operator import getitem, or_
 
 from .model import (
     BudgetExceededError,
@@ -30,8 +31,7 @@ from .model import (
 )
 from .equilibrium import (
     DEFAULT_SUBSET_BUDGET,
-    canonical_strategy,
-    receiver_objective,
+    packed_scorer,
 )
 
 ADVERSARIAL = "adversarial"
@@ -63,6 +63,10 @@ def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrate
         raise ValueError(f"decoding map is not total: no entry for {missing[0]}")
     if len(normalized) != len(seqs):
         raise ValueError("decoding map has entries outside the sequence space")
+    for decoded in normalized.values():
+        if len(decoded) != n:
+            raise ValueError(f"decoded sequence {decoded} has length {len(decoded)}, not {n}")
+        _check_sequence(model, decoded, "decoded sequence")
     return TableStrategy(n, normalized)
 
 
@@ -74,12 +78,33 @@ class BestReportOutcome:
     utility: Fraction  # the optimal averaged payoff
 
 
-def _best_response(table, image, truth: Seq) -> tuple[int, list[Seq]]:
-    """Best scaled payoff total over the image at this truth, and the members reaching it."""
-    columns = [[row[t] for row in table] for t in truth]  # columns[p][r] = table[r][truth[p]]
-    totals = [sum(map(getitem, columns, candidate)) for candidate in image]
+def _columns(model: Model) -> list[list[tuple[int, ...]]]:
+    """Per type, its scaled payoff table transposed: columns[t][r] == table[r][t]."""
+    return [list(zip(*table)) for _, table in model.scaled_utility]
+
+
+def _best_response(columns, image, truth: Seq) -> tuple[int, list[Seq]]:
+    """Best scaled payoff total over the image at this truth, and the members reaching it.
+
+    `columns` is one type's entry of `_columns`.
+    """
+    at_truth = [columns[t] for t in truth]  # at_truth[p][r] = table[r][truth[p]]
+    totals = [sum(map(getitem, at_truth, candidate)) for candidate in image]
     best_total = max(totals)
     return best_total, [c for c, total in zip(image, totals) if total == best_total]
+
+
+def _robust(columns, image, seqs: list[Seq]) -> tuple[Seq, ...]:
+    """The truths in `seqs` whose unique optimal decoded outcome is themselves."""
+    return tuple(truth for truth in seqs if _best_response(columns, image, truth)[1] == [truth])
+
+
+def _played_value(model: Model, columns, image, seqs: list[Seq]) -> Fraction:
+    """Prior-weighted count of robust truths, with `columns` from `_columns(model)`."""
+    value = Fraction(0)
+    for p, type_columns in zip(model.prior, columns):
+        value += p * len(_robust(type_columns, image, seqs))
+    return value
 
 
 def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReportOutcome:
@@ -95,8 +120,8 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     _check_sequence(model, truth, "truth")
     if not 0 <= type_id < model.num_types:
         raise ValueError(f"type id {type_id} out of range")
-    scale, table = model.scaled_utility[type_id]
-    best_total, winners = _best_response(table, image, truth)
+    scale, _ = model.scaled_utility[type_id]
+    best_total, winners = _best_response(_columns(model)[type_id], image, truth)
     return BestReportOutcome(
         truth, type_id, tuple(winners), Fraction(best_total, len(truth) * scale)
     )
@@ -114,13 +139,9 @@ def robust_recovery_set(
     A sequence qualifies exactly when its unique optimal decoded outcome is
     itself.
     """
-    _, table = model.scaled_utility[type_id]
     image = strategy.image
-    return tuple(
-        truth
-        for truth in enumerate_sequences(model, len(image[0]), budget=enum_budget)
-        if _best_response(table, image, truth)[1] == [truth]
-    )
+    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    return _robust(_columns(model)[type_id], image, seqs)
 
 
 def worst_case_recovery(
@@ -130,11 +151,9 @@ def worst_case_recovery(
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Fraction:
     """Prior-weighted count of sequences recovered against worst-case senders."""
-    value = Fraction(0)
-    for type_id, p in enumerate(model.prior):
-        robust = robust_recovery_set(model, strategy, type_id, enum_budget=enum_budget)
-        value += p * len(robust)
-    return value
+    image = strategy.image
+    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    return _played_value(model, _columns(model), image, seqs)
 
 
 @dataclass(frozen=True)
@@ -161,11 +180,11 @@ def recovery_report(
     reach = Counter(strategy.decode(y) for y in seqs)  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
-    for _, table in model.scaled_utility:
+    for columns in _columns(model):
         robust_t: list[Seq] = []
         multiplicity = 1
         for truth in seqs:
-            _, winners = _best_response(table, image, truth)
+            _, winners = _best_response(columns, image, truth)
             if winners == [truth]:
                 robust_t.append(truth)
             multiplicity *= sum(reach[d] for d in winners)
@@ -257,13 +276,18 @@ def cross_check_equivalence(
     subset_cap: int = DEFAULT_SUBSET_BUDGET,
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> CrossCheckResult:
-    """Check that played-out recovery equals the truthful-subset formula.
+    """Check that played-out recovery equals the searches' receiver objective.
 
     For each image set I, the worst-case recovery of the canonical strategy on
-    I must equal the receiver objective of I exactly. `strategies` is "all"
-    (every nonempty subset, requires a small sequence space) or "random"
-    (`count` seeded draws). The exhaustive mode is refused before any
-    sequence is enumerated when the space exceeds `subset_cap` sequences.
+    I must equal the receiver objective of I exactly. The objective comes from
+    the packed scorer the questionnaire searches run (see `packed_scorer`);
+    the recovery from the naive best-response scan, every truth against every
+    member of I. The sequence space, the scorer and each type's transposed
+    payoff table are built once per call and shared by every image set.
+    `strategies` is "all" (every nonempty subset, requires a small sequence
+    space) or "random" (`count` seeded draws). The exhaustive mode is
+    refused before any sequence is enumerated when the space exceeds
+    `subset_cap` sequences.
     """
     space = model.num_symbols**n
     if strategies == "all" and space > subset_cap:
@@ -271,27 +295,40 @@ def cross_check_equivalence(
             "exhaustive cross-check (use strategies='random')", space, subset_cap
         )
     seqs = enumerate_sequences(model, n, budget=enum_budget)
-    image_sets: list[tuple[Seq, ...]] = []
+    id_sets = _image_id_sets(space, strategies, count, seed)
+    mismatches = tuple(
+        (members, played, formula)
+        for members, played, formula in _scored_image_sets(model, seqs, id_sets)
+        if played != formula
+    )
+    return CrossCheckResult(n, len(id_sets), not mismatches, mismatches)
+
+
+def _image_id_sets(space: int, strategies: str, count: int, seed: int) -> list[tuple[int, ...]]:
+    """The image sets to check, as ascending positions in the sequence space."""
     if strategies == "all":
-        for size in range(1, space + 1):
-            image_sets.extend(
-                tuple(seqs[v] for v in combo)
-                for combo in itertools.combinations(range(space), size)
-            )
-    elif strategies == "random":
+        return [
+            combo
+            for size in range(1, space + 1)
+            for combo in itertools.combinations(range(space), size)
+        ]
+    if strategies == "random":
         rng = random.Random(seed)
+        id_sets = []
         for _ in range(count):
             size = rng.randint(1, space)
-            image_sets.append(tuple(seqs[v] for v in sorted(rng.sample(range(space), size))))
-    else:
-        raise ValueError(f"unknown strategies mode {strategies!r}")
+            id_sets.append(tuple(sorted(rng.sample(range(space), size))))
+        return id_sets
+    raise ValueError(f"unknown strategies mode {strategies!r}")
 
-    mismatches = []
-    for members in image_sets:
-        played = worst_case_recovery(
-            model, canonical_strategy(members), enum_budget=enum_budget
-        )
-        formula = receiver_objective(model, members)
-        if played != formula:
-            mismatches.append((members, played, formula))
-    return CrossCheckResult(n, len(image_sets), not mismatches, tuple(mismatches))
+
+def _scored_image_sets(model: Model, seqs: list[Seq], id_sets):
+    """Yield (members, played, formula) per image set, both routes set up once."""
+    scale, beats, score = packed_scorer(model, seqs)
+    columns = _columns(model)
+    for ids in id_sets:
+        members = tuple(seqs[v] for v in ids)
+        played = _played_value(model, columns, members, seqs)
+        mask = sum(1 << v for v in ids)
+        formula = Fraction(score(mask, reduce(or_, (beats[v] for v in ids))), scale)
+        yield members, played, formula

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import screengame as sg
+from screengame.cli import main
 
 from conftest import make_random_model, model_pool
 
@@ -107,8 +108,8 @@ def test_multiplicities_match_the_definition():
 
 
 def test_oracle_never_uses_the_formula(monkeypatch):
-    # The played-out scan cross-checks the truthful-subset formula, so it must
-    # not reach the preference kernel or the truthful-subset scan.
+    # The played-out scan cross-checks the receiver objective, so it must not
+    # reach the preference kernel or the truthful-subset scan.
     def forbidden(*args, **kwargs):
         raise AssertionError("the gameplay oracle used the formula's code")
 
@@ -122,12 +123,18 @@ def test_oracle_never_uses_the_formula(monkeypatch):
         strategy = sg.canonical_strategy(rng.sample(seqs, 6))
         report = sg.recovery_report(m, strategy)
         assert report.value == sg.worst_case_recovery(m, strategy)
+        assert report.robust == tuple(
+            sg.robust_recovery_set(m, strategy, t) for t in range(m.num_types)
+        )
         for t in range(m.num_types):
             for policy in sg.TIE_POLICIES:
                 outcome = sg.simulate(m, strategy, t, rng.choice(seqs), policy=policy)
                 assert outcome.decoded in strategy.image
     with pytest.raises(AssertionError, match="formula's code"):
         sg.receiver_objective(m, strategy.image)
+    # The cross-check's formula side is the searches' kernel.
+    with pytest.raises(AssertionError, match="formula's code"):
+        sg.cross_check_equivalence(m, 1)
 
 
 def test_only_the_image_matters(example):
@@ -162,6 +169,20 @@ def test_table_strategy_must_be_total(example):
         sg.table_strategy(
             example, 1, {(0,): (0,), (1,): (0,), (2,): (0,), (7,): (0,)}
         )
+
+
+def test_table_strategy_checks_decoded_sequences(example):
+    # A decoded sequence of another length used to be scored on a truncated
+    # sum, and a symbol id past the alphabet raised IndexError during play.
+    with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
+        sg.table_strategy(example, 1, {(0,): (0, 0), (1,): (0,), (2,): (0,)})
+    with pytest.raises(ValueError, match="decoded sequence: symbol id 7 out of range"):
+        sg.table_strategy(example, 1, {(0,): (0,), (1,): (7,), (2,): (0,)})
+    seqs = sg.enumerate_sequences(example, 2)
+    with pytest.raises(ValueError, match="symbol id -1 out of range"):
+        sg.table_strategy(example, 2, {y: (0, -1) if y == (2, 2) else y for y in seqs})
+    table = sg.table_strategy(example, 2, {y: (2, 1) for y in seqs})
+    assert table.image == ((2, 1),)
 
 
 def test_simulate_adversarial_tie_break(example):
@@ -274,6 +295,62 @@ def test_cross_check_example_all_subsets(example):
     result = sg.cross_check_equivalence(example, 2)
     assert result.image_sets_checked == 511
     assert result.agreed
+
+
+def test_batched_routes_equal_the_public_functions():
+    # The cross-check scores each image set on one packed scorer and one
+    # transposed payoff table per type. Each value must still equal the
+    # per-set public routes: the formula side the reference truthful-subset
+    # objective, the played side the worst case of the canonical strategy.
+    rng = random.Random(79)
+    checked = 0
+    for k, n in ((2, 3), (3, 2), (8, 1), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
+        m = make_random_model(rng, k, rng.randint(1, 3))
+        seqs = sg.enumerate_sequences(m, n)
+        for mode in ("all", "random") if len(seqs) <= 9 else ("random",):
+            id_sets = sg.gameplay._image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
+            for members, played, formula in sg.gameplay._scored_image_sets(m, seqs, id_sets):
+                assert formula == sg.receiver_objective(m, members), members
+                assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
+                checked += 1
+    assert checked == 255 * 2 + 511 + 12 * 9
+
+
+def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
+    # Skew each route by one on the image set {0, 2} alone: the cross-check
+    # must report exactly that set, and oracle-check must exit 1.
+    target = ((0,), (2,))
+    packed = sg.gameplay.packed_scorer
+    scale = packed(example, sg.enumerate_sequences(example, 1))[0]
+
+    def skewed_scorer(model, seqs):
+        scale, beats, score = packed(model, seqs)
+        return scale, beats, lambda members, beaten: score(members, beaten) + (members == 0b101)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "packed_scorer", skewed_scorer)
+        result = sg.cross_check_equivalence(example, 1)
+        assert result.agreed is False
+        assert result.mismatches == (
+            (target, Fraction(4, 3), Fraction(4, 3) + Fraction(1, scale)),
+        )
+        assert main(["oracle-check", "--model", "example1", "--n", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "agreed: false" in out and "0;2: played 4/3" in out
+
+    best_response = sg.gameplay._best_response
+
+    def dropping_truth(columns, image, truth):
+        # Drop the truth 0 from the winners on the target, so no type recovers it.
+        best_total, winners = best_response(columns, image, truth)
+        return best_total, [w for w in winners if image != target or w != (0,)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "_best_response", dropping_truth)
+        result = sg.cross_check_equivalence(example, 1)
+        assert result.agreed is False
+        assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
+    assert sg.cross_check_equivalence(example, 1).agreed
 
 
 def test_cross_check_random_mode(example):
