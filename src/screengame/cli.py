@@ -16,6 +16,7 @@ import hashlib
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .model import (
@@ -188,6 +189,8 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
 def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
     if args.report_cap < 0:  # refused in both modes, though only exact mode lists maximizers
         raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
+    if args.mode == "heuristic" and args.no_prune:
+        raise ValueError("--no-prune applies to exact mode only")
     if args.mode == "exact":
         result = solve_exact(
             model,
@@ -198,9 +201,7 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
             enum_budget=args.enum_budget,
         )
     else:
-        result = solve_heuristic(
-            model, args.n, seed=args.seed, enum_budget=args.enum_budget
-        )
+        result = solve_heuristic(model, args.n, seed=args.seed, enum_budget=args.enum_budget)
     designated = result.designated
     payload = {
         "n": args.n,
@@ -307,11 +308,11 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
     type_id = model.type_index(args.type)
     truth = _parse_sequence(model, args.truth)
     n = len(truth)
+    if args.fallback is not None and not args.members:
+        raise ValueError("--fallback needs --members; a solved strategy picks its own")
     if args.members:
         members = _parse_members(model, args.members, n)
-        fallback = (
-            _parse_sequence(model, args.fallback, n) if args.fallback else None
-        )
+        fallback = None if args.fallback is None else _parse_sequence(model, args.fallback, n)
         strategy = canonical_strategy(members, fallback)
         origin = "given"
     else:
@@ -358,9 +359,8 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
 # parser
 
 
-def _add_common(sub, *, model=True, enum=True, mis=False, subset=False):
-    if model:
-        sub.add_argument("--model", required=True, help="model file path, or example1")
+def _add_common(sub, *, enum=True, mis=False, subset=False):
+    sub.add_argument("--model", required=True, help="model file path, or example1")
     sub.add_argument(
         "--format", choices=("plain", "machine"), default="plain", help="report style"
     )
@@ -387,6 +387,7 @@ def _add_common(sub, *, model=True, enum=True, mis=False, subset=False):
         )
 
 
+@cache  # built on the first `main` call, not at import, and reused after
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="screengame",

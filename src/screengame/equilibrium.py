@@ -28,6 +28,7 @@ from .model import (
     enumerate_sequences,
     preference_masks,
 )
+from .graph import _mask_to_members
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
@@ -195,11 +196,6 @@ def packed_scorer(model: Model, seqs: list[Seq]):
     return scale, beats, score
 
 
-def _ids(mask: int) -> list[int]:
-    """Positions of the set bits of `mask`, ascending."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
 @dataclass(frozen=True)
 class EquilibriumResult:
     n: int
@@ -233,11 +229,13 @@ def solve_exact(
     With pruning on, a node whose undecided sequences are R is cut when its
     ceiling is strictly below the incumbent. A member that I beats stays
     beaten in every I | S with S inside R, so a deceptive type counts at most
-    |(I | R) - beaten| and an honest type at most |I | R|. The incumbent is
-    seeded from the closure reduction of the full space. Ties are never cut,
-    so the optimum and the complete maximizer list match the unpruned search
-    exactly. `subsets_pruned` counts the nonempty extensions of every cut
-    node, a whole subtree at a time, so examined plus pruned is 2^N - 1.
+    |(I | R) - beaten| and an honest type at most |I | R|. In both modes the
+    incumbent starts at 1, the value of any singleton (every type reports a
+    lone member truthfully), which the first subset examined, {seqs[0]},
+    reaches. Ties are never cut, so the optimum and the complete maximizer
+    list match the unpruned search exactly. `subsets_pruned` counts the
+    nonempty extensions of every cut node, a whole subtree at a time, so
+    examined plus pruned is 2^N - 1.
     At most `report_cap` maximizers are listed; the designated one is the
     first whatever the cap.
     """
@@ -251,14 +249,10 @@ def solve_exact(
     scale, beats, score = packed_scorer(model, seqs)
     low = (1 << count) - 1
 
-    best: int | None = None
+    best = scale  # the singleton value 1
     maximizers: list[int] = []  # member bitmasks, in lexicographic order
     examined = 0
     pruned = 0
-
-    if prune:
-        seed_members = reduce_closure(model, seqs)
-        best = int(receiver_objective(model, seed_members) * scale)
 
     stack = [(0, 0, 0)]  # (members, beaten, first undecided sequence)
     while stack:
@@ -269,7 +263,7 @@ def solve_exact(
         grown, grown_beaten = members | 1 << k, beaten | beats[k]
         examined += 1
         value = score(grown, grown_beaten)
-        if best is None or value > best:
+        if value > best:
             best = value
             maximizers = [grown]
         elif value == best:
@@ -278,8 +272,10 @@ def solve_exact(
             stack.append((members, beaten, k + 1))  # exclude k
             stack.append((grown, grown_beaten, k + 1))  # include k, walked first
 
-    member_sets = tuple(tuple(seqs[v] for v in _ids(m)) for m in maximizers[:report_cap])
-    designated = evaluate_questionnaire(model, [seqs[v] for v in _ids(maximizers[0])])
+    member_sets = tuple(
+        tuple(seqs[v] for v in _mask_to_members(m)) for m in maximizers[:report_cap]
+    )
+    designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(maximizers[0])])
     return EquilibriumResult(
         n=n,
         mode="exact",
@@ -305,11 +301,11 @@ def solve_heuristic(
     Starts from a seeded random singleton, repeatedly adds the best candidate
     (tolerating `PATIENCE` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
-    not certified optimal, but it is never below the closure seed, the
-    closure reduction of the full space that also seeds the exact search:
-    the seed is returned instead whenever it scores strictly higher. Nor is
-    it below the best singleton, whose objective is exactly 1, because local
-    search starts from a singleton and never loses value.
+    not certified optimal, but it is never below its floor, the closure
+    reduction of the full space (see `reduce_closure`): the floor is returned
+    instead whenever it scores strictly higher. Nor is it below the best
+    singleton, whose objective is exactly 1, because local search starts from
+    a singleton and never loses value.
 
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
@@ -329,7 +325,7 @@ def solve_heuristic(
 
     while current != full:
         best_value: int | None = None
-        for v in _ids(full ^ current):
+        for v in _mask_to_members(full ^ current):
             evaluations += 1
             value = score(current | 1 << v, beaten | beats[v])
             if best_value is None or value > best_value:
@@ -343,7 +339,7 @@ def solve_heuristic(
         current, beaten, current_value = current | 1 << pick, beaten | beats[pick], best_value
 
     while True:
-        ids, outside = _ids(current), _ids(full ^ current)
+        ids, outside = _mask_to_members(current), _mask_to_members(full ^ current)
         drops = [
             (current ^ 1 << d, reduce(or_, (beats[v] for v in ids if v != d), 0)) for d in ids
         ]
@@ -360,7 +356,7 @@ def solve_heuristic(
             break
         (current, beaten), current_value = best_next, best_value
 
-    members = tuple(seqs[v] for v in _ids(current))
+    members = tuple(seqs[v] for v in _mask_to_members(current))
     seed_members = reduce_closure(model, seqs)
     seed_value = int(receiver_objective(model, seed_members) * scale)
     evaluations += 1

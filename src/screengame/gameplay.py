@@ -285,11 +285,13 @@ def cross_check_equivalence(
     member of I. The sequence space, the scorer and each type's transposed
     payoff table are built once per call and shared by every image set.
     `strategies` is "all" (every nonempty subset, requires a small sequence
-    space) or "random" (`count` seeded draws). The exhaustive mode is
+    space) or "random" (`count` >= 1 seeded draws). The exhaustive mode is
     refused before any sequence is enumerated when the space exceeds
     `subset_cap` sequences.
     """
     space = model.num_symbols**n
+    if strategies == "random" and count < 1:
+        raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all" and space > subset_cap:
         raise BudgetExceededError(
             "exhaustive cross-check (use strategies='random')", space, subset_cap

@@ -240,6 +240,57 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_oracle_check_refuses_an_empty_random_draw(capsys):
+    for count in ("0", "-1"):
+        code, out, err = run(
+            capsys, "oracle-check", "--model", "example1", "--n", "2",
+            "--strategies", "random", "--count", count,
+        )
+        assert (code, out) == (1, "")
+        assert "count >= 1" in err
+
+
+def test_simulate_refuses_a_fallback_without_members(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2",
+        "--fallback", "0",
+    )
+    assert (code, out) == (1, "")
+    assert "--fallback needs --members" in err
+    # an empty fallback is a malformed sequence, not "no fallback"
+    code, out, err = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2",
+        "--members", "0;2", "--fallback", "",
+    )
+    assert (code, out) == (1, "")
+    assert "has length 0, expected 1" in err
+
+
+def test_solve_heuristic_refuses_no_prune(capsys):
+    code, out, err = run(
+        capsys, "solve", "--model", "example1", "--mode", "heuristic", "--no-prune"
+    )
+    assert (code, out) == (1, "")
+    assert "--no-prune applies to exact mode only" in err
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    # The parser is built once per process; each call still parses afresh.
+    code, out, _ = run(
+        capsys, "solve", "--model", "example1", "--no-prune", "--format", "machine"
+    )
+    assert code == 0 and "subsets_pruned=0" in out
+    code, out, _ = run(capsys, "solve", "--model", "example1", "--format", "machine")
+    assert code == 0
+    assert "subsets_examined=6" in out and "subsets_pruned=1" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", "example1", "--n", "x"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "solve", "--model", "example1")
+    assert code == 0
+    assert "objective: 4/3" in out and "subsets_pruned: 1" in out
+
+
 def test_solve_report_cap_zero_and_negative(capsys):
     code, out, _ = run(
         capsys, "solve", "--model", "example1", "--n", "2", "--report-cap", "0",

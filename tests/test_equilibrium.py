@@ -82,13 +82,18 @@ def test_reduce_closure_fixpoints_when_an_honest_type_is_present(example):
         assert sg.reduce_closure(example, members) == members
 
 
-def test_reduce_closure_shrinks_to_truthful_core():
-    only_d = sg.Model.from_tables(
+def _only_d() -> sg.Model:
+    """One deceptive type and no honest one, whose closure can shrink."""
+    return sg.Model.from_tables(
         ["0", "1", "2"],
         ["d"],
         {"d": 1},
         {"d": [[1, 2, 1], [2, 1, 1], [0, 0, 0]]},
     )
+
+
+def test_reduce_closure_shrinks_to_truthful_core():
+    only_d = _only_d()
     assert sg.reduce_closure(only_d, [(0,), (2,)]) == ((0,),)
     # when even one round empties out, the last nonempty iterate comes back
     assert sg.reduce_closure(only_d, [(0,), (1,), (2,)]) == ((0,), (1,), (2,))
@@ -115,6 +120,8 @@ def test_solve_exact_example_one_letter(example):
     assert result.designated.members == ((0,), (2,))
     assert result.designated.truthful == (((0,), (2,)), ((0,),))
     assert result.certified and result.mode == "exact"
+    # golden work counters: 6 subsets evaluated, 1 cut in a subtree
+    assert (result.subsets_examined, result.subsets_pruned) == (6, 1)
 
 
 def test_solve_exact_example_two_letters(example):
@@ -133,6 +140,7 @@ def test_solve_exact_example_three_letters_past_the_default_budget(example):
     assert result.optimum == 9
     assert sg.receiver_objective(example, result.designated.members) == 9
     assert result.subsets_examined + result.subsets_pruned == 2**27 - 1
+    assert result.subsets_examined == 59
 
 
 def test_solve_exact_constant_model_prefers_singletons():
@@ -170,6 +178,24 @@ def test_pruned_and_unpruned_agree_exactly():
         total = 2 ** (num_symbols**n) - 1
         assert full.subsets_examined == total
         assert pruned.subsets_examined + pruned.subsets_pruned == total
+
+
+def test_solve_exact_scores_on_the_packed_scorer_alone(example, monkeypatch):
+    # The walk's incumbent starts at the singleton value 1 in both modes, so
+    # neither the closure nor the scan-based objective is ever consulted.
+    cases = [(example, 1), (example, 2), (_only_d(), 1), (_only_d(), 2)]
+    expected = [brute_best(m, n) for m, n in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_exact must not call a second objective")
+
+    monkeypatch.setattr(sg.equilibrium, "reduce_closure", refuse)
+    monkeypatch.setattr(sg.equilibrium, "receiver_objective", refuse)
+    for (m, n), (best, sets) in zip(cases, expected):
+        for prune in (True, False):
+            result = sg.solve_exact(m, n, prune=prune, report_cap=1 << 20)
+            assert result.optimum == best
+            assert list(result.maximizers) == sets
 
 
 def test_solve_exact_respects_budget(example):

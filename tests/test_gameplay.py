@@ -361,6 +361,17 @@ def test_cross_check_random_mode(example):
     assert result.agreed
 
 
+def test_cross_check_random_mode_refuses_an_empty_draw(example, monkeypatch):
+    # Zero draws would report agreement without checking anything.
+    def enumerate_forbidden(*args, **kwargs):
+        raise AssertionError("sequences enumerated before the count check")
+
+    monkeypatch.setattr(sg.gameplay, "enumerate_sequences", enumerate_forbidden)
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="count >= 1"):
+            sg.cross_check_equivalence(example, 2, strategies="random", count=count)
+
+
 def test_cross_check_refuses_oversized_exhaustive(example, monkeypatch):
     def enumerate_forbidden(*args, **kwargs):
         raise AssertionError("sequences enumerated before the subset cap check")
