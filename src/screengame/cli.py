@@ -191,6 +191,8 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
         raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
     if args.mode == "heuristic" and args.no_prune:
         raise ValueError("--no-prune applies to exact mode only")
+    if args.mode == "exact" and args.seed is not None:
+        raise ValueError("--seed applies to heuristic mode only")
     if args.mode == "exact":
         result = solve_exact(
             model,
@@ -201,7 +203,7 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
             enum_budget=args.enum_budget,
         )
     else:
-        result = solve_heuristic(model, args.n, seed=args.seed, enum_budget=args.enum_budget)
+        result = solve_heuristic(model, args.n, seed=args.seed or 0, enum_budget=args.enum_budget)
     designated = result.designated
     payload = {
         "n": args.n,
@@ -210,6 +212,7 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
         "objective": result.optimum,
         "rate": extraction_rate(result.optimum, args.n),
         "maximizer_count": result.maximizer_count,
+        "maximizers_complete": result.maximizers_complete,
         "maximizers": [
             ";".join(_seq_labels(model, members)) for members in result.maximizers
         ],
@@ -222,19 +225,25 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
         },
         "subsets_examined": result.subsets_examined,
         "subsets_pruned": result.subsets_pruned,
+        "cover_cuts": result.cover_cuts,
+        "tie_cuts": result.tie_cuts,
     }
     return payload, 0
 
 
 def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
+    # The draw options steer random mode only; unset ones keep the library defaults.
+    options = (("count", args.count), ("seed", args.seed))
+    draw = {key: value for key, value in options if value is not None}
+    if args.strategies == "all" and draw:
+        raise ValueError(f"--{next(iter(draw))} applies to --strategies random only")
     result = cross_check_equivalence(
         model,
         args.n,
         strategies=args.strategies,
-        count=args.count,
-        seed=args.seed,
         subset_cap=args.subset_budget,
         enum_budget=args.enum_budget,
+        **draw,
     )
     payload = {
         "n": args.n,
@@ -316,8 +325,8 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         strategy = canonical_strategy(members, fallback)
         origin = "given"
     else:
-        solved = solve_exact(
-            model, n, subset_budget=args.subset_budget, enum_budget=args.enum_budget
+        solved = solve_exact(  # the designated maximizer alone: none is listed
+            model, n, report_cap=0, subset_budget=args.subset_budget, enum_budget=args.enum_budget
         )
         strategy = canonical_strategy(solved.designated.members)
         origin = "solved"
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub, subset=True)
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    sub.add_argument("--seed", type=int, default=0, help="heuristic seed")
+    sub.add_argument("--seed", type=int, help="heuristic seed (default 0)")
     sub.add_argument(
         "--no-prune", action="store_true", help="exact mode: evaluate every subset"
     )
@@ -435,8 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub, subset=True)
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--strategies", choices=("all", "random"), default="all")
-    sub.add_argument("--count", type=int, default=50, help="random image sets to draw")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--count", type=int, help="random image sets to draw (default 50)")
+    sub.add_argument("--seed", type=int, help="random draw seed (default 0)")
     sub.set_defaults(handler=_cmd_oracle_check)
 
     sub = subs.add_parser("bounds", help="sandwich the optimal recovery value")

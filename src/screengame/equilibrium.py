@@ -28,10 +28,13 @@ from .model import (
     enumerate_sequences,
     preference_masks,
 )
-from .graph import _mask_to_members
+from .graph import _mask_to_members, clique_cover_bound
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
+# Fewest undecided sequences at which the exact search tries the clique-cover
+# ceiling; below it the count ceiling alone is cheaper than the covers.
+COVER_MIN_UNDECIDED = 4
 PATIENCE = 2  # zero-gain growth steps the heuristic tolerates
 
 
@@ -158,6 +161,15 @@ def reduce_closure(model: Model, members) -> tuple[Seq, ...]:
         current, current_objective = reduced, reduced_objective
 
 
+def _deceptive_weights(model: Model, scale: int) -> list[tuple[int, int]]:
+    """(type id, prior times `scale`) of each non-honest type, in slot order."""
+    return [
+        (t, int(p * scale))
+        for t, p in enumerate(model.prior)
+        if classify_type(model, t) != HONEST
+    ]
+
+
 def packed_scorer(model: Model, seqs: list[Seq]):
     """The receiver objective on member bitmasks: (scale, beats, score).
 
@@ -172,28 +184,43 @@ def packed_scorer(model: Model, seqs: list[Seq]):
     """
     count = len(seqs)
     scale = math.lcm(*(p.denominator for p in model.prior))
-    weights = [int(p * scale) for p in model.prior]
-    everyone = sum(weights)
-    deceptive = [t for t in range(model.num_types) if classify_type(model, t) != HONEST]
+    deceptive = _deceptive_weights(model, scale)
     beats = [0] * count
-    for slot, type_id in enumerate(deceptive):
+    for slot, (type_id, _) in enumerate(deceptive):
         _, type_beats = preference_masks(model, type_id, seqs, beaten_by=False)
         for y, mask in enumerate(type_beats):
             beats[y] |= mask << slot * count
     # Multiplying a member set by `copies` places it in each type's bits.
     copies = sum(1 << slot * count for slot in range(len(deceptive)))
-    slices = [(weights[t], slot * count) for slot, t in enumerate(deceptive)]
+    slices = [(weight, slot * count) for slot, (_, weight) in enumerate(deceptive)]
     low = (1 << count) - 1
 
     def score(members: int, beaten: int) -> int:
         """Scaled objective of `members` when `beaten` holds every type's losers."""
         hit = members * copies & beaten
-        value = everyone * members.bit_count()
+        value = scale * members.bit_count()  # the weights sum to `scale`
         for weight, shift in slices:
             value -= weight * (hit >> shift & low).bit_count()
         return value
 
     return scale, beats, score
+
+
+def _sender_graphs(beats: list[int], count: int, slots: int) -> list[list[int]]:
+    """Each deceptive slot's sender graph, from `packed_scorer`'s beats rows.
+
+    Row y of a slot is the members y beats or is beaten by: its own beats
+    bits OR their bit transpose, which is built over the set bits alone.
+    """
+    low = (1 << count) - 1
+    graphs = [[mask >> slot * count & low for mask in beats] for slot in range(slots)]
+    for y, mask in enumerate(beats):
+        bit = 1 << y
+        while mask:
+            slot, x = divmod((mask & -mask).bit_length() - 1, count)
+            graphs[slot][x] |= bit
+            mask &= mask - 1
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -203,10 +230,13 @@ class EquilibriumResult:
     certified: bool  # True when the optimum is proven, not just attained
     optimum: Fraction
     maximizers: tuple[tuple[Seq, ...], ...]  # lexicographic, capped
-    maximizer_count: int  # total found, before capping
+    maximizer_count: int  # found; a lower bound unless maximizers_complete
+    maximizers_complete: bool  # True when every maximizer was met and counted
     designated: Questionnaire  # lexicographically least maximizer, evaluated
     subsets_examined: int
     subsets_pruned: int
+    cover_cuts: int = 0  # cut by a clique-cover ceiling below the incumbent
+    tie_cuts: int = 0  # cut at a ceiling equal to the incumbent
 
 
 def solve_exact(
@@ -224,20 +254,31 @@ def solve_exact(
     0, 1, ..., N-1 in turn, trying "include" before "exclude", so it meets
     the subsets in lexicographic order. Each node carries I and the OR of
     beats[y] over y in I (see `packed_scorer`), so including a sequence
-    costs one OR.
+    costs one OR. In both modes the incumbent starts at 1, the value of any
+    singleton (every type reports a lone member truthfully), which the first
+    subset examined, {seqs[0]}, reaches.
 
-    With pruning on, a node whose undecided sequences are R is cut when its
-    ceiling is strictly below the incumbent. A member that I beats stays
-    beaten in every I | S with S inside R, so a deceptive type counts at most
-    |(I | R) - beaten| and an honest type at most |I | R|. In both modes the
-    incumbent starts at 1, the value of any singleton (every type reports a
-    lone member truthfully), which the first subset examined, {seqs[0]},
-    reaches. Ties are never cut, so the optimum and the complete maximizer
-    list match the unpruned search exactly. `subsets_pruned` counts the
-    nonempty extensions of every cut node, a whole subtree at a time, so
-    examined plus pruned is 2^N - 1.
-    At most `report_cap` maximizers are listed; the designated one is the
-    first whatever the cap.
+    With pruning on, a node whose undecided sequences are R gets a ceiling
+    on every subset below it, and is cut when that ceiling is strictly below
+    the incumbent. A member that I beats stays beaten in every I | S with S
+    inside R. The count ceiling lets a deceptive type count every member of
+    I | R that I does not beat, and an honest type all of I | R. When that
+    does not cut and at least `COVER_MIN_UNDECIDED` sequences are undecided,
+    the clique-cover ceiling tries next: a type's truthful members never
+    beat each other, so they are independent in its sender graph and meet
+    each clique of a cover at most once. The type then counts a greedy
+    clique cover of those unbeaten members (`clique_cover_bound`) instead.
+    The sender graphs are transposed from the beats rows on first use.
+
+    Once max(report_cap, 1) maximizers at the incumbent value are listed,
+    nodes whose ceiling equals the incumbent are cut as well (`tie_cuts`);
+    a better incumbent starts the count again. The optimum, the designated
+    maximizer and the first min(report_cap, count) maximizers match the
+    unpruned search exactly, but `maximizer_count` is then a lower bound:
+    `maximizers_complete` is False when a tie was cut at the optimum.
+    Without pruning every subset is examined and the count is exact.
+    `subsets_pruned` counts the nonempty extensions of every cut node, a
+    whole subtree at a time, so examined plus pruned is 2^N - 1.
     """
     if report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {report_cap}")
@@ -248,26 +289,51 @@ def solve_exact(
 
     scale, beats, score = packed_scorer(model, seqs)
     low = (1 << count) - 1
+    deceptive = _deceptive_weights(model, scale)
+    honest = scale - sum(weight for _, weight in deceptive)
+    covers = None  # (weight, bit offset, sender graph) per deceptive type, built on first use
+    listed = max(report_cap, 1)  # maximizers walked before ties are cut
 
     best = scale  # the singleton value 1
-    maximizers: list[int] = []  # member bitmasks, in lexicographic order
-    examined = 0
-    pruned = 0
+    floor = best  # nodes with a ceiling below it are cut; best + 1 cuts ties
+    maximizers: list[int] = []  # the first `listed` member bitmasks at `best`
+    found = 0  # maximizers at `best` the walk met
+    ties_cut = False  # a node with ceiling `best` was cut
+    examined = pruned = cover_cuts = tie_cuts = 0
 
     stack = [(0, 0, 0)]  # (members, beaten, first undecided sequence)
     while stack:
         members, beaten, k = stack.pop()
-        if prune and score(members | low >> k << k, beaten) < best:
-            pruned += (1 << count - k) - 1
-            continue
+        if prune:
+            span = members | low >> k << k
+            ceiling = score(span, beaten)
+            if ceiling >= floor and count - k >= COVER_MIN_UNDECIDED:
+                if covers is None:
+                    graphs = _sender_graphs(beats, count, len(deceptive))
+                    covers = [
+                        (weight, slot * count, graph)
+                        for slot, ((_, weight), graph) in enumerate(zip(deceptive, graphs))
+                    ]
+                ceiling = honest * span.bit_count()
+                for weight, shift, graph in covers:
+                    ceiling += weight * clique_cover_bound(graph, span & ~(beaten >> shift))
+                cover_cuts += ceiling < best
+            if ceiling < floor:
+                if ceiling == best:
+                    tie_cuts += 1
+                    ties_cut = True
+                pruned += (1 << count - k) - 1
+                continue
         grown, grown_beaten = members | 1 << k, beaten | beats[k]
         examined += 1
         value = score(grown, grown_beaten)
-        if value > best:
-            best = value
-            maximizers = [grown]
-        elif value == best:
-            maximizers.append(grown)
+        if value >= best:
+            if value > best:
+                best, maximizers, found, ties_cut = value, [], 0, False
+            found += 1
+            if found <= listed:
+                maximizers.append(grown)
+            floor = best + (found >= listed)
         if k + 1 < count:
             stack.append((members, beaten, k + 1))  # exclude k
             stack.append((grown, grown_beaten, k + 1))  # include k, walked first
@@ -282,10 +348,13 @@ def solve_exact(
         certified=True,
         optimum=Fraction(best, scale),
         maximizers=member_sets,
-        maximizer_count=len(maximizers),
+        maximizer_count=found,
+        maximizers_complete=not ties_cut,
         designated=designated,
         subsets_examined=examined,
         subsets_pruned=pruned,
+        cover_cuts=cover_cuts,
+        tie_cuts=tie_cuts,
     )
 
 
@@ -370,6 +439,7 @@ def solve_heuristic(
         optimum=Fraction(current_value, scale),
         maximizers=(designated.members,),
         maximizer_count=1,
+        maximizers_complete=False,
         designated=designated,
         subsets_examined=evaluations,
         subsets_pruned=0,

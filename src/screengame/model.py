@@ -198,13 +198,15 @@ class Model:
     def scaled_utility(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Per type: (scale, integer table) with table[i][j] == utility[i][j] * scale.
 
-        Lets every length-n payoff comparison run on plain integer sums.
+        Lets every length-n payoff comparison run on plain integer sums. The
+        entries are scaled on their numerators and denominators as integers.
         """
         out = []
         for table in self.utility:
             scale = math.lcm(*(entry.denominator for row in table for entry in row))
             int_table = tuple(
-                tuple(int(entry * scale) for entry in row) for row in table
+                tuple(entry.numerator * (scale // entry.denominator) for entry in row)
+                for row in table
             )
             out.append((scale, int_table))
         return tuple(out)

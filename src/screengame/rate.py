@@ -121,8 +121,8 @@ def finite_bounds(
     if solve:
         space = model.num_symbols**n
         if space <= subset_budget:
-            achieved = solve_exact(
-                model, n, subset_budget=subset_budget, enum_budget=enum_budget
+            achieved = solve_exact(  # the optimum alone: no maximizer is listed
+                model, n, report_cap=0, subset_budget=subset_budget, enum_budget=enum_budget
             ).optimum
             achieved_certified = True
         else:

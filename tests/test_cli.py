@@ -304,6 +304,71 @@ def test_solve_report_cap_zero_and_negative(capsys):
     assert "report cap must be >= 0" in err
 
 
+def test_solve_search_counters_golden(capsys):
+    # example1 at n=1-3 (n=3 past the default subset budget): what the exact
+    # search prints about its walk. Each n has one or two maximizers, all
+    # listed under the default cap, so no tie is cut.
+    expected = {1: (6, 1, 0), 2: (20, 491, 1), 3: (38, 2**27 - 1 - 38, 1)}
+    for n, (examined, pruned, cover_cuts) in expected.items():
+        code, out, _ = run(
+            capsys, "solve", "--model", "example1", "--n", str(n), "--subset-budget", "27",
+            "--format", "machine",
+        )
+        assert code == 0
+        assert {
+            f"subsets_examined={examined}",
+            f"subsets_pruned={pruned}",
+            f"cover_cuts={cover_cuts}",
+            "tie_cuts=0",
+            "maximizers_complete=true",
+        } <= set(out.splitlines())
+
+
+def test_solve_report_cap_one_cuts_the_second_tie(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--model", "example1", "--report-cap", "1", "--format", "machine"
+    )
+    assert code == 0
+    assert {
+        "maximizer_count=1",
+        "maximizers_complete=false",
+        "maximizers.count=1",
+        "maximizers.0=0;2",
+        "tie_cuts=2",
+    } <= set(out.splitlines())
+    code, out, _ = run(
+        capsys, "solve", "--model", "example1", "--report-cap", "1", "--no-prune",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert {
+        "maximizer_count=2",
+        "maximizers_complete=true",
+        "maximizers.count=1",
+        "tie_cuts=0",
+    } <= set(out.splitlines())
+
+
+def test_flags_the_mode_never_reads_are_refused(capsys):
+    code, out, err = run(capsys, "solve", "--model", "example1", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert "--seed applies to heuristic mode only" in err
+    code, _, _ = run(capsys, "solve", "--model", "example1", "--mode", "heuristic", "--seed", "5")
+    assert code == 0
+    for flag in ("--count", "--seed"):
+        code, out, err = run(capsys, "oracle-check", "--model", "example1", flag, "3")
+        assert (code, out) == (1, "")
+        assert f"{flag} applies to --strategies random only" in err
+    # Only the random tie policy reads simulate's seed, but it is accepted
+    # under every policy.
+    for policy in sg.TIE_POLICIES:
+        code, _, _ = run(
+            capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2",
+            "--members", "0;2", "--policy", policy, "--seed", "9",
+        )
+        assert code == 0
+
+
 def test_solve_refuses_negative_report_cap_in_both_modes(capsys):
     for mode in ("exact", "heuristic"):
         code, out, err = run(

@@ -120,18 +120,23 @@ def test_solve_exact_example_one_letter(example):
     assert result.designated.members == ((0,), (2,))
     assert result.designated.truthful == (((0,), (2,)), ((0,),))
     assert result.certified and result.mode == "exact"
-    # golden work counters: 6 subsets evaluated, 1 cut in a subtree
+    assert result.maximizers_complete
+    # golden work counters: 6 subsets evaluated, 1 cut in a subtree, by the
+    # count ceiling alone
     assert (result.subsets_examined, result.subsets_pruned) == (6, 1)
+    assert (result.cover_cuts, result.tie_cuts) == (0, 0)
 
 
 def test_solve_exact_example_two_letters(example):
     result = sg.solve_exact(example, 2)
     assert result.optimum == 3
     # the full space is the unique maximizer at this horizon
-    assert result.maximizer_count == 1
+    assert result.maximizer_count == 1 and result.maximizers_complete
     assert result.maximizers[0] == tuple(sg.enumerate_sequences(example, 2))
-    # golden work counters: 24 subsets evaluated, the other 487 cut in subtrees
-    assert (result.subsets_examined, result.subsets_pruned) == (24, 487)
+    # golden work counters: 20 subsets evaluated, the other 491 cut in
+    # subtrees, one of them by the clique-cover ceiling
+    assert (result.subsets_examined, result.subsets_pruned) == (20, 491)
+    assert (result.cover_cuts, result.tie_cuts) == (1, 0)
 
 
 def test_solve_exact_example_three_letters_past_the_default_budget(example):
@@ -140,7 +145,9 @@ def test_solve_exact_example_three_letters_past_the_default_budget(example):
     assert result.optimum == 9
     assert sg.receiver_objective(example, result.designated.members) == 9
     assert result.subsets_examined + result.subsets_pruned == 2**27 - 1
-    assert result.subsets_examined == 59
+    assert result.subsets_examined == 38
+    assert (result.cover_cuts, result.tie_cuts) == (1, 0)
+    assert result.maximizer_count == 1 and result.maximizers_complete
 
 
 def test_solve_exact_constant_model_prefers_singletons():
@@ -178,6 +185,53 @@ def test_pruned_and_unpruned_agree_exactly():
         total = 2 ** (num_symbols**n) - 1
         assert full.subsets_examined == total
         assert pruned.subsets_examined + pruned.subsets_pruned == total
+
+
+def test_cut_walk_keeps_the_optimum_and_the_listed_prefix():
+    # The clique-cover ceiling and the tie cut against the unpruned walk, on
+    # spaces of 2-16 sequences and caps below and above the maximizer count;
+    # brute force joins on spaces of at most 9 sequences.
+    rng = random.Random(2026)
+    shapes = [(k, 1) for k in range(2, 17)] + [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)]
+    for trial in range(40):
+        num_symbols, n = shapes[trial % len(shapes)]
+        m = make_random_model(rng, num_symbols, rng.randint(1, 3))
+        full = sg.solve_exact(m, n, prune=False, report_cap=1 << 20)
+        assert full.maximizers_complete and (full.cover_cuts, full.tie_cuts) == (0, 0)
+        if num_symbols**n <= 9:
+            best, sets = brute_best(m, n)
+            assert full.optimum == best
+            assert list(full.maximizers) == sets
+        total = full.maximizer_count
+        for cap in (0, 1, 2, 16, 1 << 20):
+            result = sg.solve_exact(m, n, report_cap=cap)
+            assert result.optimum == full.optimum
+            assert result.designated == full.designated
+            assert result.maximizers == full.maximizers[:cap]
+            assert min(cap, total) <= result.maximizer_count <= total
+            # Complete means counted exactly. A cut tie's subtree may hold no
+            # maximizer, so an incomplete count can still be exact.
+            if result.maximizers_complete:
+                assert result.maximizer_count == total
+            else:
+                assert result.tie_cuts > 0
+            if cap >= total:
+                assert result.maximizer_count == total
+            assert result.subsets_examined + result.subsets_pruned == 2 ** (num_symbols**n) - 1
+
+
+def test_sender_graphs_from_beats_match_build_sender_graph(example):
+    # The walk's clique covers run on graphs transposed from the beats rows;
+    # they must be the deceptive types' sender graphs.
+    rng = random.Random(17)
+    cases = [(example, 2)] + [(make_random_model(rng, 3, 3), 2) for _ in range(4)]
+    for m, n in cases:
+        seqs = sg.enumerate_sequences(m, n)
+        scale, beats, _ = sg.equilibrium.packed_scorer(m, seqs)
+        deceptive = [t for t, _ in sg.equilibrium._deceptive_weights(m, scale)]
+        graphs = sg.equilibrium._sender_graphs(beats, len(seqs), len(deceptive))
+        for t, graph in zip(deceptive, graphs):
+            assert tuple(graph) == sg.build_sender_graph(m, t, n).adjacency
 
 
 def test_solve_exact_scores_on_the_packed_scorer_alone(example, monkeypatch):
@@ -218,18 +272,31 @@ def test_solve_exact_refuses_before_enumerating(example, monkeypatch):
 
 
 def test_report_cap_truncates_list_not_count():
+    # Both singletons are maximizers. Once the cap's one is listed, the
+    # pruned walk cuts the other tie and flags its count as a lower bound;
+    # the unpruned walk still counts both.
     m = sg.Model.from_tables(["a", "b"], ["t"], {"t": 1}, {"t": [[0, 0], [0, 0]]})
     result = sg.solve_exact(m, 1, report_cap=1)
-    assert result.maximizer_count == 2
-    assert len(result.maximizers) == 1
-    assert result.maximizers[0] == ((0,),)
+    assert result.maximizers == (((0,),),)
+    assert (result.maximizer_count, result.maximizers_complete) == (1, False)
+    assert result.tie_cuts == 2
+    full = sg.solve_exact(m, 1, prune=False, report_cap=1)
+    assert full.maximizers == (((0,),),)
+    assert (full.maximizer_count, full.maximizers_complete) == (2, True)
+    listed = sg.solve_exact(m, 1, report_cap=2)
+    assert (listed.maximizer_count, listed.maximizers_complete, listed.tie_cuts) == (2, True, 0)
 
 
 def test_report_cap_zero_lists_none_and_negative_is_refused(example):
     result = sg.solve_exact(example, 1, report_cap=0)
     assert result.maximizers == ()
-    assert result.maximizer_count == 2
+    # the designated maximizer is walked whatever the cap; the other is cut
+    assert (result.maximizer_count, result.maximizers_complete) == (1, False)
     assert result.designated.members == ((0,), (2,))
+    full = sg.solve_exact(example, 1, prune=False, report_cap=0)
+    assert full.maximizers == ()
+    assert (full.maximizer_count, full.maximizers_complete) == (2, True)
+    assert full.designated.members == ((0,), (2,))
     with pytest.raises(ValueError, match="report cap"):
         sg.solve_exact(example, 1, report_cap=-1)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -85,6 +86,22 @@ def test_honest_lifts_to_longer_sequences():
                     for y in seqs:
                         if y != x:
                             assert sg.sequence_utility(m, t, y, x) < own
+
+
+def test_scaled_utility_is_the_exact_table_times_its_scale():
+    rng = random.Random(11)
+    for _ in range(20):
+        utility = {
+            lab: [[f"{rng.randint(-50, 50)}/{rng.randint(1, 12)}" for _ in range(3)]
+                  for _ in range(3)]
+            for lab in ("a", "b")
+        }
+        m = sg.Model.from_tables(["0", "1", "2"], ["a", "b"], {"a": "1/2", "b": "1/2"}, utility)
+        for t, (scale, table) in enumerate(m.scaled_utility):
+            exact = m.utility[t]
+            assert scale == math.lcm(*(e.denominator for row in exact for e in row))
+            for int_row, row in zip(table, exact):
+                assert all(type(x) is int and x == e * scale for x, e in zip(int_row, row))
 
 
 def test_sequence_utility_rejects_mismatched_lengths(example):
