@@ -26,6 +26,7 @@ from .model import (
     ModelError,
     BudgetExceededError,
     Seq,
+    check_space,
     classify_type,
     format_sequence,
     parse_model,
@@ -161,10 +162,9 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     if args.type is not None and args.union:
         raise ModelError("--type and --union are mutually exclusive")
     type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
-    vertices = model.num_symbols**args.n
-    if args.alpha == "exact" and not args.export and vertices > args.mis_budget:
+    if args.alpha == "exact" and not args.export:
         # the same refusal max_independent_set makes, before the graph exists
-        raise BudgetExceededError("exact independent set", vertices, args.mis_budget)
+        check_space(model, args.n, args.mis_budget, "exact independent set")
     graphs = [build_sender_graph(model, t, args.n, budget=args.enum_budget) for t in type_ids]
     graph = union_graph(graphs) if args.union else graphs[0]
     if args.export:

@@ -19,11 +19,11 @@ from itertools import chain
 from operator import or_
 
 from .model import (
-    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     HONEST,
     Model,
     Seq,
+    check_space,
     classify_type,
     enumerate_sequences,
     preference_masks,
@@ -161,17 +161,8 @@ def reduce_closure(model: Model, members) -> tuple[Seq, ...]:
         current, current_objective = reduced, reduced_objective
 
 
-def _deceptive_weights(model: Model, scale: int) -> list[tuple[int, int]]:
-    """(type id, prior times `scale`) of each non-honest type, in slot order."""
-    return [
-        (t, int(p * scale))
-        for t, p in enumerate(model.prior)
-        if classify_type(model, t) != HONEST
-    ]
-
-
 def packed_scorer(model: Model, seqs: list[Seq]):
-    """The receiver objective on member bitmasks: (scale, beats, score).
+    """The receiver objective on member bitmasks: (scale, beats, score, covers).
 
     A member x of I is truthful for a deceptive type when no other member
     beats it, so the type's truthful count is |I| minus |I & beaten|, where
@@ -180,47 +171,35 @@ def packed_scorer(model: Model, seqs: list[Seq]):
     Deceptive type number `slot` owns bits slot * N .. slot * N + N - 1 of
     beats[y], so one OR serves every type. score(members, beaten) is the
     objective times `scale`, the lcm of the prior denominators, so searches
-    compare integers.
+    compare integers. covers holds (prior times `scale`, bit offset, sender
+    graph) per deceptive type, in slot order; the graph's row y is
+    beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives.
     """
     count = len(seqs)
     scale = math.lcm(*(p.denominator for p in model.prior))
-    deceptive = _deceptive_weights(model, scale)
     beats = [0] * count
-    for slot, (type_id, _) in enumerate(deceptive):
-        _, type_beats = preference_masks(model, type_id, seqs, beaten_by=False)
+    covers = []
+    for type_id, p in enumerate(model.prior):
+        if classify_type(model, type_id) == HONEST:
+            continue
+        shift = len(covers) * count
+        beaten_by, type_beats = preference_masks(model, type_id, seqs)
         for y, mask in enumerate(type_beats):
-            beats[y] |= mask << slot * count
+            beats[y] |= mask << shift
+        covers.append((int(p * scale), shift, tuple(map(or_, beaten_by, type_beats))))
     # Multiplying a member set by `copies` places it in each type's bits.
-    copies = sum(1 << slot * count for slot in range(len(deceptive)))
-    slices = [(weight, slot * count) for slot, (_, weight) in enumerate(deceptive)]
+    copies = sum(1 << shift for _, shift, _ in covers)
     low = (1 << count) - 1
 
     def score(members: int, beaten: int) -> int:
         """Scaled objective of `members` when `beaten` holds every type's losers."""
         hit = members * copies & beaten
         value = scale * members.bit_count()  # the weights sum to `scale`
-        for weight, shift in slices:
+        for weight, shift, _ in covers:
             value -= weight * (hit >> shift & low).bit_count()
         return value
 
-    return scale, beats, score
-
-
-def _sender_graphs(beats: list[int], count: int, slots: int) -> list[list[int]]:
-    """Each deceptive slot's sender graph, from `packed_scorer`'s beats rows.
-
-    Row y of a slot is the members y beats or is beaten by: its own beats
-    bits OR their bit transpose, which is built over the set bits alone.
-    """
-    low = (1 << count) - 1
-    graphs = [[mask >> slot * count & low for mask in beats] for slot in range(slots)]
-    for y, mask in enumerate(beats):
-        bit = 1 << y
-        while mask:
-            slot, x = divmod((mask & -mask).bit_length() - 1, count)
-            graphs[slot][x] |= bit
-            mask &= mask - 1
-    return graphs
+    return scale, beats, score, covers
 
 
 @dataclass(frozen=True)
@@ -267,8 +246,8 @@ def solve_exact(
     the clique-cover ceiling tries next: a type's truthful members never
     beat each other, so they are independent in its sender graph and meet
     each clique of a cover at most once. The type then counts a greedy
-    clique cover of those unbeaten members (`clique_cover_bound`) instead.
-    The sender graphs are transposed from the beats rows on first use.
+    clique cover of those unbeaten members (`clique_cover_bound`, on the
+    graphs in the scorer's covers) instead.
 
     Once max(report_cap, 1) maximizers at the incumbent value are listed,
     nodes whose ceiling equals the incumbent are cut as well (`tie_cuts`);
@@ -282,16 +261,12 @@ def solve_exact(
     """
     if report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {report_cap}")
-    count = model.num_symbols**n
-    if count > subset_budget:
-        raise BudgetExceededError("questionnaire search", count, subset_budget)
+    count = check_space(model, n, subset_budget, "questionnaire search")
     seqs = enumerate_sequences(model, n, budget=enum_budget)
 
-    scale, beats, score = packed_scorer(model, seqs)
+    scale, beats, score, covers = packed_scorer(model, seqs)
     low = (1 << count) - 1
-    deceptive = _deceptive_weights(model, scale)
-    honest = scale - sum(weight for _, weight in deceptive)
-    covers = None  # (weight, bit offset, sender graph) per deceptive type, built on first use
+    honest = scale - sum(weight for weight, _, _ in covers)
     listed = max(report_cap, 1)  # maximizers walked before ties are cut
 
     best = scale  # the singleton value 1
@@ -308,12 +283,6 @@ def solve_exact(
             span = members | low >> k << k
             ceiling = score(span, beaten)
             if ceiling >= floor and count - k >= COVER_MIN_UNDECIDED:
-                if covers is None:
-                    graphs = _sender_graphs(beats, count, len(deceptive))
-                    covers = [
-                        (weight, slot * count, graph)
-                        for slot, ((_, weight), graph) in enumerate(zip(deceptive, graphs))
-                    ]
                 ceiling = honest * span.bit_count()
                 for weight, shift, graph in covers:
                     ceiling += weight * clique_cover_bound(graph, span & ~(beaten >> shift))
@@ -383,7 +352,7 @@ def solve_heuristic(
     """
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     rng = random.Random(seed)
-    scale, beats, score = packed_scorer(model, seqs)
+    scale, beats, score, _ = packed_scorer(model, seqs)
     full = (1 << len(seqs)) - 1
 
     start = rng.randrange(len(seqs))

@@ -22,11 +22,11 @@ from functools import cached_property, reduce
 from operator import getitem, or_
 
 from .model import (
-    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
     _check_sequence,
+    check_space,
     enumerate_sequences,
 )
 from .equilibrium import (
@@ -224,9 +224,8 @@ def simulate(
     """
     truth = tuple(truth)
     n = len(truth)
-    space = model.num_symbols**n  # the report is located by scanning this space
-    if space > enum_budget:
-        raise BudgetExceededError("report search", space, enum_budget)
+    # The report is located by scanning the whole sequence space.
+    check_space(model, n, enum_budget, "report search")
     outcome = best_reports(model, strategy, type_id, truth)
     options = outcome.decoded
     if policy == ADVERSARIAL:
@@ -289,15 +288,12 @@ def cross_check_equivalence(
     refused before any sequence is enumerated when the space exceeds
     `subset_cap` sequences.
     """
-    space = model.num_symbols**n
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
-    if strategies == "all" and space > subset_cap:
-        raise BudgetExceededError(
-            "exhaustive cross-check (use strategies='random')", space, subset_cap
-        )
+    if strategies == "all":
+        check_space(model, n, subset_cap, "exhaustive cross-check (use strategies='random')")
     seqs = enumerate_sequences(model, n, budget=enum_budget)
-    id_sets = _image_id_sets(space, strategies, count, seed)
+    id_sets = _image_id_sets(len(seqs), strategies, count, seed)
     mismatches = tuple(
         (members, played, formula)
         for members, played, formula in _scored_image_sets(model, seqs, id_sets)
@@ -326,7 +322,7 @@ def _image_id_sets(space: int, strategies: str, count: int, seed: int) -> list[t
 
 def _scored_image_sets(model: Model, seqs: list[Seq], id_sets):
     """Yield (members, played, formula) per image set, both routes set up once."""
-    scale, beats, score = packed_scorer(model, seqs)
+    scale, beats, score, _ = packed_scorer(model, seqs)
     columns = _columns(model)
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)

@@ -168,7 +168,7 @@ def max_independent_set(
         # cliques; the second runs only when the first does not cut.
         if (
             size + clique_cover_bound(adjacency, cand) <= best_size
-            or size + _descending_cover_bound(adjacency, cand) <= best_size
+            or size + clique_cover_bound(adjacency, cand, descending=True) <= best_size
         ):
             continue
         bit = 1 << pivot
@@ -185,39 +185,25 @@ def max_independent_set(
     return IndependentSetResult(_mask_to_members(best_mask), best_size, True, nodes)
 
 
-def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
+def clique_cover_bound(adjacency: tuple[int, ...], cand: int, *, descending: bool = False) -> int:
     """Size of a greedy clique cover of the vertices in `cand`.
 
-    Each clique starts at the lowest uncovered vertex and takes, in
-    ascending order, every uncovered vertex adjacent to all its members (one
-    AND per member), which is the first-fit partition in vertex order. An
-    independent set meets each clique at most once, so this bounds the
-    independence number of the induced subgraph from above.
+    Each clique starts at the lowest uncovered vertex (the highest with
+    `descending`) and takes, in that order, every uncovered vertex adjacent
+    to all its members (one AND per member), which is the first-fit
+    partition in vertex order. An independent set meets each clique at most
+    once, so this bounds the independence number of the induced subgraph
+    from above.
     """
     count = 0
     while cand:
-        low = cand & -cand
-        cand ^= low
-        joinable = adjacency[low.bit_length() - 1] & cand
+        bit = 1 << cand.bit_length() - 1 if descending else cand & -cand
+        cand ^= bit
+        joinable = adjacency[bit.bit_length() - 1] & cand
         while joinable:
-            low = joinable & -joinable
-            cand ^= low
-            joinable &= adjacency[low.bit_length() - 1]
-        count += 1
-    return count
-
-
-def _descending_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
-    """`clique_cover_bound` with the vertices taken from the highest id down."""
-    count = 0
-    while cand:
-        v = cand.bit_length() - 1
-        cand ^= 1 << v
-        joinable = adjacency[v] & cand
-        while joinable:
-            v = joinable.bit_length() - 1
-            cand ^= 1 << v
-            joinable &= adjacency[v]
+            bit = 1 << joinable.bit_length() - 1 if descending else joinable & -joinable
+            cand ^= bit
+            joinable &= adjacency[bit.bit_length() - 1]
         count += 1
     return count
 

@@ -53,7 +53,7 @@ class ModelSyntaxError(ModelError):
 class BudgetExceededError(RuntimeError):
     """A requested computation is larger than the configured budget."""
 
-    def __init__(self, what: str, requested: int, budget: int):
+    def __init__(self, what: str, requested: int | str, budget: int):
         super().__init__(f"{what}: requested {requested} exceeds budget {budget}")
         self.what = what
         self.requested = requested
@@ -76,6 +76,19 @@ def _parse_rational(value: object, where: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(num))
     raise ModelError(f"{where}: expected an integer or p/q string, got {type(value).__name__}")
+
+
+def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list:
+    """`table` in type order; a map keyed by type label must name each type exactly."""
+    if not isinstance(table, dict):
+        return list(table)
+    missing = [t for t in types if t not in table]
+    if missing:
+        raise ModelError(f"{field}: missing {entry} for type {missing[0]!r}")
+    extra = [t for t in table if t not in types]
+    if extra:
+        raise ModelError(f"{field}: unknown type {extra[0]!r}")
+    return [table[t] for t in types]
 
 
 @dataclass(frozen=True)
@@ -129,27 +142,8 @@ class Model:
         type order.
         """
         types_t = tuple(types)
-        if isinstance(prior, dict):
-            missing = [t for t in types_t if t not in prior]
-            if missing:
-                raise ModelError(f"prior: missing entry for type {missing[0]!r}")
-            extra = [t for t in prior if t not in types_t]
-            if extra:
-                raise ModelError(f"prior: unknown type {extra[0]!r}")
-            prior_seq: list[object] = [prior[t] for t in types_t]
-        else:
-            prior_seq = list(prior)
-        if isinstance(utility, dict):
-            missing = [t for t in types_t if t not in utility]
-            if missing:
-                raise ModelError(f"utility: missing table for type {missing[0]!r}")
-            extra = [t for t in utility if t not in types_t]
-            if extra:
-                raise ModelError(f"utility: unknown type {extra[0]!r}")
-            utility_seq: list[object] = [utility[t] for t in types_t]
-        else:
-            utility_seq = list(utility)
-
+        prior_seq = _by_type(prior, types_t, "prior", "entry")
+        utility_seq = _by_type(utility, types_t, "utility", "table")
         prior_t = tuple(
             _parse_rational(p, f"prior[{label!r}]") for label, p in zip(types_t, prior_seq)
         )
@@ -295,10 +289,24 @@ def enumerate_sequences(
     """All length-n symbol-id sequences in lexicographic order."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    count = model.num_symbols**n
-    if count > budget:
-        raise BudgetExceededError("sequence enumeration", count, budget)
+    check_space(model, n, budget, "sequence enumeration")
     return list(itertools.product(range(model.num_symbols), repeat=n))
+
+
+def check_space(model: Model, n: int, budget: int, what: str) -> int:
+    """The number k^n of length-n sequences; BudgetExceededError when it is over `budget`.
+
+    Since k >= 2, k^n > budget once n > budget.bit_length(). Horizons past
+    that and past 64 letters are refused without building k^n, and the
+    refusal writes the count as "k^n"; shorter ones write it out in full.
+    """
+    k = model.num_symbols
+    if n > max(budget.bit_length(), 64):
+        raise BudgetExceededError(what, f"{k}^{n}", budget)
+    count = k**n
+    if count > budget:
+        raise BudgetExceededError(what, count, budget)
+    return count
 
 
 def format_sequence(model: Model, seq: Seq) -> str:
@@ -336,9 +344,7 @@ def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> F
 _TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 
 
-def preference_masks(
-    model: Model, type_id: int, seqs: list[Seq], *, beaten_by: bool = True
-) -> tuple[list[int] | None, list[int]]:
+def preference_masks(model: Model, type_id: int, seqs: list[Seq]) -> tuple[list[int], list[int]]:
     """Which sequences this type weakly prefers to report, as (beaten_by, beats).
 
     Bit j of beaten_by[i] and bit i of beats[j] (j != i) are both set when
@@ -358,11 +364,10 @@ def preference_masks(
     bytes are cut out with one `to_bytes` and a stride, turned into "0"/"1"
     by `translate`, and read back as a bitmask. Consecutive sequences share
     the sums over their common prefix, so a lexicographic list costs about
-    one big-int addition per vertex and direction. With `beaten_by=False`
-    only beats is built, and None stands in for beaten_by.
+    one big-int addition per vertex and direction.
     """
     if not seqs:
-        return ([] if beaten_by else None), []
+        return [], []
     _, table = model.scaled_utility[type_id]
     n = len(seqs[0])
     diagonal = [row[t] for t, row in enumerate(table)]
@@ -376,10 +381,8 @@ def preference_masks(
     bias = ((1 << 8 * nbytes - 1) - n * shift) * int.from_bytes(
         (bytes(nbytes - 1) + b"\x01") * len(seqs), "big"
     )
-    beats = _top_bit_masks(lane, seqs, bias, nbytes)
-    if not beaten_by:
-        return None, beats
-    return _top_bit_masks(list(zip(*lane)), seqs, bias, nbytes), beats
+    beaten_by = _top_bit_masks(list(zip(*lane)), seqs, bias, nbytes)
+    return beaten_by, _top_bit_masks(lane, seqs, bias, nbytes)
 
 
 def _top_bit_masks(grid, seqs: list[Seq], bias: int, nbytes: int) -> list[int]:

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    BudgetExceededError,
-    DEFAULT_ENUMERATION_BUDGET,
-    Model,
-)
+from .model import DEFAULT_ENUMERATION_BUDGET, Model, check_space
 from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
     build_sender_graph,
@@ -75,9 +71,7 @@ def _check_mis_budget(model: Model, horizons, mis_budget: int) -> None:
     first horizon over the budget, in the order given, is the one named.
     """
     for h in horizons:
-        vertices = model.num_symbols**h
-        if vertices > mis_budget:
-            raise BudgetExceededError("certified independent set", vertices, mis_budget)
+        check_space(model, h, mis_budget, "certified independent set")
 
 
 def finite_bounds(
@@ -119,8 +113,7 @@ def finite_bounds(
     achieved: Fraction | None = None
     achieved_certified = False
     if solve:
-        space = model.num_symbols**n
-        if space <= subset_budget:
+        if union.vertex_count <= subset_budget:
             achieved = solve_exact(  # the optimum alone: no maximizer is listed
                 model, n, report_cap=0, subset_budget=subset_budget, enum_budget=enum_budget
             ).optimum

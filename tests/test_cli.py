@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -388,6 +389,26 @@ def test_graph_refuses_exact_alpha_before_building(capsys, monkeypatch):
     )
     assert code == 1
     assert "exact independent set: requested 27 exceeds budget 20" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "100000"),
+        ("solve", "--n", "100000", "--mode", "heuristic"),
+        ("bounds", "--n", "100000"),
+        ("graph", "--type", "d", "--n", "100000"),
+        ("oracle-check", "--n", "100000"),
+        ("simulate", "--type", "d", "--truth", "0" * 100000),
+    ],
+    ids=["solve", "heuristic", "bounds", "graph", "oracle-check", "simulate"],
+)
+def test_huge_horizons_are_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--model", "example1")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert "requested 3^100000 exceeds budget" in err
 
 
 def test_graph_exact_witness_is_a_maximum_independent_set(capsys, tmp_path):

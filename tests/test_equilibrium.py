@@ -220,18 +220,70 @@ def test_cut_walk_keeps_the_optimum_and_the_listed_prefix():
             assert result.subsets_examined + result.subsets_pruned == 2 ** (num_symbols**n) - 1
 
 
-def test_sender_graphs_from_beats_match_build_sender_graph(example):
-    # The walk's clique covers run on graphs transposed from the beats rows;
-    # they must be the deceptive types' sender graphs.
+_TABLES = {  # g and h are honest, d is example1's deceptive type
+    "g": [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+    "h": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "d": [[1, 2, 1], [2, 1, 1], [0, 0, 0]],
+}
+
+
+def _typed(types: list[str]) -> sg.Model:
+    prior = {t: f"1/{len(types)}" for t in types}
+    return sg.Model.from_tables(["0", "1", "2"], types, prior, {t: _TABLES[t] for t in types})
+
+
+_ONE_DECEPTIVE = [["d"], ["g", "d"], ["g", "h", "d"]]  # 0, 1 and 2 honest types
+
+
+def _deceptive_ids(m: sg.Model) -> list[int]:
+    return [t for t in range(m.num_types) if sg.classify_type(m, t) != sg.HONEST]
+
+
+def test_scorer_covers_are_the_sender_graphs():
+    # The walk's clique covers run on the scorer's covers: one per deceptive
+    # type, in slot order, each that type's sender graph.
     rng = random.Random(17)
-    cases = [(example, 2)] + [(make_random_model(rng, 3, 3), 2) for _ in range(4)]
-    for m, n in cases:
-        seqs = sg.enumerate_sequences(m, n)
-        scale, beats, _ = sg.equilibrium.packed_scorer(m, seqs)
-        deceptive = [t for t, _ in sg.equilibrium._deceptive_weights(m, scale)]
-        graphs = sg.equilibrium._sender_graphs(beats, len(seqs), len(deceptive))
-        for t, graph in zip(deceptive, graphs):
-            assert tuple(graph) == sg.build_sender_graph(m, t, n).adjacency
+    cases = [_typed(types) for types in _ONE_DECEPTIVE]
+    cases += [make_random_model(rng, 3, 3) for _ in range(4)]
+    for m in cases:
+        deceptive = _deceptive_ids(m)
+        for n in (1, 2):
+            seqs = sg.enumerate_sequences(m, n)
+            scale, _, _, covers = sg.equilibrium.packed_scorer(m, seqs)
+            assert len(covers) == len(deceptive)
+            for slot, (t, (weight, shift, graph)) in enumerate(zip(deceptive, covers)):
+                assert (weight, shift) == (m.prior[t] * scale, slot * len(seqs))
+                assert graph == sg.build_sender_graph(m, t, n).adjacency
+    # With every type honest there is no cover, and any set I scores scale * |I|.
+    all_honest = _typed(["g", "h"])
+    scale, beats, score, covers = sg.equilibrium.packed_scorer(
+        all_honest, sg.enumerate_sequences(all_honest, 2)
+    )
+    assert covers == [] and beats == [0] * 9
+    for members in range(1, 1 << 9):
+        assert score(members, 0) == scale * members.bit_count()
+
+
+def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
+    kernel = sg.equilibrium.preference_masks
+    calls = []
+
+    def counted(model, type_id, seqs):
+        calls.append(type_id)
+        return kernel(model, type_id, seqs)
+
+    monkeypatch.setattr(sg.equilibrium, "preference_masks", counted)
+    rng = random.Random(5)
+    cases = [_typed(types) for types in _ONE_DECEPTIVE]
+    cases += [make_random_model(rng, 2, 3) for _ in range(3)]
+    for m in cases:
+        for call in (
+            lambda: sg.equilibrium.packed_scorer(m, sg.enumerate_sequences(m, 2)),
+            lambda: sg.solve_exact(m, 2),
+        ):
+            calls.clear()
+            call()
+            assert calls == _deceptive_ids(m)
 
 
 def test_solve_exact_scores_on_the_packed_scorer_alone(example, monkeypatch):

@@ -324,8 +324,8 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
     scale = packed(example, sg.enumerate_sequences(example, 1))[0]
 
     def skewed_scorer(model, seqs):
-        scale, beats, score = packed(model, seqs)
-        return scale, beats, lambda members, beaten: score(members, beaten) + (members == 0b101)
+        scale, beats, score, covers = packed(model, seqs)
+        return scale, beats, (lambda mask, beaten: score(mask, beaten) + (mask == 0b101)), covers
 
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "packed_scorer", skewed_scorer)

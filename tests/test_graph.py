@@ -7,7 +7,7 @@ import time
 import pytest
 
 import screengame as sg
-from screengame.graph import _descending_cover_bound, clique_cover_bound
+from screengame.graph import clique_cover_bound
 
 from conftest import brute_alpha, make_random_model, model_pool
 
@@ -290,12 +290,12 @@ def test_clique_cover_bounds_are_first_fit_partitions():
                     assert clique_cover_bound(g.adjacency, cand) == first_fit_cover(
                         g.adjacency, cand, up
                     )
-                    assert _descending_cover_bound(g.adjacency, cand) == first_fit_cover(
-                        g.adjacency, cand, reversed(up)
-                    )
+                    assert clique_cover_bound(
+                        g.adjacency, cand, descending=True
+                    ) == first_fit_cover(g.adjacency, cand, reversed(up))
                 alpha = sg.max_independent_set(g).size
                 assert clique_cover_bound(g.adjacency, full) >= alpha
-                assert _descending_cover_bound(g.adjacency, full) >= alpha
+                assert clique_cover_bound(g.adjacency, full, descending=True) >= alpha
 
 
 def test_search_node_count_is_golden():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,19 @@ def test_enumerate_budget(example):
         sg.enumerate_sequences(example, 0)
 
 
+def test_huge_spaces_are_refused_without_building_the_count(example):
+    started = time.perf_counter()
+    with pytest.raises(sg.BudgetExceededError) as info:
+        sg.enumerate_sequences(example, 10**9)
+    assert time.perf_counter() - started < 1
+    assert info.value.requested == "3^1000000000"
+    assert str(info.value) == "sequence enumeration: requested 3^1000000000 exceeds budget 1000000"
+    # A small count past the budget's bit length is still written out in full.
+    with pytest.raises(sg.BudgetExceededError) as info:
+        sg.solve_exact(example, 6)
+    assert str(info.value) == "questionnaire search: requested 729 exceeds budget 20"
+
+
 def test_beaten_masks_match_definition_beyond_nine_sequences():
     # Spaces of 27 to 81 sequences: sampled bits against raw Fraction
     # averages, and the unbeaten members of random subsets against the
@@ -173,7 +187,6 @@ def test_beats_is_the_bit_transpose_of_beaten_by(pool):
             for t in range(m.num_types):
                 beaten_by, beats = sg.preference_masks(m, t, seqs)
                 assert beats == _bit_transpose(beaten_by)
-                assert sg.preference_masks(m, t, seqs, beaten_by=False) == (None, beats)
     assert sg.preference_masks(sg.example_model(), 1, []) == ([], [])
 
 
@@ -303,6 +316,20 @@ def test_parse_rejects_missing_utility():
     doc["utility"]["d"] = [["1", "2"], ["2", "1"]]
     with pytest.raises(sg.ModelError, match="expected 3 rows"):
         sg.parse_model(json.dumps(doc))
+
+
+def test_keyed_tables_name_the_missing_or_unknown_type():
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+    for field, entry in (("prior", "entry"), ("utility", "table")):
+        for edit, message in (
+            (lambda table: table.pop("d"), f"{field}: missing {entry} for type 'd'"),
+            (lambda table: table.update(z=table["d"]), f"{field}: unknown type 'z'"),
+        ):
+            prior, utility = dict(doc["prior"]), dict(doc["utility"])
+            edit(prior if field == "prior" else utility)
+            with pytest.raises(sg.ModelError) as info:
+                sg.Model.from_tables(doc["alphabet"], doc["types"], prior, utility)
+            assert str(info.value) == message
 
 
 def test_parse_rejects_duplicate_labels():
