@@ -187,20 +187,21 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
-    if args.report_cap < 0:  # refused in both modes, though only exact mode lists maximizers
+    # The exact-mode options are None unless given; unset ones keep the library defaults.
+    options = (("report_cap", args.report_cap), ("subset_budget", args.subset_budget))
+    exact = {key: value for key, value in options if value is not None}
+    # Refused in both modes, though only exact mode lists maximizers.
+    if args.report_cap is not None and args.report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
     if args.mode == "heuristic" and args.no_prune:
         raise ValueError("--no-prune applies to exact mode only")
+    if args.mode == "heuristic" and exact:
+        raise ValueError(f"--{next(iter(exact)).replace('_', '-')} applies to exact mode only")
     if args.mode == "exact" and args.seed is not None:
         raise ValueError("--seed applies to heuristic mode only")
     if args.mode == "exact":
         result = solve_exact(
-            model,
-            args.n,
-            prune=not args.no_prune,
-            report_cap=args.report_cap,
-            subset_budget=args.subset_budget,
-            enum_budget=args.enum_budget,
+            model, args.n, prune=not args.no_prune, enum_budget=args.enum_budget, **exact
         )
     else:
         result = solve_heuristic(model, args.n, seed=args.seed or 0, enum_budget=args.enum_budget)
@@ -317,9 +318,9 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
     type_id = model.type_index(args.type)
     truth = _parse_sequence(model, args.truth)
     n = len(truth)
-    if args.fallback is not None and not args.members:
+    if args.fallback is not None and args.members is None:
         raise ValueError("--fallback needs --members; a solved strategy picks its own")
-    if args.members:
+    if args.members is not None:
         members = _parse_members(model, args.members, n)
         fallback = None if args.fallback is None else _parse_sequence(model, args.fallback, n)
         strategy = canonical_strategy(members, fallback)
@@ -433,9 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-prune", action="store_true", help="exact mode: evaluate every subset"
     )
     sub.add_argument(
-        "--report-cap", type=int, default=DEFAULT_REPORT_CAP, help="max maximizers listed"
+        "--report-cap", type=int, help=f"max maximizers listed (default {DEFAULT_REPORT_CAP})"
     )
-    sub.set_defaults(handler=_cmd_solve)
+    # None tells a given --subset-budget from an unset one, which heuristic mode refuses.
+    sub.set_defaults(handler=_cmd_solve, subset_budget=None)
 
     sub = subs.add_parser(
         "oracle-check",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from operator import or_
+from operator import and_, or_
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -131,34 +131,6 @@ def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy
         if fallback not in mem:
             raise ValueError("fallback must be a questionnaire member")
     return ReceiverStrategy(len(mem[0]), mem, fallback)
-
-
-def reduce_closure(model: Model, members) -> tuple[Seq, ...]:
-    """Shrink a questionnaire to a fixpoint of the truthful-subset union.
-
-    Repeatedly replaces I by the union over types of its truthful subsets.
-    Restricting to that union can only grow each truthful subset, so the
-    objective weakly improves at every step; this is checked at runtime, not
-    assumed. Stops at a fixpoint, or returns the last nonempty iterate when
-    the union comes up empty.
-    """
-    current = _normalize_members(members)
-    current_objective = receiver_objective(model, current)
-    while True:
-        merged: set[Seq] = set()
-        for type_id in range(model.num_types):
-            merged.update(truthful_subset(model, current, type_id))
-        reduced = tuple(sorted(merged))
-        if not reduced or reduced == current:
-            return current
-        reduced_objective = receiver_objective(model, reduced)
-        if reduced_objective < current_objective:
-            raise RuntimeError(
-                "closure reduction decreased the objective "
-                f"({current_objective} -> {reduced_objective}); "
-                "this contradicts the dominance argument"
-            )
-        current, current_objective = reduced, reduced_objective
 
 
 def packed_scorer(model: Model, seqs: list[Seq]):
@@ -339,11 +311,14 @@ def solve_heuristic(
     Starts from a seeded random singleton, repeatedly adds the best candidate
     (tolerating `PATIENCE` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
-    not certified optimal, but it is never below its floor, the closure
-    reduction of the full space (see `reduce_closure`): the floor is returned
-    instead whenever it scores strictly higher. Nor is it below the best
-    singleton, whose objective is exactly 1, because local search starts from
-    a singleton and never loses value.
+    not certified optimal, but it is never below its floor, the closure of
+    the full space: the union over types of its truthful subsets, or the full
+    space when that union is empty. Shrinking a questionnaire can only grow
+    each truthful subset, so the union is its own union of truthful subsets,
+    and it never scores below the full space (checked at runtime). The floor
+    is returned instead whenever it scores strictly higher. Nor is it below
+    the best singleton, whose objective is exactly 1, because local search
+    starts from a singleton and never loses value.
 
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
@@ -352,7 +327,7 @@ def solve_heuristic(
     """
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     rng = random.Random(seed)
-    scale, beats, score, _ = packed_scorer(model, seqs)
+    scale, beats, score, covers = packed_scorer(model, seqs)
     full = (1 << len(seqs)) - 1
 
     start = rng.randrange(len(seqs))
@@ -394,13 +369,24 @@ def solve_heuristic(
             break
         (current, beaten), current_value = best_next, best_value
 
-    members = tuple(seqs[v] for v in _mask_to_members(current))
-    seed_members = reduce_closure(model, seqs)
-    seed_value = int(receiver_objective(model, seed_members) * scale)
+    # A member is truthful for a type when that type's slot of full_beaten misses it.
+    full_beaten = reduce(or_, beats)
+    floor, floor_value = full, score(full, full_beaten)
     evaluations += 1
-    if seed_value > current_value:
-        members, current_value = seed_members, seed_value
-    designated = evaluate_questionnaire(model, members)
+    if len(covers) == model.num_types:  # an honest type keeps every member
+        kept = full & ~reduce(and_, (full_beaten >> shift for _, shift, _ in covers))
+        if kept not in (0, full):
+            kept_value = score(kept, reduce(or_, (beats[v] for v in _mask_to_members(kept))))
+            if kept_value < floor_value:
+                raise RuntimeError(
+                    "closure reduction decreased the objective "
+                    f"({Fraction(floor_value, scale)} -> {Fraction(kept_value, scale)}); "
+                    "this contradicts the dominance argument"
+                )
+            floor, floor_value = kept, kept_value
+    if floor_value > current_value:
+        current, current_value = floor, floor_value
+    designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(current)])
     return EquilibriumResult(
         n=n,
         mode="heuristic",

@@ -275,6 +275,31 @@ def test_solve_heuristic_refuses_no_prune(capsys):
     assert "--no-prune applies to exact mode only" in err
 
 
+def test_solve_heuristic_refuses_exact_only_flags(capsys):
+    # A flag given at its default value is still refused: it is never read.
+    for flag, value in (("--subset-budget", "20"), ("--report-cap", "16"), ("--report-cap", "0")):
+        code, out, err = run(
+            capsys, "solve", "--model", "example1", "--mode", "heuristic", flag, value
+        )
+        assert (code, out) == (1, "")
+        assert f"{flag} applies to exact mode only" in err
+    code, out, _ = run(
+        capsys, "solve", "--model", "example1", "--subset-budget", "20", "--report-cap", "16"
+    )
+    assert code == 0 and "maximizer_count: 2" in out
+
+
+def test_simulate_refuses_empty_members(capsys):
+    # An empty --members is an empty questionnaire, not "solve one instead".
+    for extra in ((), ("--fallback", "0")):
+        code, out, err = run(
+            capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2",
+            "--members", "", *extra,
+        )
+        assert (code, out) == (1, "")
+        assert "questionnaire must be nonempty" in err
+
+
 def test_flags_do_not_leak_between_calls(capsys):
     # The parser is built once per process; each call still parses afresh.
     code, out, _ = run(

@@ -73,15 +73,6 @@ def test_canonical_strategy_rejects_bad_input():
         sg.canonical_strategy([(0,), (1, 1)])
 
 
-def test_reduce_closure_fixpoints_when_an_honest_type_is_present(example):
-    # The honest type keeps every member, so the union never shrinks here.
-    rng = random.Random(8)
-    seqs = sg.enumerate_sequences(example, 1)
-    for _ in range(10):
-        members = tuple(sorted(rng.sample(seqs, rng.randint(1, 3))))
-        assert sg.reduce_closure(example, members) == members
-
-
 def _only_d() -> sg.Model:
     """One deceptive type and no honest one, whose closure can shrink."""
     return sg.Model.from_tables(
@@ -90,26 +81,6 @@ def _only_d() -> sg.Model:
         {"d": 1},
         {"d": [[1, 2, 1], [2, 1, 1], [0, 0, 0]]},
     )
-
-
-def test_reduce_closure_shrinks_to_truthful_core():
-    only_d = _only_d()
-    assert sg.reduce_closure(only_d, [(0,), (2,)]) == ((0,),)
-    # when even one round empties out, the last nonempty iterate comes back
-    assert sg.reduce_closure(only_d, [(0,), (1,), (2,)]) == ((0,), (1,), (2,))
-
-
-def test_reduce_closure_weakly_improves_objective():
-    rng = random.Random(21)
-    for m in model_pool(30, seed=37):
-        seqs = sg.enumerate_sequences(m, 1)
-        for _ in range(6):
-            members = rng.sample(seqs, rng.randint(1, len(seqs)))
-            reduced = sg.reduce_closure(m, members)
-            assert set(reduced) <= set(map(tuple, members))
-            assert sg.receiver_objective(m, reduced) >= sg.receiver_objective(
-                m, members
-            )
 
 
 def test_solve_exact_example_one_letter(example):
@@ -288,14 +259,13 @@ def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
 
 def test_solve_exact_scores_on_the_packed_scorer_alone(example, monkeypatch):
     # The walk's incumbent starts at the singleton value 1 in both modes, so
-    # neither the closure nor the scan-based objective is ever consulted.
+    # the scan-based objective is never consulted.
     cases = [(example, 1), (example, 2), (_only_d(), 1), (_only_d(), 2)]
     expected = [brute_best(m, n) for m, n in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve_exact must not call a second objective")
 
-    monkeypatch.setattr(sg.equilibrium, "reduce_closure", refuse)
     monkeypatch.setattr(sg.equilibrium, "receiver_objective", refuse)
     for (m, n), (best, sets) in zip(cases, expected):
         for prune in (True, False):
@@ -376,6 +346,60 @@ def test_heuristic_never_below_the_closure_seed(example):
     result = sg.solve_heuristic(example, 4)
     assert result.optimum >= 27
     assert sg.receiver_objective(example, result.designated.members) == result.optimum
+
+
+def _closure(model, n):
+    """The full space, cut to the union of its truthful subsets until empty or unchanged."""
+    current = tuple(sg.enumerate_sequences(model, n))
+    while True:
+        parts = (sg.truthful_subset(model, current, t) for t in range(model.num_types))
+        kept = tuple(sorted(set().union(*parts)))
+        if not kept or kept == current:
+            return current
+        current = kept
+
+
+def test_heuristic_returns_the_closure_floor_where_it_binds():
+    # Only a model without an honest type can cut its floor. Its twin with
+    # one more type, honest and of prior 0, scores and walks identically, but
+    # the twin's floor is the full space: the twin's result is the local
+    # search's unless the full space scores higher.
+    rng = random.Random(7)
+    shapes = [(2, 1), (3, 1), (4, 1), (6, 1), (9, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
+    shapes.append((2, 4))
+    binding = proper = 0
+    for trial in range(400):
+        num_symbols, n = shapes[trial % len(shapes)]
+        m = make_random_model(rng, num_symbols, rng.randint(1, 3))
+        if sg.HONEST in (sg.classify_type(m, t) for t in range(m.num_types)):
+            continue
+        symbols = range(num_symbols)
+        honest = tuple(tuple(Fraction(int(r == t)) for t in symbols) for r in symbols)
+        twin = sg.Model(m.alphabet, (*m.types, "z"), (*m.prior, Fraction(0)), (*m.utility, honest))
+        floor = _closure(m, n)
+        floor_value = sg.receiver_objective(m, floor)
+        for seed in (0, 1):
+            result = sg.solve_heuristic(m, n, seed=seed)
+            local = sg.solve_heuristic(twin, n, seed=seed)
+            assert result.optimum == max(floor_value, local.optimum), (trial, seed)
+            assert result.subsets_examined == local.subsets_examined
+            if local.optimum < floor_value:
+                assert result.designated.members == floor, (trial, seed)
+                binding += 1
+                proper += len(floor) < num_symbols**n
+    assert binding >= 5 and proper >= 1
+
+
+def test_solve_heuristic_never_calls_the_scan_based_objective(example, monkeypatch):
+    # The floor, too, is scored on the packed masks; only the designated set
+    # is evaluated by the definition-level scan.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_heuristic must not call receiver_objective")
+
+    monkeypatch.setattr(sg.equilibrium, "receiver_objective", refuse)
+    for m, n in [(example, 1), (example, 2), (example, 3), (_only_d(), 1), (_only_d(), 2)]:
+        result = sg.solve_heuristic(m, n)
+        assert result.designated.objective == result.optimum
 
 
 def test_heuristic_bounded_by_singleton_and_exact():
