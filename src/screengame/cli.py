@@ -15,12 +15,10 @@ import argparse
 import hashlib
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from .model import (
-    DEFAULT_ENUMERATION_BUDGET,
     EXAMPLE1_TEXT,
     Model,
     ModelError,
@@ -41,7 +39,6 @@ from .graph import (
 )
 from .equilibrium import (
     DEFAULT_REPORT_CAP,
-    DEFAULT_SUBSET_BUDGET,
     canonical_strategy,
     solve_exact,
     solve_heuristic,
@@ -58,11 +55,12 @@ from .rate import asymptotic_bounds, extraction_rate, finite_bounds
 def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an int past the decimal conversion limit; hex is exact
+        return hex(value)
 
 
 def _render_plain(payload: dict, indent: int = 0) -> list[str]:
@@ -139,6 +137,24 @@ def _seq_labels(model: Model, seqs) -> list[str]:
     return [format_sequence(model, s) for s in seqs]
 
 
+# Option flags are None unless given, so an unset one keeps the library default.
+def _given(args, *names: str, **keywords: str) -> dict:
+    """The given flags among `names` and `keywords`' values, keyed by library keyword.
+
+    A name in `names` is its own keyword; `keywords` maps a keyword to a flag's name.
+    """
+    keywords |= dict(zip(names, names))
+    given = {key: getattr(args, name) for key, name in keywords.items()}
+    return {key: value for key, value in given.items() if value is not None}
+
+
+def _refuse(args, reader: str, *names: str) -> None:
+    """Refuse the first given flag among `names`: the chosen path never reads it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies to {reader} only")
+
+
 # ----------------------------------------------------------------------
 # subcommand handlers; each gets the loaded model and returns (its report
 # fields or None, exit code)
@@ -164,8 +180,12 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
     if args.alpha == "exact" and not args.export:
         # the same refusal max_independent_set makes, before the graph exists
-        check_space(model, args.n, args.mis_budget, "exact independent set")
-    graphs = [build_sender_graph(model, t, args.n, budget=args.enum_budget) for t in type_ids]
+        mis_budget = DEFAULT_EXACT_MIS_BUDGET if args.mis_budget is None else args.mis_budget
+        check_space(model, args.n, mis_budget, "exact independent set")
+    else:
+        _refuse(args, "--alpha exact reports", "mis_budget")
+    enum = _given(args, budget="enum_budget")
+    graphs = [build_sender_graph(model, t, args.n, **enum) for t in type_ids]
     graph = union_graph(graphs) if args.union else graphs[0]
     if args.export:
         sys.stdout.write(export_dot(graph))
@@ -177,9 +197,7 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         "edges": graph.edge_count,
     }
     if args.alpha != "skip":
-        result = max_independent_set(
-            graph, mode=args.alpha, budget=args.mis_budget
-        )
+        result = max_independent_set(graph, mode=args.alpha, **_given(args, budget="mis_budget"))
         payload["alpha"] = result.size
         payload["alpha_certified"] = result.certified
         payload["independent_set"] = [graph.labels[v] for v in result.members]
@@ -187,24 +205,16 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
-    # The exact-mode options are None unless given; unset ones keep the library defaults.
-    options = (("report_cap", args.report_cap), ("subset_budget", args.subset_budget))
-    exact = {key: value for key, value in options if value is not None}
     # Refused in both modes, though only exact mode lists maximizers.
     if args.report_cap is not None and args.report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {args.report_cap}")
-    if args.mode == "heuristic" and args.no_prune:
-        raise ValueError("--no-prune applies to exact mode only")
-    if args.mode == "heuristic" and exact:
-        raise ValueError(f"--{next(iter(exact)).replace('_', '-')} applies to exact mode only")
-    if args.mode == "exact" and args.seed is not None:
-        raise ValueError("--seed applies to heuristic mode only")
     if args.mode == "exact":
-        result = solve_exact(
-            model, args.n, prune=not args.no_prune, enum_budget=args.enum_budget, **exact
-        )
+        _refuse(args, "heuristic mode", "seed")
+        options = _given(args, "report_cap", "subset_budget", "enum_budget")
+        result = solve_exact(model, args.n, prune=not args.no_prune, **options)
     else:
-        result = solve_heuristic(model, args.n, seed=args.seed or 0, enum_budget=args.enum_budget)
+        _refuse(args, "exact mode", "no_prune", "report_cap", "subset_budget")
+        result = solve_heuristic(model, args.n, **_given(args, "seed", "enum_budget"))
     designated = result.designated
     payload = {
         "n": args.n,
@@ -233,19 +243,12 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
 
 
 def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
-    # The draw options steer random mode only; unset ones keep the library defaults.
-    options = (("count", args.count), ("seed", args.seed))
-    draw = {key: value for key, value in options if value is not None}
-    if args.strategies == "all" and draw:
-        raise ValueError(f"--{next(iter(draw))} applies to --strategies random only")
-    result = cross_check_equivalence(
-        model,
-        args.n,
-        strategies=args.strategies,
-        subset_cap=args.subset_budget,
-        enum_budget=args.enum_budget,
-        **draw,
-    )
+    if args.strategies == "all":
+        _refuse(args, "--strategies random", "count", "seed")
+    else:
+        _refuse(args, "--strategies all", "subset_budget")
+    options = _given(args, "count", "seed", "subset_budget", "enum_budget")
+    result = cross_check_equivalence(model, args.n, strategies=args.strategies, **options)
     payload = {
         "n": args.n,
         "strategies": args.strategies,
@@ -262,14 +265,10 @@ def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
 
 
 def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
-    bounds = finite_bounds(
-        model,
-        args.n,
-        solve=args.solve,
-        mis_budget=args.mis_budget,
-        subset_budget=args.subset_budget,
-        enum_budget=args.enum_budget,
-    )
+    if not args.solve:
+        _refuse(args, "--solve", "subset_budget")
+    options = _given(args, "mis_budget", "subset_budget", "enum_budget")
+    bounds = finite_bounds(model, args.n, solve=args.solve, **options)
     payload = {
         "n": args.n,
         "alpha_union": bounds.alpha_union,
@@ -290,9 +289,7 @@ def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
 
 
 def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
-    report = asymptotic_bounds(
-        model, args.n_max, mis_budget=args.mis_budget, enum_budget=args.enum_budget
-    )
+    report = asymptotic_bounds(model, args.n_max, **_given(args, "mis_budget", "enum_budget"))
     payload = {
         "n_max": report.n_max,
         "alpha_per_type": {
@@ -320,27 +317,23 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
     n = len(truth)
     if args.fallback is not None and args.members is None:
         raise ValueError("--fallback needs --members; a solved strategy picks its own")
+    enum = _given(args, "enum_budget")
     if args.members is not None:
+        _refuse(args, "a solved strategy", "subset_budget")
         members = _parse_members(model, args.members, n)
         fallback = None if args.fallback is None else _parse_sequence(model, args.fallback, n)
         strategy = canonical_strategy(members, fallback)
         origin = "given"
     else:
         solved = solve_exact(  # the designated maximizer alone: none is listed
-            model, n, report_cap=0, subset_budget=args.subset_budget, enum_budget=args.enum_budget
+            model, n, report_cap=0, **_given(args, "subset_budget"), **enum
         )
         strategy = canonical_strategy(solved.designated.members)
         origin = "solved"
     outcome = simulate(
-        model,
-        strategy,
-        type_id,
-        truth,
-        policy=args.policy,
-        seed=args.seed,
-        enum_budget=args.enum_budget,
+        model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"), **enum
     )
-    report = recovery_report(model, strategy, enum_budget=args.enum_budget)
+    report = recovery_report(model, strategy, **enum)
     payload = {
         "n": n,
         "type": args.type,
@@ -369,32 +362,21 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
 # parser
 
 
-def _add_common(sub, *, enum=True, mis=False, subset=False):
+_BUDGET_HELP = {
+    "enum": "max sequences to enumerate",
+    "mis": "max vertices for the certified independent-set search",
+    "subset": "max base sequences for exhaustive questionnaire search",
+}
+
+
+def _add_common(sub, *budgets: str) -> None:
+    """--model, --format and the named budget flags, which stay None unless given."""
     sub.add_argument("--model", required=True, help="model file path, or example1")
     sub.add_argument(
         "--format", choices=("plain", "machine"), default="plain", help="report style"
     )
-    if enum:
-        sub.add_argument(
-            "--enum-budget",
-            type=int,
-            default=DEFAULT_ENUMERATION_BUDGET,
-            help="max sequences to enumerate",
-        )
-    if mis:
-        sub.add_argument(
-            "--mis-budget",
-            type=int,
-            default=DEFAULT_EXACT_MIS_BUDGET,
-            help="max vertices for the certified independent-set search",
-        )
-    if subset:
-        sub.add_argument(
-            "--subset-budget",
-            type=int,
-            default=DEFAULT_SUBSET_BUDGET,
-            help="max base sequences for exhaustive questionnaire search",
-        )
+    for budget in budgets:
+        sub.add_argument(f"--{budget}-budget", type=int, help=_BUDGET_HELP[budget])
 
 
 @cache  # built on the first `main` call, not at import, and reused after
@@ -408,11 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
     subs.add_parser("example", help="print the built-in example model file")
 
     sub = subs.add_parser("validate", help="parse a model and report its shape")
-    _add_common(sub, enum=False)
+    _add_common(sub)
     sub.set_defaults(handler=_cmd_validate)
 
     sub = subs.add_parser("graph", help="build a sender graph; stats, alpha, or DOT")
-    _add_common(sub, mis=True)
+    _add_common(sub, "enum", "mis")
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--type", help="sender type label")
     sub.add_argument("--union", action="store_true", help="union over all types")
@@ -426,24 +408,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_graph)
 
     sub = subs.add_parser("solve", help="find an optimal questionnaire")
-    _add_common(sub, subset=True)
+    _add_common(sub, "enum", "subset")
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     sub.add_argument("--seed", type=int, help="heuristic seed (default 0)")
     sub.add_argument(
-        "--no-prune", action="store_true", help="exact mode: evaluate every subset"
+        "--no-prune", action="store_true", default=None, help="exact mode: evaluate every subset"
     )
     sub.add_argument(
         "--report-cap", type=int, help=f"max maximizers listed (default {DEFAULT_REPORT_CAP})"
     )
-    # None tells a given --subset-budget from an unset one, which heuristic mode refuses.
-    sub.set_defaults(handler=_cmd_solve, subset_budget=None)
+    sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser(
         "oracle-check",
         help="cross-check played-out recovery against the truthful-subset formula",
     )
-    _add_common(sub, subset=True)
+    _add_common(sub, "enum", "subset")
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--strategies", choices=("all", "random"), default="all")
     sub.add_argument("--count", type=int, help="random image sets to draw (default 50)")
@@ -451,18 +432,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_oracle_check)
 
     sub = subs.add_parser("bounds", help="sandwich the optimal recovery value")
-    _add_common(sub, mis=True, subset=True)
+    _add_common(sub, "enum", "mis", "subset")
     sub.add_argument("--n", type=int, default=1, help="sequence length")
     sub.add_argument("--solve", action="store_true", help="also compute the optimum")
     sub.set_defaults(handler=_cmd_bounds)
 
     sub = subs.add_parser("asymptotic", help="long-horizon rate bracket")
-    _add_common(sub, mis=True)
+    _add_common(sub, "enum", "mis")
     sub.add_argument("--n-max", type=int, default=3, help="largest horizon to examine")
     sub.set_defaults(handler=_cmd_asymptotic)
 
     sub = subs.add_parser("simulate", help="play one round against a chosen type")
-    _add_common(sub, subset=True)
+    _add_common(sub, "enum", "subset")
     sub.add_argument("--type", required=True, help="sender type label")
     sub.add_argument("--truth", required=True, help="true sequence, e.g. 0,1 or 01")
     sub.add_argument(
@@ -471,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--fallback", help="decode non-members to this member")
     sub.add_argument("--policy", choices=TIE_POLICIES, default="adversarial")
-    sub.add_argument("--seed", type=int, default=0, help="random tie policy seed")
+    sub.add_argument("--seed", type=int, help="random tie policy seed (default 0)")
     sub.set_defaults(handler=_cmd_simulate)
 
     return parser
@@ -487,12 +468,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         model, digest = _load_model(args.model)
         fields, code = args.handler(args, model)
+        if fields is not None:
+            header = {"command": args.command, "model": args.model, "digest": digest}
+            _emit(header | fields, args.format, started)
     except (ModelError, BudgetExceededError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if fields is not None:
-        header = {"command": args.command, "model": args.model, "digest": digest}
-        _emit(header | fields, args.format, started)
     return code
 
 

@@ -272,7 +272,7 @@ def cross_check_equivalence(
     strategies: str = "all",
     count: int = 50,
     seed: int = 0,
-    subset_cap: int = DEFAULT_SUBSET_BUDGET,
+    subset_budget: int = DEFAULT_SUBSET_BUDGET,
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> CrossCheckResult:
     """Check that played-out recovery equals the searches' receiver objective.
@@ -286,12 +286,12 @@ def cross_check_equivalence(
     `strategies` is "all" (every nonempty subset, requires a small sequence
     space) or "random" (`count` >= 1 seeded draws). The exhaustive mode is
     refused before any sequence is enumerated when the space exceeds
-    `subset_cap` sequences.
+    `subset_budget` sequences; the random mode does not read it.
     """
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
-        check_space(model, n, subset_cap, "exhaustive cross-check (use strategies='random')")
+        check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
     mismatches = tuple(

@@ -4,6 +4,7 @@ A model file is a UTF-8 JSON document with exactly these fields:
 
     alphabet   list of symbol labels (at least 2, unique)
     types      list of sender type labels (at least 1, unique)
+               (no label of either list may contain , ; = or a line break)
     prior      map type label -> rational ("p/q" or integer string, or JSON int)
     utility    map type label -> row-major matrix of rationals where entry
                [i][j] is the one-letter payoff for reporting symbol i when
@@ -33,6 +34,8 @@ OTHER = "other"
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 _MODEL_FIELDS = ("alphabet", "types", "prior", "utility")
+
+_RESERVED = ",;=\n\r"  # separators of the CLI's sequences, member lists and machine reports
 
 
 class ModelError(ValueError):
@@ -110,6 +113,8 @@ class Model:
             for label in labels:
                 if not isinstance(label, str) or not label:
                     raise ModelError(f"{name}: labels must be nonempty strings")
+                if any(c in _RESERVED for c in label):
+                    raise ModelError(f"{name}: label {label!r} contains one of {_RESERVED!r}")
                 if label in seen:
                     raise ModelError(f"{name}: duplicate label {label!r}")
                 seen.add(label)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -393,6 +394,164 @@ def test_flags_the_mode_never_reads_are_refused(capsys):
             "--members", "0;2", "--policy", policy, "--seed", "9",
         )
         assert code == 0
+
+
+GRAPH_D = ("graph", "--type", "d")
+SIMULATE_D = ("simulate", "--type", "d", "--truth", "2")
+
+# One rule for every subcommand: a flag the chosen path never reads is refused.
+# Each row is (the path's argv, the flag and its value, what reads the flag).
+UNREAD_FLAGS = [
+    (("solve", "--mode", "heuristic"), ("--no-prune",), "exact mode"),
+    (("solve", "--mode", "heuristic"), ("--report-cap", "1"), "exact mode"),
+    (("solve", "--mode", "heuristic"), ("--subset-budget", "5"), "exact mode"),
+    (("solve",), ("--seed", "1"), "heuristic mode"),
+    (("oracle-check",), ("--count", "3"), "--strategies random"),
+    (("oracle-check",), ("--seed", "3"), "--strategies random"),
+    (("oracle-check", "--strategies", "random"), ("--subset-budget", "5"), "--strategies all"),
+    (("bounds",), ("--subset-budget", "5"), "--solve"),
+    ((*SIMULATE_D, "--members", "0;2"), ("--subset-budget", "5"), "a solved strategy"),
+    ((*GRAPH_D, "--alpha", "greedy"), ("--mis-budget", "5"), "--alpha exact reports"),
+    ((*GRAPH_D, "--alpha", "skip"), ("--mis-budget", "5"), "--alpha exact reports"),
+    ((*GRAPH_D, "--export"), ("--mis-budget", "5"), "--alpha exact reports"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, flag, reader", UNREAD_FLAGS, ids=[" ".join(row[0] + row[1]) for row in UNREAD_FLAGS]
+)
+def test_every_flag_the_chosen_path_never_reads_is_refused(capsys, path, flag, reader):
+    code, out, err = run(capsys, *path, *flag, "--model", "example1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag[0]} applies to {reader} only\n"
+
+
+# Each row is (argv, the library call, the keywords it gets). Unset flags are
+# not passed, so the library's own defaults apply; given ones are passed as given.
+FORWARDED_FLAGS = [
+    (("solve",), "solve_exact", {"prune": True}),
+    (
+        ("solve", "--no-prune", "--report-cap", "3", "--subset-budget", "7", "--enum-budget", "99"),
+        "solve_exact",
+        {"prune": False, "report_cap": 3, "subset_budget": 7, "enum_budget": 99},
+    ),
+    (("solve", "--mode", "heuristic"), "solve_heuristic", {}),
+    (
+        ("solve", "--mode", "heuristic", "--seed", "5", "--enum-budget", "99"),
+        "solve_heuristic",
+        {"seed": 5, "enum_budget": 99},
+    ),
+    (("oracle-check",), "cross_check_equivalence", {"strategies": "all"}),
+    (
+        ("oracle-check", "--subset-budget", "7", "--enum-budget", "99"),
+        "cross_check_equivalence",
+        {"strategies": "all", "subset_budget": 7, "enum_budget": 99},
+    ),
+    (
+        ("oracle-check", "--strategies", "random", "--count", "4", "--seed", "5"),
+        "cross_check_equivalence",
+        {"strategies": "random", "count": 4, "seed": 5},
+    ),
+    (("bounds",), "finite_bounds", {"solve": False}),
+    (
+        ("bounds", "--solve", "--mis-budget", "7", "--subset-budget", "8", "--enum-budget", "99"),
+        "finite_bounds",
+        {"solve": True, "mis_budget": 7, "subset_budget": 8, "enum_budget": 99},
+    ),
+    (("asymptotic",), "asymptotic_bounds", {}),
+    (
+        ("asymptotic", "--mis-budget", "30", "--enum-budget", "99"),
+        "asymptotic_bounds",
+        {"mis_budget": 30, "enum_budget": 99},
+    ),
+    (SIMULATE_D, "solve_exact", {"report_cap": 0}),
+    (
+        (*SIMULATE_D, "--subset-budget", "7", "--enum-budget", "99"),
+        "solve_exact",
+        {"report_cap": 0, "subset_budget": 7, "enum_budget": 99},
+    ),
+    (
+        (*SIMULATE_D, "--members", "0;2"),
+        "simulate",
+        {"policy": "adversarial"},
+    ),
+    (
+        (*SIMULATE_D, "--members", "0;2", "--seed", "9", "--enum-budget", "99"),
+        "simulate",
+        {"policy": "adversarial", "seed": 9, "enum_budget": 99},
+    ),
+    (
+        (*SIMULATE_D, "--members", "0;2", "--enum-budget", "99"),
+        "recovery_report",
+        {"enum_budget": 99},
+    ),
+    (GRAPH_D, "build_sender_graph", {}),
+    ((*GRAPH_D, "--enum-budget", "99"), "build_sender_graph", {"budget": 99}),
+    (GRAPH_D, "max_independent_set", {"mode": "exact"}),
+    (
+        (*GRAPH_D, "--mis-budget", "7"),
+        "max_independent_set",
+        {"mode": "exact", "budget": 7},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, keywords", FORWARDED_FLAGS,
+    ids=[f"{' '.join(row[0])}->{row[1]}" for row in FORWARDED_FLAGS],
+)
+def test_given_flags_are_forwarded_and_unset_ones_are_not(
+    capsys, monkeypatch, argv, name, keywords
+):
+    seen = []
+    real = getattr(sg.cli, name)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sg.cli, name, spy)
+    code, _, err = run(capsys, *argv, "--model", "example1")
+    assert (code, err) == (0, "")
+    assert seen and all(kwargs == keywords for kwargs in seen)
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("solve", "--subset-budget", "0"), "questionnaire search"),
+        (("solve", "--mode", "heuristic", "--enum-budget", "0"), "sequence enumeration"),
+        (("oracle-check", "--subset-budget", "0"), "exhaustive cross-check"),
+        (("oracle-check", "--strategies", "random", "--enum-budget", "0"), "sequence enumeration"),
+        (("bounds", "--enum-budget", "0"), "sequence enumeration"),
+        (("asymptotic", "--mis-budget", "0"), "certified independent set"),
+        ((*SIMULATE_D, "--subset-budget", "0"), "questionnaire search"),
+        ((*SIMULATE_D, "--members", "0;2", "--enum-budget", "0"), "report search"),
+        ((*GRAPH_D, "--mis-budget", "0"), "exact independent set"),
+        ((*GRAPH_D, "--alpha", "skip", "--enum-budget", "0"), "sequence enumeration"),
+    ],
+)
+def test_a_budget_the_path_reads_is_the_one_it_refuses_by(capsys, argv, refusal):
+    code, out, err = run(capsys, *argv, "--model", "example1")
+    assert (code, out) == (1, "")
+    assert refusal in err and "requested 3 exceeds budget 0" in err
+
+
+def test_integers_past_the_decimal_limit_print_in_hex(capsys):
+    # At n=7 the best-response multiplicities of example1 have over 4,300
+    # decimal digits, past what str() converts by default.
+    members = "0000000;2222222"
+    code, out, err = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2222222",
+        "--members", members, "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    model = sg.example_model()
+    strategy = sg.canonical_strategy([(0,) * 7, (2,) * 7])
+    report = sg.recovery_report(model, strategy)
+    for label, m in zip(model.types, report.multiplicities):
+        assert m.bit_length() * math.log10(2) > 4300
+        assert f"best_response_multiplicity.{label}={hex(m)}" in out.splitlines()
 
 
 def test_solve_refuses_negative_report_cap_in_both_modes(capsys):

@@ -339,6 +339,29 @@ def test_parse_rejects_duplicate_labels():
         sg.parse_model(json.dumps(doc))
 
 
+def test_parse_rejects_labels_with_cli_separators():
+    # "," and ";" split sequences and member lists on the command line, and "="
+    # or a line break would corrupt a machine report key.
+    for char in ",;=\n\r":
+        for label in (char, f"x{char}y"):
+            doc = json.loads(sg.EXAMPLE1_TEXT)
+            doc["alphabet"][1] = label
+            with pytest.raises(sg.ModelError) as info:
+                sg.parse_model(json.dumps(doc))
+            assert f"alphabet: label {label!r} contains one of" in str(info.value)
+            doc = json.loads(sg.EXAMPLE1_TEXT)
+            doc["types"][1] = label
+            doc["prior"][label] = doc["prior"].pop("d")
+            doc["utility"][label] = doc["utility"].pop("d")
+            with pytest.raises(sg.ModelError) as info:
+                sg.parse_model(json.dumps(doc))
+            assert f"types: label {label!r} contains one of" in str(info.value)
+    # Other punctuation stays a valid label.
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+    doc["alphabet"] = ["a.b", "c:d", "e f"]
+    assert sg.parse_model(json.dumps(doc)).alphabet == ("a.b", "c:d", "e f")
+
+
 def test_parse_rejects_small_alphabet():
     doc = {
         "alphabet": ["0"],
