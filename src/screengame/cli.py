@@ -24,15 +24,14 @@ from .model import (
     ModelError,
     BudgetExceededError,
     Seq,
-    check_space,
     classify_type,
     format_sequence,
     parse_model,
     serialize_model,
 )
 from .graph import (
-    DEFAULT_EXACT_MIS_BUDGET,
     build_sender_graph,
+    check_mis_budget,
     export_dot,
     max_independent_set,
     union_graph,
@@ -179,9 +178,7 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         raise ModelError("--type and --union are mutually exclusive")
     type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
     if args.alpha == "exact" and not args.export:
-        # the same refusal max_independent_set makes, before the graph exists
-        mis_budget = DEFAULT_EXACT_MIS_BUDGET if args.mis_budget is None else args.mis_budget
-        check_space(model, args.n, mis_budget, "exact independent set")
+        check_mis_budget(model, [args.n], **_given(args, budget="mis_budget"))
     else:
         _refuse(args, "--alpha exact reports", "mis_budget")
     enum = _given(args, budget="enum_budget")

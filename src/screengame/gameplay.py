@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -26,6 +27,7 @@ from .model import (
     Model,
     Seq,
     _check_sequence,
+    _check_type,
     check_space,
     enumerate_sequences,
 )
@@ -118,8 +120,7 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     if len(truth) != len(image[0]):
         raise ValueError(f"truth length {len(truth)} differs from the strategy's {len(image[0])}")
     _check_sequence(model, truth, "truth")
-    if not 0 <= type_id < model.num_types:
-        raise ValueError(f"type id {type_id} out of range")
+    _check_type(model, type_id)
     scale, _ = model.scaled_utility[type_id]
     best_total, winners = _best_response(_columns(model)[type_id], image, truth)
     return BestReportOutcome(
@@ -139,6 +140,7 @@ def robust_recovery_set(
     A sequence qualifies exactly when its unique optimal decoded outcome is
     itself.
     """
+    _check_type(model, type_id)
     image = strategy.image
     seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
     return _robust(_columns(model)[type_id], image, seqs)
@@ -282,10 +284,11 @@ def cross_check_equivalence(
     the packed scorer the questionnaire searches run (see `packed_scorer`);
     the recovery from the naive best-response scan, every truth against every
     member of I. The sequence space, the scorer and each type's transposed
-    payoff table are built once per call and shared by every image set.
-    `strategies` is "all" (every nonempty subset, requires a small sequence
-    space) or "random" (`count` >= 1 seeded draws). The exhaustive mode is
-    refused before any sequence is enumerated when the space exceeds
+    payoff table are built once per call and shared by every image set. The
+    image sets stream: each is drawn as it is scored, and only mismatches are
+    kept. `strategies` is "all" (every nonempty subset, requires a small
+    sequence space) or "random" (`count` >= 1 seeded draws). The exhaustive
+    mode is refused before any sequence is enumerated when the space exceeds
     `subset_budget` sequences; the random mode does not read it.
     """
     if strategies == "random" and count < 1:
@@ -294,29 +297,26 @@ def cross_check_equivalence(
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
     seqs = enumerate_sequences(model, n, budget=enum_budget)
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
-    mismatches = tuple(
-        (members, played, formula)
-        for members, played, formula in _scored_image_sets(model, seqs, id_sets)
-        if played != formula
-    )
-    return CrossCheckResult(n, len(id_sets), not mismatches, mismatches)
+    checked = 0
+    mismatches = []
+    for members, played, formula in _scored_image_sets(model, seqs, id_sets):
+        checked += 1
+        if played != formula:
+            mismatches.append((members, played, formula))
+    return CrossCheckResult(n, checked, not mismatches, tuple(mismatches))
 
 
-def _image_id_sets(space: int, strategies: str, count: int, seed: int) -> list[tuple[int, ...]]:
-    """The image sets to check, as ascending positions in the sequence space."""
+def _image_id_sets(
+    space: int, strategies: str, count: int, seed: int
+) -> Iterator[tuple[int, ...]]:
+    """The image sets to check, as ascending positions in the sequence space, drawn lazily."""
+    ids = range(space)
     if strategies == "all":
-        return [
-            combo
-            for size in range(1, space + 1)
-            for combo in itertools.combinations(range(space), size)
-        ]
+        return (c for k in range(1, space + 1) for c in itertools.combinations(ids, k))
     if strategies == "random":
         rng = random.Random(seed)
-        id_sets = []
-        for _ in range(count):
-            size = rng.randint(1, space)
-            id_sets.append(tuple(sorted(rng.sample(range(space), size))))
-        return id_sets
+        # randint draws each size before sample draws its members; a seed's sets rest on that.
+        return (tuple(sorted(rng.sample(ids, rng.randint(1, space)))) for _ in range(count))
     raise ValueError(f"unknown strategies mode {strategies!r}")
 
 

@@ -20,6 +20,7 @@ from .model import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
+    check_space,
     enumerate_sequences,
     format_sequence,
     preference_masks,
@@ -90,6 +91,16 @@ def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGr
             raise ValueError("cannot union graphs over different sequence spaces")
     adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
     return SenderGraph(first.n, first.labels, adjacency, UNION)
+
+
+def check_mis_budget(model: Model, horizons, budget: int = DEFAULT_EXACT_MIS_BUDGET) -> None:
+    """`max_independent_set`'s refusal, made before any graph is built.
+
+    A graph at horizon h has one vertex per sequence, k^h of them. The first
+    horizon over the budget, in the order given, is the one named.
+    """
+    for h in horizons:
+        check_space(model, h, budget, "exact independent set")
 
 
 @dataclass(frozen=True)

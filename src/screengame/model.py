@@ -330,6 +330,11 @@ def _check_sequence(model: Model, seq: Seq, name: str) -> None:
             raise ValueError(f"{name}: symbol id {s} out of range")
 
 
+def _check_type(model: Model, type_id: int) -> None:
+    if not 0 <= type_id < model.num_types:
+        raise ValueError(f"type id {type_id} out of range")
+
+
 def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> Fraction:
     """Average per-letter payoff for reporting `reported` when `truth` holds."""
     if len(reported) != len(truth):
@@ -338,8 +343,7 @@ def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> F
         )
     _check_sequence(model, reported, "reported")
     _check_sequence(model, truth, "truth")
-    if not 0 <= type_id < model.num_types:
-        raise ValueError(f"type id {type_id} out of range")
+    _check_type(model, type_id)
     scale, table = model.scaled_utility[type_id]
     total = sum(table[r][t] for r, t in zip(reported, truth))
     return Fraction(total, len(truth) * scale)
@@ -371,6 +375,7 @@ def preference_masks(model: Model, type_id: int, seqs: list[Seq]) -> tuple[list[
     the sums over their common prefix, so a lexicographic list costs about
     one big-int addition per vertex and direction.
     """
+    _check_type(model, type_id)
     if not seqs:
         return [], []
     _, table = model.scaled_utility[type_id]
@@ -431,6 +436,7 @@ def classify_type(model: Model, type_id: int) -> str:
     Honesty of the one-letter table lifts to all lengths: a sum of strict
     winners strictly wins.
     """
+    _check_type(model, type_id)
     table = model.utility[type_id]
     k = model.num_symbols
     for truth in range(k):

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import DEFAULT_ENUMERATION_BUDGET, Model, check_space
+from .model import DEFAULT_ENUMERATION_BUDGET, Model
 from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
     build_sender_graph,
+    check_mis_budget,
     clique_cover_bound,
     max_independent_set,
     union_graph,
@@ -62,16 +63,6 @@ class RateBounds:
         if self.achieved is None:
             return None
         return extraction_rate(self.achieved, self.n)
-
-
-def _check_mis_budget(model: Model, horizons, mis_budget: int) -> None:
-    """Refuse, before any graph is built, a horizon whose graph is over the budget.
-
-    Every graph at horizon h has one vertex per sequence, k^h of them; the
-    first horizon over the budget, in the order given, is the one named.
-    """
-    for h in horizons:
-        check_space(model, h, mis_budget, "certified independent set")
 
 
 def finite_bounds(
@@ -161,14 +152,15 @@ def fekete_check(
     """
     if m < 1 or n < 1:
         raise ValueError("horizons must be >= 1")
-    _check_mis_budget(model, (m, n, m + n), mis_budget)
-    alphas = {
-        horizon: max_independent_set(
-            build_sender_graph(model, type_id, horizon, budget=enum_budget), budget=mis_budget
-        ).size
-        for horizon in (m, n, m + n)
-    }
+    check_mis_budget(model, (m, n, m + n), mis_budget)
+    alphas = {h: _alpha(model, type_id, h, mis_budget, enum_budget) for h in (m, n, m + n)}
     return _witness(type_id, m, n, alphas)
+
+
+def _alpha(model: Model, type_id: int, horizon: int, mis_budget: int, enum_budget: int) -> int:
+    """One type's certified independence number at one horizon."""
+    graph = build_sender_graph(model, type_id, horizon, budget=enum_budget)
+    return max_independent_set(graph, budget=mis_budget).size
 
 
 def _witness(type_id: int, m: int, n: int, alphas: dict[int, int]) -> FeketeWitness:
@@ -216,20 +208,13 @@ def asymptotic_bounds(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_mis_budget(model, range(1, n_max + 1), mis_budget)
-    one_letter = [
-        build_sender_graph(model, t, 1, budget=enum_budget)
-        for t in range(model.num_types)
-    ]
-    alpha1 = [max_independent_set(g, budget=mis_budget).size for g in one_letter]
+    check_mis_budget(model, range(1, n_max + 1), mis_budget)
+    # Horizon 1 is within the budget, so these numbers are certified.
+    one_letter = finite_bounds(model, 1, mis_budget=mis_budget, enum_budget=enum_budget)
+    alpha1 = one_letter.alpha_per_type
     best_type = max(range(model.num_types), key=lambda t: (alpha1[t], -t))
-    union_floor = max_independent_set(union_graph(one_letter), budget=mis_budget).size
-
     alphas = [alpha1[best_type]] + [
-        max_independent_set(
-            build_sender_graph(model, best_type, horizon, budget=enum_budget), budget=mis_budget
-        ).size
-        for horizon in range(2, n_max + 1)
+        _alpha(model, best_type, h, mis_budget, enum_budget) for h in range(2, n_max + 1)
     ]
     estimates = tuple(extraction_rate(a, k + 1) for k, a in enumerate(alphas))
     # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h),
@@ -247,9 +232,9 @@ def asymptotic_bounds(
     ]
     return AsymptoticReport(
         n_max=n_max,
-        alpha_per_type=tuple(alpha1),
+        alpha_per_type=alpha1,
         best_type=best_type,
-        union_floor=union_floor,
+        union_floor=one_letter.alpha_union,
         alphas=tuple(alphas),
         capacity_estimates=estimates,
         certified_floor=estimates[floor_h - 1],

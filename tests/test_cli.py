@@ -524,7 +524,7 @@ def test_given_flags_are_forwarded_and_unset_ones_are_not(
         (("oracle-check", "--subset-budget", "0"), "exhaustive cross-check"),
         (("oracle-check", "--strategies", "random", "--enum-budget", "0"), "sequence enumeration"),
         (("bounds", "--enum-budget", "0"), "sequence enumeration"),
-        (("asymptotic", "--mis-budget", "0"), "certified independent set"),
+        (("asymptotic", "--mis-budget", "0"), "exact independent set"),
         ((*SIMULATE_D, "--subset-budget", "0"), "questionnaire search"),
         ((*SIMULATE_D, "--members", "0;2", "--enum-budget", "0"), "report search"),
         ((*GRAPH_D, "--mis-budget", "0"), "exact independent set"),

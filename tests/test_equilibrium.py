@@ -480,3 +480,52 @@ def test_empty_questionnaire_rejected(example):
         sg.receiver_objective(example, [])
     with pytest.raises(ValueError):
         sg.truthful_subset(example, [], 0)
+
+
+def pair_graph_optimum(model: sg.Model, n: int) -> int:
+    """Maximum-weight independent set of the pair graph H, by a subset DP.
+
+    H has a vertex (t, x) per type t and sequence x, weighing p_t times the
+    lcm of the prior's denominators; (t, x) and (s, y), x != y, are adjacent
+    when y weakly beats x for t or x weakly beats y for s, by the averaged
+    payoff itself rather than the kernel.
+    """
+    seqs = sg.enumerate_sequences(model, n)
+    scale = math.lcm(*(p.denominator for p in model.prior))
+    pairs = [(t, x) for t in range(model.num_types) for x in seqs]
+    weights = [int(model.prior[t] * scale) for t, _ in pairs]
+
+    def beats(t, y, x):
+        return sg.sequence_utility(model, t, y, x) >= sg.sequence_utility(model, t, x, x)
+
+    adjacency = [
+        sum(
+            1 << j
+            for j, (s, y) in enumerate(pairs)
+            if x != y and (beats(t, y, x) or beats(s, x, y))
+        )
+        for t, x in pairs
+    ]
+    best = [0] * (1 << len(pairs))
+    for mask in range(1, len(best)):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        best[mask] = max(best[mask ^ low], weights[v] + best[mask & ~adjacency[v] & ~low])
+    return best[-1]
+
+
+def test_questionnaire_optimum_is_the_pair_graph_weighted_independence_number():
+    rng = random.Random(11)
+    shapes = [
+        (k, types, n)
+        for k in (2, 3, 4)
+        for types in (1, 2, 3)
+        for n in (1, 2, 3, 4)
+        if types * k**n <= 16
+    ]
+    for _ in range(200):
+        k, types, n = rng.choice(shapes)
+        model = make_random_model(rng, k, types)
+        scale = math.lcm(*(p.denominator for p in model.prior))
+        optimum = sg.solve_exact(model, n, report_cap=0).optimum
+        assert optimum * scale == pair_graph_optimum(model, n), (k, types, n)

@@ -384,3 +384,25 @@ def test_cross_check_refuses_oversized_exhaustive(example, monkeypatch):
     assert info.value.budget == sg.equilibrium.DEFAULT_SUBSET_BUDGET
     with pytest.raises(ValueError, match="unknown strategies mode"):
         sg.cross_check_equivalence(example, 1, strategies="some")
+
+
+def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
+    drawn = []
+
+    class CountingRandom(random.Random):
+        def sample(self, *args, **kwargs):
+            drawn.append(None)
+            return super().sample(*args, **kwargs)
+
+    at_first_score = []
+    played_value = sg.gameplay._played_value
+
+    def spy(*args):
+        at_first_score.append(len(drawn))
+        return played_value(*args)
+
+    monkeypatch.setattr(sg.gameplay.random, "Random", CountingRandom)
+    monkeypatch.setattr(sg.gameplay, "_played_value", spy)
+    result = sg.cross_check_equivalence(example, 2, strategies="random", count=5)
+    assert result.image_sets_checked == 5 and result.agreed
+    assert at_first_score[0] == 1 and len(drawn) == 5

@@ -408,3 +408,25 @@ def test_symbol_and_type_lookup(example):
         example.symbol_index("9")
     with pytest.raises(sg.ModelError):
         example.type_index("z")
+
+
+TYPE_ID_CALLS = {
+    "build_sender_graph": lambda m, t: sg.build_sender_graph(m, t, 1),
+    "truthful_subset": lambda m, t: sg.truthful_subset(m, [(0,), (1,)], t),
+    "robust_recovery_set": lambda m, t: sg.robust_recovery_set(
+        m, sg.canonical_strategy([(0,)]), t
+    ),
+    "classify_type": sg.classify_type,
+    "preference_masks": lambda m, t: sg.preference_masks(m, t, [(0,), (1,)]),
+    "fekete_check": lambda m, t: sg.fekete_check(m, t, 1, 1),
+    "best_reports": lambda m, t: sg.best_reports(m, sg.canonical_strategy([(0,)]), t, (0,)),
+    "sequence_utility": lambda m, t: sg.sequence_utility(m, t, (0,), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_ID_CALLS)
+def test_type_ids_out_of_range_are_refused(example, name):
+    # -1 would otherwise index the last type, and num_types one past it.
+    for type_id in (-1, example.num_types):
+        with pytest.raises(ValueError, match=f"type id {type_id} out of range"):
+            TYPE_ID_CALLS[name](example, type_id)
