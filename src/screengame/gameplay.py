@@ -5,7 +5,10 @@ that maximize its own averaged payoff against the decoded outcome. Ties are
 resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
-the receiver objective the questionnaire searches score.
+the receiver objective the questionnaire searches score. Every route prices
+reports with one payoff-table builder, `_payoffs`, and picks them with one
+argmax-with-ties, `_best_response`. The cross-check builds each type's table
+over the whole space once per call and looks members' payoffs up in it.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -20,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import getitem, or_
+from operator import getitem, itemgetter, or_
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -80,32 +83,41 @@ class BestReportOutcome:
     utility: Fraction  # the optimal averaged payoff
 
 
-def _columns(model: Model) -> list[list[tuple[int, ...]]]:
-    """Per type, its scaled payoff table transposed: columns[t][r] == table[r][t]."""
-    return [list(zip(*table)) for _, table in model.scaled_utility]
+def _payoffs(model: Model, type_id: int, truths, reports) -> Iterator[list[int]]:
+    """Per truth, in order, this type's scaled payoff total for every report.
 
-
-def _best_response(columns, image, truth: Seq) -> tuple[int, list[Seq]]:
-    """Best scaled payoff total over the image at this truth, and the members reaching it.
-
-    `columns` is one type's entry of `_columns`.
+    The total of report r at truth x is the sum over letters p of
+    table[r_p][x_p] on the type's integer table from `model.scaled_utility`.
+    Rows are built lazily, one per truth as it is read.
     """
-    at_truth = [columns[t] for t in truth]  # at_truth[p][r] = table[r][truth[p]]
-    totals = [sum(map(getitem, at_truth, candidate)) for candidate in image]
+    _, table = model.scaled_utility[type_id]
+    columns = list(zip(*table))  # columns[t][r] == table[r][t]
+    for truth in truths:
+        at_truth = [columns[t] for t in truth]  # at_truth[p][r] = table[r][truth[p]]
+        yield [sum(map(getitem, at_truth, report)) for report in reports]
+
+
+def _best_response(totals, image) -> tuple[int, list[Seq]]:
+    """The best of `totals`, one per member of `image`, and the members reaching it."""
     best_total = max(totals)
-    return best_total, [c for c, total in zip(image, totals) if total == best_total]
+    return best_total, list(itertools.compress(image, map(best_total.__eq__, totals)))
 
 
-def _robust(columns, image, seqs: list[Seq]) -> tuple[Seq, ...]:
-    """The truths in `seqs` whose unique optimal decoded outcome is themselves."""
-    return tuple(truth for truth in seqs if _best_response(columns, image, truth)[1] == [truth])
+def _robust(rows, image, truths) -> tuple[Seq, ...]:
+    """The truths whose unique optimal decoded outcome is themselves.
+
+    rows[i] prices the members of `image` at truths[i].
+    """
+    return tuple(
+        truth for truth, totals in zip(truths, rows) if _best_response(totals, image)[1] == [truth]
+    )
 
 
-def _played_value(model: Model, columns, image, seqs: list[Seq]) -> Fraction:
-    """Prior-weighted count of robust truths, with `columns` from `_columns(model)`."""
+def _played_value(model: Model, tables, image, seqs: list[Seq]) -> Fraction:
+    """Prior-weighted count of robust truths; tables[t] holds type t's rows for `_robust`."""
     value = Fraction(0)
-    for p, type_columns in zip(model.prior, columns):
-        value += p * len(_robust(type_columns, image, seqs))
+    for p, rows in zip(model.prior, tables):
+        value += p * len(_robust(rows, image, seqs))
     return value
 
 
@@ -122,7 +134,8 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     _check_sequence(model, truth, "truth")
     _check_type(model, type_id)
     scale, _ = model.scaled_utility[type_id]
-    best_total, winners = _best_response(_columns(model)[type_id], image, truth)
+    (totals,) = _payoffs(model, type_id, [truth], image)
+    best_total, winners = _best_response(totals, image)
     return BestReportOutcome(
         truth, type_id, tuple(winners), Fraction(best_total, len(truth) * scale)
     )
@@ -143,7 +156,7 @@ def robust_recovery_set(
     _check_type(model, type_id)
     image = strategy.image
     seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
-    return _robust(_columns(model)[type_id], image, seqs)
+    return _robust(_payoffs(model, type_id, seqs, image), image, seqs)
 
 
 def worst_case_recovery(
@@ -155,7 +168,8 @@ def worst_case_recovery(
     """Prior-weighted count of sequences recovered against worst-case senders."""
     image = strategy.image
     seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
-    return _played_value(model, _columns(model), image, seqs)
+    tables = [_payoffs(model, t, seqs, image) for t in range(model.num_types)]
+    return _played_value(model, tables, image, seqs)
 
 
 @dataclass(frozen=True)
@@ -182,11 +196,11 @@ def recovery_report(
     reach = Counter(strategy.decode(y) for y in seqs)  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
-    for columns in _columns(model):
+    for type_id in range(model.num_types):
         robust_t: list[Seq] = []
         multiplicity = 1
-        for truth in seqs:
-            _, winners = _best_response(columns, image, truth)
+        for truth, totals in zip(seqs, _payoffs(model, type_id, seqs, image)):
+            _, winners = _best_response(totals, image)
             if winners == [truth]:
                 robust_t.append(truth)
             multiplicity *= sum(reach[d] for d in winners)
@@ -283,19 +297,25 @@ def cross_check_equivalence(
     I must equal the receiver objective of I exactly. The objective comes from
     the packed scorer the questionnaire searches run (see `packed_scorer`);
     the recovery from the naive best-response scan, every truth against every
-    member of I. The sequence space, the scorer and each type's transposed
-    payoff table are built once per call and shared by every image set. The
-    image sets stream: each is drawn as it is scored, and only mismatches are
-    kept. `strategies` is "all" (every nonempty subset, requires a small
-    sequence space) or "random" (`count` >= 1 seeded draws). The exhaustive
-    mode is refused before any sequence is enumerated when the space exceeds
-    `subset_budget` sequences; the random mode does not read it.
+    member of I, which never touches the preference kernel. The sequence
+    space, the scorer and each type's payoff table over every (truth, report)
+    pair are built once per call and shared by every image set, which reads
+    its members' columns from the table. The image sets stream: each is drawn
+    as it is scored, and only mismatches are kept. `strategies` is "all"
+    (every nonempty subset, requires a small sequence space) or "random"
+    (`count` >= 1 seeded draws). The exhaustive mode is refused before any
+    sequence is enumerated when the space exceeds `subset_budget` sequences;
+    the random mode does not read it. The payoff table holds k^(2n) totals
+    per type, so it is refused past `enum_budget` before it or the scorer is
+    built.
     """
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
     seqs = enumerate_sequences(model, n, budget=enum_budget)
+    # The played side prices every (truth, report) pair: k^(2n) totals per type.
+    check_space(model, 2 * n, enum_budget, "cross-check payoff table")
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
     checked = 0
     mismatches = []
@@ -323,10 +343,12 @@ def _image_id_sets(
 def _scored_image_sets(model: Model, seqs: list[Seq], id_sets):
     """Yield (members, played, formula) per image set, both routes set up once."""
     scale, beats, score, _ = packed_scorer(model, seqs)
-    columns = _columns(model)
+    tables = [list(_payoffs(model, t, seqs, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)
-        played = _played_value(model, columns, members, seqs)
+        # Each row, cut down to the members' columns, prices the image at one truth.
+        pick = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
+        played = _played_value(model, [map(pick, table) for table in tables], members, seqs)
         mask = sum(1 << v for v in ids)
         formula = Fraction(score(mask, reduce(or_, (beats[v] for v in ids))), scale)
         yield members, played, formula

@@ -152,8 +152,9 @@ def fekete_check(
     """
     if m < 1 or n < 1:
         raise ValueError("horizons must be >= 1")
-    check_mis_budget(model, (m, n, m + n), mis_budget)
-    alphas = {h: _alpha(model, type_id, h, mis_budget, enum_budget) for h in (m, n, m + n)}
+    horizons = dict.fromkeys((m, n, m + n))  # m == n is searched once
+    check_mis_budget(model, horizons, mis_budget)
+    alphas = {h: _alpha(model, type_id, h, mis_budget, enum_budget) for h in horizons}
     return _witness(type_id, m, n, alphas)
 
 

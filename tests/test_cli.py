@@ -537,6 +537,15 @@ def test_a_budget_the_path_reads_is_the_one_it_refuses_by(capsys, argv, refusal)
     assert refusal in err and "requested 3 exceeds budget 0" in err
 
 
+def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys):
+    # 3^7 sequences pass --enum-budget, but the 3^14 (truth, report) pairs do not.
+    code, out, err = run(
+        capsys, "oracle-check", "--model", "example1", "--n", "7", "--strategies", "random"
+    )
+    assert (code, out) == (1, "")
+    assert "cross-check payoff table: requested 4782969 exceeds budget 1000000" in err
+
+
 def test_integers_past_the_decimal_limit_print_in_hex(capsys):
     # At n=7 the best-response multiplicities of example1 have over 4,300
     # decimal digits, past what str() converts by default.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -299,7 +300,7 @@ def test_cross_check_example_all_subsets(example):
 
 def test_batched_routes_equal_the_public_functions():
     # The cross-check scores each image set on one packed scorer and one
-    # transposed payoff table per type. Each value must still equal the
+    # payoff table per type. Each value must still equal the
     # per-set public routes: the formula side the reference truthful-subset
     # objective, the played side the worst case of the canonical strategy.
     rng = random.Random(79)
@@ -314,6 +315,69 @@ def test_batched_routes_equal_the_public_functions():
                 assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
                 checked += 1
     assert checked == 255 * 2 + 511 + 12 * 9
+
+
+def test_played_routes_match_a_plain_argmax_of_sequence_utility():
+    # Every played route prices reports through one table builder, so this
+    # test rebuilds the robust sets from the definition: a truth is robust for
+    # a type when it alone maximizes sequence_utility over the image. Random
+    # models with 8-81 sequences; random image sets plus one singleton and
+    # the whole space.
+    rng = random.Random(83)
+    checked = 0
+    for k, n in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
+        m = make_random_model(rng, k, rng.randint(1, 3))
+        seqs = sg.enumerate_sequences(m, n)
+        id_sets = [
+            *sg.gameplay._image_id_sets(len(seqs), "random", 3, rng.randrange(1000)),
+            (rng.randrange(len(seqs)),),
+            tuple(range(len(seqs))),
+        ]
+        played = {
+            members: value
+            for members, value, _ in sg.gameplay._scored_image_sets(m, seqs, id_sets)
+        }
+        for ids in id_sets:
+            image = tuple(seqs[v] for v in ids)
+            strategy = sg.canonical_strategy(image)
+            robust = []
+            for t in range(m.num_types):
+                robust_t = []
+                for truth in seqs:
+                    payoffs = [sg.sequence_utility(m, t, z, truth) for z in image]
+                    best = max(payoffs)
+                    winners = tuple(z for z, u in zip(image, payoffs) if u == best)
+                    assert sg.best_reports(m, strategy, t, truth).decoded == winners
+                    if winners == (truth,):
+                        robust_t.append(truth)
+                robust.append(tuple(robust_t))
+                assert sg.robust_recovery_set(m, strategy, t) == robust[t]
+            value = sum(p * len(r) for p, r in zip(m.prior, robust))
+            report = sg.recovery_report(m, strategy)
+            assert (report.robust, report.value) == (tuple(robust), value)
+            assert played[image] == value
+            checked += 1
+    assert checked == 5 * 8
+
+
+def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example, monkeypatch):
+    # The played side prices k^(2n) (truth, report) pairs per type: 3^14 at
+    # n=7, refused at once and before the scorer is built.
+    def scorer_forbidden(*args, **kwargs):
+        raise AssertionError("the scorer was built")
+
+    monkeypatch.setattr(sg.gameplay, "packed_scorer", scorer_forbidden)
+    started = time.perf_counter()
+    with pytest.raises(sg.BudgetExceededError, match="cross-check payoff table") as info:
+        sg.cross_check_equivalence(example, 7, strategies="random")
+    assert time.perf_counter() - started < 1
+    assert (info.value.requested, info.value.budget) == (4782969, 10**6)
+    # 3^12 pairs at n=6 pass the default budget, so the scorer is reached.
+    with pytest.raises(AssertionError, match="scorer was built"):
+        sg.cross_check_equivalence(example, 6, strategies="random")
+    with pytest.raises(sg.BudgetExceededError, match="cross-check payoff table") as info:
+        sg.cross_check_equivalence(example, 6, strategies="random", enum_budget=3**12 - 1)
+    assert info.value.requested == 3**12
 
 
 def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
@@ -340,9 +404,9 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
 
     best_response = sg.gameplay._best_response
 
-    def dropping_truth(columns, image, truth):
+    def dropping_truth(totals, image):
         # Drop the truth 0 from the winners on the target, so no type recovers it.
-        best_total, winners = best_response(columns, image, truth)
+        best_total, winners = best_response(totals, image)
         return best_total, [w for w in winners if image != target or w != (0,)]
 
     with monkeypatch.context() as patch:

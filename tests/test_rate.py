@@ -148,6 +148,9 @@ def test_exact_searches_are_not_repeated(example, monkeypatch):
     searched.clear()
     assert sg.asymptotic_bounds(example, 3).alphas == (3, 9, 27)
     assert searched == [("h", 1), ("d", 1), ("h", 2), ("h", 3)]
+    searched.clear()
+    sg.fekete_check(example, 0, 2, 2)
+    assert searched == [("h", 2), ("h", 4)]  # m == n is searched once
 
 
 def test_asymptotic_example_golden(example):
