@@ -25,6 +25,7 @@ from .model import (
     BudgetExceededError,
     Seq,
     classify_type,
+    enumerate_sequences,
     format_sequence,
     parse_model,
     serialize_model,
@@ -137,14 +138,10 @@ def _seq_labels(model: Model, seqs) -> list[str]:
 
 
 # Option flags are None unless given, so an unset one keeps the library default.
-def _given(args, *names: str, **keywords: str) -> dict:
-    """The given flags among `names` and `keywords`' values, keyed by library keyword.
-
-    A name in `names` is its own keyword; `keywords` maps a keyword to a flag's name.
-    """
-    keywords |= dict(zip(names, names))
-    given = {key: getattr(args, name) for key, name in keywords.items()}
-    return {key: value for key, value in given.items() if value is not None}
+def _given(args, *names: str) -> dict:
+    """The given flags among `names`, keyed by name: each flag's name is its library keyword."""
+    given = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _refuse(args, reader: str, *names: str) -> None:
@@ -178,14 +175,15 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         raise ModelError("--type and --union are mutually exclusive")
     type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
     if args.alpha == "exact" and not args.export:
-        check_mis_budget(model, [args.n], **_given(args, budget="mis_budget"))
+        check_mis_budget(model, [args.n], **_given(args, "mis_budget"))
     else:
         _refuse(args, "--alpha exact reports", "mis_budget")
-    enum = _given(args, budget="enum_budget")
+    enum = _given(args, "enum_budget")
     graphs = [build_sender_graph(model, t, args.n, **enum) for t in type_ids]
     graph = union_graph(graphs) if args.union else graphs[0]
+    seqs = enumerate_sequences(model, args.n, **enum)  # vertex v is seqs[v]
     if args.export:
-        sys.stdout.write(export_dot(graph))
+        sys.stdout.write(export_dot(graph, _seq_labels(model, seqs)))
         return None, 0
     payload = {
         "provenance": graph.provenance,
@@ -194,10 +192,10 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         "edges": graph.edge_count,
     }
     if args.alpha != "skip":
-        result = max_independent_set(graph, mode=args.alpha, **_given(args, budget="mis_budget"))
+        result = max_independent_set(graph, mode=args.alpha, **_given(args, "mis_budget"))
         payload["alpha"] = result.size
         payload["alpha_certified"] = result.certified
-        payload["independent_set"] = [graph.labels[v] for v in result.members]
+        payload["independent_set"] = _seq_labels(model, [seqs[v] for v in result.members])
     return payload, 0
 
 

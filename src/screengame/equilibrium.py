@@ -234,7 +234,7 @@ def solve_exact(
     if report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {report_cap}")
     count = check_space(model, n, subset_budget, "questionnaire search")
-    seqs = enumerate_sequences(model, n, budget=enum_budget)
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
 
     scale, beats, score, covers = packed_scorer(model, seqs)
     low = (1 << count) - 1
@@ -325,7 +325,7 @@ def solve_heuristic(
     costs one OR, and a drop recomputes the OR of the kept members once.
     Among equal-scoring trials the first one visited wins.
     """
-    seqs = enumerate_sequences(model, n, budget=enum_budget)
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     rng = random.Random(seed)
     scale, beats, score, covers = packed_scorer(model, seqs)
     full = (1 << len(seqs)) - 1

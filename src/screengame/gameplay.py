@@ -26,6 +26,7 @@ from functools import cached_property, reduce
 from operator import getitem, itemgetter, or_
 
 from .model import (
+    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
@@ -155,7 +156,7 @@ def robust_recovery_set(
     """
     _check_type(model, type_id)
     image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     return _robust(_payoffs(model, type_id, seqs, image), image, seqs)
 
 
@@ -167,7 +168,7 @@ def worst_case_recovery(
 ) -> Fraction:
     """Prior-weighted count of sequences recovered against worst-case senders."""
     image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     tables = [_payoffs(model, t, seqs, image) for t in range(model.num_types)]
     return _played_value(model, tables, image, seqs)
 
@@ -192,7 +193,7 @@ def recovery_report(
     responses choose independently at each true sequence.
     """
     image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), budget=enum_budget)
+    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     reach = Counter(strategy.decode(y) for y in seqs)  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
@@ -306,16 +307,18 @@ def cross_check_equivalence(
     (`count` >= 1 seeded draws). The exhaustive mode is refused before any
     sequence is enumerated when the space exceeds `subset_budget` sequences;
     the random mode does not read it. The payoff table holds k^(2n) totals
-    per type, so it is refused past `enum_budget` before it or the scorer is
-    built.
+    per type, T * k^(2n) in all, so it is refused past `enum_budget` before
+    it or the scorer is built.
     """
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
-    seqs = enumerate_sequences(model, n, budget=enum_budget)
-    # The played side prices every (truth, report) pair: k^(2n) totals per type.
-    check_space(model, 2 * n, enum_budget, "cross-check payoff table")
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
+    # One type's k^(2n) first, so a huge horizon is refused before k^(2n) is built.
+    totals = model.num_types * check_space(model, 2 * n, enum_budget, "cross-check payoff table")
+    if totals > enum_budget:
+        raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
     checked = 0
     mismatches = []

@@ -22,7 +22,6 @@ from .model import (
     Model,
     check_space,
     enumerate_sequences,
-    format_sequence,
     preference_masks,
 )
 
@@ -36,13 +35,12 @@ class SenderGraph:
     """Undirected graph on all length-n sequences, adjacency as bitmasks."""
 
     n: int  # sequence length
-    labels: tuple[str, ...]  # vertex id -> display label, lexicographic order
-    adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of v
+    adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of the v-th sequence
     provenance: str  # sender type label, or UNION
 
     @property
     def vertex_count(self) -> int:
-        return len(self.labels)
+        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:
@@ -68,17 +66,16 @@ def build_sender_graph(
     type_id: int,
     n: int,
     *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SenderGraph:
     """Graph of length-n sequence pairs the given type can confuse.
 
     x and y are adjacent when either one weakly beats the other as a report,
     so the adjacency is the kernel's beaten-by masks OR its beats masks.
     """
-    seqs = enumerate_sequences(model, n, budget=budget)
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
-    labels = tuple(format_sequence(model, seq) for seq in seqs)
-    return SenderGraph(n, labels, adjacency, model.types[type_id])
+    return SenderGraph(n, adjacency, model.types[type_id])
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
@@ -90,17 +87,17 @@ def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGr
         if g.n != first.n or g.vertex_count != first.vertex_count:
             raise ValueError("cannot union graphs over different sequence spaces")
     adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
-    return SenderGraph(first.n, first.labels, adjacency, UNION)
+    return SenderGraph(first.n, adjacency, UNION)
 
 
-def check_mis_budget(model: Model, horizons, budget: int = DEFAULT_EXACT_MIS_BUDGET) -> None:
+def check_mis_budget(model: Model, horizons, mis_budget: int = DEFAULT_EXACT_MIS_BUDGET) -> None:
     """`max_independent_set`'s refusal, made before any graph is built.
 
     A graph at horizon h has one vertex per sequence, k^h of them. The first
     horizon over the budget, in the order given, is the one named.
     """
     for h in horizons:
-        check_space(model, h, budget, "exact independent set")
+        check_space(model, h, mis_budget, "exact independent set")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ def max_independent_set(
     graph: SenderGraph,
     *,
     mode: str = "exact",
-    budget: int = DEFAULT_EXACT_MIS_BUDGET,
+    mis_budget: int = DEFAULT_EXACT_MIS_BUDGET,
 ) -> IndependentSetResult:
     """Maximum independent set, certified in exact mode.
 
@@ -135,8 +132,8 @@ def max_independent_set(
         return _greedy_independent_set(graph)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if graph.vertex_count > budget:
-        raise BudgetExceededError("exact independent set", graph.vertex_count, budget)
+    if graph.vertex_count > mis_budget:
+        raise BudgetExceededError("exact independent set", graph.vertex_count, mis_budget)
 
     adjacency = graph.adjacency
     seed = _greedy_independent_set(graph)
@@ -250,12 +247,13 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def export_dot(graph: SenderGraph) -> str:
-    """Deterministic Graphviz rendering: vertices then edges, ascending."""
+def export_dot(graph: SenderGraph, labels: list[str]) -> str:
+    """Deterministic Graphviz rendering: vertices, labeled `labels[v]`, then edges, ascending."""
     name = f"sender_{graph.provenance}_n{graph.n}"
     safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
     lines = [f"graph {safe} {{"]
-    for v, label in enumerate(graph.labels):
+    for v, label in enumerate(labels):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  v{u} -- v{v};")

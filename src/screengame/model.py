@@ -31,7 +31,7 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 HONEST = "honest"
 OTHER = "other"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 _MODEL_FIELDS = ("alphabet", "types", "prior", "utility")
 
@@ -289,12 +289,12 @@ Seq = tuple[int, ...]
 
 
 def enumerate_sequences(
-    model: Model, n: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
+    model: Model, n: int, *, enum_budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[Seq]:
     """All length-n symbol-id sequences in lexicographic order."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    check_space(model, n, budget, "sequence enumeration")
+    check_space(model, n, enum_budget, "sequence enumeration")
     return list(itertools.product(range(model.num_symbols), repeat=n))
 
 

@@ -84,16 +84,16 @@ def finite_bounds(
     the heuristic (uncertified) when the space is over the subset budget.
     """
     graphs = [
-        build_sender_graph(model, t, n, budget=enum_budget)
+        build_sender_graph(model, t, n, enum_budget=enum_budget)
         for t in range(model.num_types)
     ]
     union = union_graph(graphs)
     certified = union.vertex_count <= mis_budget  # every graph has one vertex per sequence
     if certified:
-        per_type = [max_independent_set(g, budget=mis_budget).size for g in graphs]
+        per_type = [max_independent_set(g, mis_budget=mis_budget).size for g in graphs]
         # A union with no edge beyond one type's graph has that type's number.
         same = [size for g, size in zip(graphs, per_type) if g.adjacency == union.adjacency]
-        union_alpha = same[0] if same else max_independent_set(union, budget=mis_budget).size
+        union_alpha = same[0] if same else max_independent_set(union, mis_budget=mis_budget).size
     else:
         per_type = [clique_cover_bound(g.adjacency, (1 << g.vertex_count) - 1) for g in graphs]
         union_alpha = max_independent_set(union, mode="greedy").size
@@ -160,8 +160,8 @@ def fekete_check(
 
 def _alpha(model: Model, type_id: int, horizon: int, mis_budget: int, enum_budget: int) -> int:
     """One type's certified independence number at one horizon."""
-    graph = build_sender_graph(model, type_id, horizon, budget=enum_budget)
-    return max_independent_set(graph, budget=mis_budget).size
+    graph = build_sender_graph(model, type_id, horizon, enum_budget=enum_budget)
+    return max_independent_set(graph, mis_budget=mis_budget).size
 
 
 def _witness(type_id: int, m: int, n: int, alphas: dict[int, int]) -> FeketeWitness:

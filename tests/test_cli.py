@@ -486,12 +486,12 @@ FORWARDED_FLAGS = [
         {"enum_budget": 99},
     ),
     (GRAPH_D, "build_sender_graph", {}),
-    ((*GRAPH_D, "--enum-budget", "99"), "build_sender_graph", {"budget": 99}),
+    ((*GRAPH_D, "--enum-budget", "99"), "build_sender_graph", {"enum_budget": 99}),
     (GRAPH_D, "max_independent_set", {"mode": "exact"}),
     (
         (*GRAPH_D, "--mis-budget", "7"),
         "max_independent_set",
-        {"mode": "exact", "budget": 7},
+        {"mode": "exact", "mis_budget": 7},
     ),
 ]
 
@@ -538,12 +538,15 @@ def test_a_budget_the_path_reads_is_the_one_it_refuses_by(capsys, argv, refusal)
 
 
 def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys):
-    # 3^7 sequences pass --enum-budget, but the 3^14 (truth, report) pairs do not.
-    code, out, err = run(
-        capsys, "oracle-check", "--model", "example1", "--n", "7", "--strategies", "random"
-    )
+    # 3^7 sequences pass --enum-budget, but the 3^14 (truth, report) pairs do
+    # not; a budget of 3^14 holds one type's pairs, but not both types' pairs.
+    argv = ("oracle-check", "--model", "example1", "--n", "7", "--strategies", "random")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "cross-check payoff table: requested 4782969 exceeds budget 1000000" in err
+    code, out, err = run(capsys, *argv, "--enum-budget", "4782969")
+    assert (code, out) == (1, "")
+    assert "cross-check payoff table: requested 9565938 exceeds budget 4782969" in err
 
 
 def test_integers_past_the_decimal_limit_print_in_hex(capsys):
@@ -625,7 +628,8 @@ def test_graph_exact_witness_is_a_maximum_independent_set(capsys, tmp_path):
         if line.startswith("independent_set.") and "count" not in line
     ]
     graph = sg.build_sender_graph(model, 1, 4)
-    ids = sorted(graph.labels.index(label) for label in members)
+    labels = [sg.format_sequence(model, s) for s in sg.enumerate_sequences(model, 4)]
+    ids = sorted(labels.index(label) for label in members)
     assert len(set(ids)) == 6
     assert not any(graph.has_edge(u, v) for u in ids for v in ids)
 

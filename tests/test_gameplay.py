@@ -361,8 +361,9 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
 
 
 def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example, monkeypatch):
-    # The played side prices k^(2n) (truth, report) pairs per type: 3^14 at
-    # n=7, refused at once and before the scorer is built.
+    # The played side prices k^(2n) (truth, report) pairs for each of T types.
+    # At n=7 one type's 3^14 are refused at once, before the scorer is built;
+    # under a budget that holds them, both types' 2 * 3^14 are.
     def scorer_forbidden(*args, **kwargs):
         raise AssertionError("the scorer was built")
 
@@ -372,12 +373,15 @@ def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example,
         sg.cross_check_equivalence(example, 7, strategies="random")
     assert time.perf_counter() - started < 1
     assert (info.value.requested, info.value.budget) == (4782969, 10**6)
-    # 3^12 pairs at n=6 pass the default budget, so the scorer is reached.
-    with pytest.raises(AssertionError, match="scorer was built"):
-        sg.cross_check_equivalence(example, 6, strategies="random")
     with pytest.raises(sg.BudgetExceededError, match="cross-check payoff table") as info:
-        sg.cross_check_equivalence(example, 6, strategies="random", enum_budget=3**12 - 1)
-    assert info.value.requested == 3**12
+        sg.cross_check_equivalence(example, 7, strategies="random", enum_budget=3**14)
+    assert (info.value.requested, info.value.budget) == (9565938, 3**14)
+    # At n=6 the scorer is reached only when the budget holds 2 * 3^12 totals.
+    with pytest.raises(AssertionError, match="scorer was built"):
+        sg.cross_check_equivalence(example, 6, strategies="random", enum_budget=2 * 3**12)
+    with pytest.raises(sg.BudgetExceededError, match="cross-check payoff table") as info:
+        sg.cross_check_equivalence(example, 6, strategies="random", enum_budget=2 * 3**12 - 1)
+    assert info.value.requested == 2 * 3**12
 
 
 def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):

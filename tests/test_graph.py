@@ -17,7 +17,7 @@ def graph_from_edges(count: int, edges) -> sg.SenderGraph:
     for u, v in edges:
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    return sg.SenderGraph(1, tuple(map(str, range(count))), tuple(adjacency), "test")
+    return sg.SenderGraph(1, tuple(adjacency), "test")
 
 
 def structured_graph(rng: random.Random) -> sg.SenderGraph:
@@ -138,7 +138,7 @@ def test_union_is_edge_union(example):
     u = sg.union_graph([gh, gd])
     assert u.provenance == "union"
     assert u.edges() == gd.edges()
-    assert u.labels == gd.labels
+    assert u.vertex_count == gd.vertex_count
     assert sg.max_independent_set(u).size == 1
 
 
@@ -202,7 +202,7 @@ def test_greedy_is_maximal_but_uncertified():
 def test_exact_budget_is_enforced(example):
     g = sg.build_sender_graph(example, 1, 2)
     with pytest.raises(sg.BudgetExceededError):
-        sg.max_independent_set(g, budget=8)
+        sg.max_independent_set(g, mis_budget=8)
     with pytest.raises(ValueError):
         sg.max_independent_set(g, mode="simulated-annealing")
 
@@ -237,7 +237,8 @@ def test_supermultiplicative_growth_single_type():
 
 def test_export_dot_is_frozen_and_deterministic(example):
     g = sg.build_sender_graph(example, 1, 1)
-    dot = sg.export_dot(g)
+    labels = ["0", "1", "2"]
+    dot = sg.export_dot(g, labels)
     assert dot == (
         "graph sender_d_n1 {\n"
         '  v0 [label="0"];\n'
@@ -248,11 +249,22 @@ def test_export_dot_is_frozen_and_deterministic(example):
         "  v1 -- v2;\n"
         "}\n"
     )
-    assert sg.export_dot(g) == dot
+    assert sg.export_dot(g, labels) == dot
     union = sg.union_graph(
         [sg.build_sender_graph(example, t, 1) for t in range(2)]
     )
-    assert sg.export_dot(union).startswith("graph sender_union_n1 {")
+    assert sg.export_dot(union, labels).startswith("graph sender_union_n1 {")
+
+
+def test_export_dot_escapes_backslashes_and_quotes():
+    labels = ['say "hi"', "back\\slash"]
+    m = sg.Model.from_tables(labels, ["t"], {"t": 1}, {"t": [[1, 0], [0, 1]]})
+    assert sg.export_dot(sg.build_sender_graph(m, 0, 1), labels) == (
+        "graph sender_t_n1 {\n"
+        '  v0 [label="say \\"hi\\""];\n'
+        '  v1 [label="back\\\\slash"];\n'
+        "}\n"
+    )
 
 
 def test_exact_engine_matches_bruteforce_on_structured_and_dense_graphs():
@@ -314,10 +326,10 @@ def test_search_node_count_is_golden():
 
 def test_perfect_matchings_reduce_without_branching():
     start = time.perf_counter()
-    result = sg.max_independent_set(matching(1200), budget=1200)
+    result = sg.max_independent_set(matching(1200), mis_budget=1200)
     assert time.perf_counter() - start < 1.0
     assert (result.size, result.nodes) == (600, 1)
-    result = sg.max_independent_set(matching(2400), budget=2400)
+    result = sg.max_independent_set(matching(2400), mis_budget=2400)
     assert result.size == 1200
     assert result.members == tuple(range(0, 2400, 2))
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import screengame as sg
+from screengame.cli import _parse_sequence as parse_sequence
 from screengame.model import ModelSyntaxError
 
 from conftest import make_random_model, model_pool
@@ -120,9 +121,9 @@ def test_enumerate_is_lexicographic(example):
 def test_enumerate_budget(example):
     with pytest.raises(sg.BudgetExceededError):
         sg.enumerate_sequences(example, 13)  # 3^13 > 10^6
-    assert len(sg.enumerate_sequences(example, 2, budget=9)) == 9
+    assert len(sg.enumerate_sequences(example, 2, enum_budget=9)) == 9
     with pytest.raises(sg.BudgetExceededError):
-        sg.enumerate_sequences(example, 2, budget=8)
+        sg.enumerate_sequences(example, 2, enum_budget=8)
     with pytest.raises(ValueError):
         sg.enumerate_sequences(example, 0)
 
@@ -395,6 +396,21 @@ def test_parse_rejects_inexact_numbers():
         sg.parse_model(json.dumps(doc))
 
 
+def test_rationals_take_ascii_digits_only():
+    # int() reads other scripts' digits too, so the pattern must not admit them.
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+    doc["prior"]["h"] = "\u0663/\u0664"
+    with pytest.raises(sg.ModelError) as info:
+        sg.parse_model(json.dumps(doc))
+    assert str(info.value) == "prior['h']: '\u0663/\u0664' is not an integer or p/q rational"
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+    doc["prior"] = {"h": "+1/4", "d": " 3/4 "}
+    doc["utility"]["h"][0][:2] = [5, "-2"]
+    m = sg.parse_model(json.dumps(doc))
+    assert m.prior == (Fraction(1, 4), Fraction(3, 4))
+    assert m.utility[0][0][:2] == (5, -2)
+
+
 def test_from_tables_accepts_plain_ints():
     m = sg.Model.from_tables(["x", "y"], ["t"], [1], [[[2, -1], [0, 3]]])
     assert m.utility[0][0][1] == -1
@@ -430,3 +446,68 @@ def test_type_ids_out_of_range_are_refused(example, name):
     for type_id in (-1, example.num_types):
         with pytest.raises(ValueError, match=f"type id {type_id} out of range"):
             TYPE_ID_CALLS[name](example, type_id)
+
+
+TINY = {
+    "alphabet": ["0", "1"],
+    "types": ["t"],
+    "prior": {"t": "1"},
+    "utility": {"t": [["1", "0"], ["0", "1"]]},
+}
+IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def _parse_tiny(**fields):
+    return lambda: sg.parse_model(json.dumps(TINY | fields))
+
+
+REFUSALS = {
+    "boolean rational": (
+        _parse_tiny(prior={"t": True}), "prior['t']: expected a rational, got a boolean"
+    ),
+    "empty types": (
+        _parse_tiny(types=[], prior={}, utility={}), "at least one sender type is required"
+    ),
+    "empty label": (_parse_tiny(alphabet=["", "1"]), "alphabet: labels must be nonempty strings"),
+    "short utility row": (
+        _parse_tiny(utility={"t": [["1", "0"], ["0"]]}), "utility['t'] row 1: expected 2 entries"
+    ),
+    "non-object document": (lambda: sg.parse_model("[]"), "model document must be a JSON object"),
+    "alphabet not strings": (_parse_tiny(alphabet=[0, 1]), "alphabet must be a list of strings"),
+    "types not a list": (_parse_tiny(types="t"), "types must be a list of strings"),
+    "prior not a map": (
+        _parse_tiny(prior=["1"]), "prior must be a map from type label to rational"
+    ),
+    "utility not a map": (
+        _parse_tiny(utility=[TINY["utility"]["t"]]),
+        "utility must be a map from type label to matrix",
+    ),
+    "short prior": (
+        lambda: sg.Model(("0", "1"), ("t",), (), (IDENTITY,)),
+        "prior must assign a probability to every type",
+    ),
+    "short utility": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), ()),
+        "utility must provide a table for every type",
+    ),
+    "non-square table": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), (IDENTITY[:1],)),
+        "utility['t']: expected a 2x2 matrix",
+    ),
+    "empty sequence": (
+        lambda: sg.sequence_utility(sg.example_model(), 0, (), ()),
+        "reported: sequences must have length >= 1",
+    ),
+    "unseparated labels": (
+        lambda: parse_sequence(_parse_tiny(alphabet=["ab", "cd"])(), "abcd"),
+        "sequence 'abcd': separate multi-character symbol labels with commas",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_defect(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,0 +1,34 @@
+"""Package-wide rules: a stdlib-only runtime and one name per budget."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import sys
+from pathlib import Path
+
+import screengame as sg
+
+SOURCE_DIR = Path(__file__).parent.parent / "src" / "screengame"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy, scipy and networkx may serve the tests as oracles, never the package.
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert {p.name for p in sources} >= {"__init__.py", "cli.py", "model.py"}
+    for path in sources:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert imported <= sys.stdlib_module_names, (path.name, imported - sys.stdlib_module_names)
+
+
+def test_each_budget_keyword_is_named_after_its_flag():
+    # --enum-budget is enum_budget and --mis-budget is mis_budget in every signature.
+    for name in sg.__all__:
+        obj = getattr(sg, name)
+        if inspect.isfunction(obj):
+            assert "budget" not in inspect.signature(obj).parameters, name

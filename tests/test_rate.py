@@ -192,6 +192,19 @@ def test_asymptotic_best_type_tie_goes_to_lowest_id():
     assert report.best_type == 0
 
 
+def test_asymptotic_floor_moves_to_the_horizon_with_the_largest_root():
+    # One letter recovers a single sequence, but the numbers then grow fast
+    # enough that the largest root is at the last horizon: 6^(1/4), 20^(1/6).
+    m = sg.Model.from_tables(["0", "1"], ["b"], {"b": 1}, {"b": [[-2, -1], [-2, 1]]})
+    report = sg.asymptotic_bounds(m, 4)
+    assert report.alphas == (1, 2, 3, 6)
+    assert (report.certified_floor_at, report.certified_floor) == (4, 6**0.25)
+    report = sg.asymptotic_bounds(m, 6)
+    assert report.alphas == (1, 2, 3, 6, 10, 20)
+    assert report.certified_floor_at == 6
+    assert report.certified_floor == pytest.approx(20 ** (1 / 6))
+
+
 def test_asymptotic_rejects_bad_horizon(example):
     with pytest.raises(ValueError, match="n_max"):
         sg.asymptotic_bounds(example, 0)
