@@ -24,6 +24,7 @@ from .model import (
     ModelError,
     BudgetExceededError,
     Seq,
+    _label_separator,
     classify_type,
     enumerate_sequences,
     format_sequence,
@@ -117,7 +118,7 @@ def _load_model(spec: str) -> tuple[Model, str]:
 def _parse_sequence(model: Model, text: str, n: int | None = None) -> Seq:
     if "," in text:
         labels = text.split(",")
-    elif all(len(lab) == 1 for lab in model.alphabet):
+    elif not _label_separator(model):
         labels = list(text)
     else:
         raise ModelError(
@@ -134,7 +135,9 @@ def _parse_members(model: Model, text: str, n: int | None = None) -> list[Seq]:
 
 
 def _seq_labels(model: Model, seqs) -> list[str]:
-    return [format_sequence(model, s) for s in seqs]
+    """Each sequence as `format_sequence` writes it; the separator is chosen once."""
+    join, alphabet = _label_separator(model).join, model.alphabet
+    return [join([alphabet[s] for s in seq]) for seq in seqs]
 
 
 # Option flags are None unless given, so an unset one keeps the library default.

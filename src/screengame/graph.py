@@ -19,8 +19,10 @@ from operator import or_
 from .model import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
+    HONEST,
     Model,
     check_space,
+    classify_type,
     enumerate_sequences,
     preference_masks,
 )
@@ -74,7 +76,10 @@ def build_sender_graph(
     so the adjacency is the kernel's beaten-by masks OR its beats masks.
     """
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
-    adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
+    if classify_type(model, type_id) == HONEST:  # strict wins stay strict under sums
+        adjacency = (0,) * len(seqs)
+    else:
+        adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
     return SenderGraph(n, adjacency, model.types[type_id])
 
 

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring
 from operator import sub
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -31,7 +32,8 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 HONEST = "honest"
 OTHER = "other"
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# Surrounding whitespace is allowed: \s is exactly what str.strip() removes.
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 _MODEL_FIELDS = ("alphabet", "types", "prior", "utility")
 
@@ -63,22 +65,21 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _parse_rational(value: object, where: str) -> Fraction:
+def _parse_rational(value: object) -> Fraction:
+    """An int, or an integer or p/q string, as a Fraction; a ModelError says what is wrong."""
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
+            raise ModelError(f"{value!r} is not an integer or p/q rational")
+        den = int(match[2] or 1)
+        if not den:
+            raise ModelError(f"zero denominator in {value!r}")
+        return Fraction(int(match[1]), den)
     if isinstance(value, bool):
-        raise ModelError(f"{where}: expected a rational, got a boolean")
+        raise ModelError("expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ModelError(f"{where}: {value!r} is not an integer or p/q rational")
-        num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ModelError(f"{where}: zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-    raise ModelError(f"{where}: expected an integer or p/q string, got {type(value).__name__}")
+    raise ModelError(f"expected an integer or p/q string, got {type(value).__name__}")
 
 
 def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list:
@@ -149,9 +150,21 @@ class Model:
         types_t = tuple(types)
         prior_seq = _by_type(prior, types_t, "prior", "entry")
         utility_seq = _by_type(utility, types_t, "utility", "table")
-        prior_t = tuple(
-            _parse_rational(p, f"prior[{label!r}]") for label, p in zip(types_t, prior_seq)
-        )
+        memo: dict[tuple[type, object], Fraction] = {}  # typed: true and 1.0 never reuse an equal 1
+
+        def rationals(values, where) -> tuple[Fraction, ...]:
+            """`values` as Fractions; only new literals are parsed, and `where(j)` names entry j."""
+            keys = list(zip(map(type, values), values))
+            for j, key in enumerate(keys):
+                # Only str and int literals parse; a list or a map cannot be a key.
+                if key[0] not in (str, int) or key not in memo:
+                    try:
+                        memo[key] = _parse_rational(key[1])
+                    except ModelError as exc:
+                        raise ModelError(f"{where(j)}: {exc}") from None
+            return tuple(map(memo.__getitem__, keys))
+
+        prior_t = rationals(prior_seq[: len(types_t)], lambda j: f"prior[{types_t[j]!r}]")
         k = len(alphabet)
         tables = []
         for label, table in zip(types_t, utility_seq):
@@ -161,12 +174,7 @@ class Model:
             for i, row in enumerate(table):
                 if not isinstance(row, (list, tuple)) or len(row) != k:
                     raise ModelError(f"utility[{label!r}] row {i}: expected {k} entries")
-                rows.append(
-                    tuple(
-                        _parse_rational(entry, f"utility[{label!r}][{i}][{j}]")
-                        for j, entry in enumerate(row)
-                    )
-                )
+                rows.append(rationals(row, lambda j: f"utility[{label!r}][{i}][{j}]"))
             tables.append(tuple(rows))
         return cls(tuple(alphabet), types_t, prior_t, tuple(tables))
 
@@ -242,18 +250,33 @@ def parse_model(text: str) -> Model:
     return Model.from_tables(alphabet, types, doc["prior"], doc["utility"])
 
 
+def _json_block(brackets: str, items, pad: str) -> str:
+    """Encoded `items` laid out as json.dumps(indent=2) lays out a nonempty container at `pad`."""
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def serialize_model(model: Model) -> str:
-    """Canonical document for a model: parse(serialize(m)) == m, byte-stable."""
-    doc = {
-        "alphabet": list(model.alphabet),
-        "types": list(model.types),
-        "prior": {t: str(p) for t, p in zip(model.types, model.prior)},
-        "utility": {
-            t: [[str(entry) for entry in row] for row in table]
-            for t, table in zip(model.types, model.utility)
-        },
+    """Canonical document for a model: parse(serialize(m)) == m, byte-stable.
+
+    The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\\n", doc holding
+    the four fields with each rational as its str(), is written directly: with
+    `indent` set, json.dumps runs its pure-Python encoder.
+    """
+    types = list(map(encode_basestring, model.types))
+    entries = '",\n        "'  # no entry needs escaping: each is an integer or p/q
+    tables = (
+        _json_block(
+            "[]", [f'[\n        "{entries.join(map(str, row))}"\n      ]' for row in table], "    "
+        )
+        for table in model.utility
+    )
+    fields = {
+        "alphabet": _json_block("[]", map(encode_basestring, model.alphabet), "  "),
+        "types": _json_block("[]", types, "  "),
+        "prior": _json_block("{}", [f'{t}: "{p!s}"' for t, p in zip(types, model.prior)], "  "),
+        "utility": _json_block("{}", [f"{t}: {table}" for t, table in zip(types, tables)], "  "),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _json_block("{}", [f'"{name}": {text}' for name, text in fields.items()], "") + "\n"
 
 
 EXAMPLE1_TEXT = """\
@@ -314,11 +337,13 @@ def check_space(model: Model, n: int, budget: int, what: str) -> int:
     return count
 
 
+def _label_separator(model: Model) -> str:
+    """What joins a sequence's labels: nothing when every symbol label is one character."""
+    return "" if all(len(lab) == 1 for lab in model.alphabet) else ","
+
+
 def format_sequence(model: Model, seq: Seq) -> str:
-    labels = [model.alphabet[s] for s in seq]
-    if all(len(lab) == 1 for lab in model.alphabet):
-        return "".join(labels)
-    return ",".join(labels)
+    return _label_separator(model).join([model.alphabet[s] for s in seq])
 
 
 def _check_sequence(model: Model, seq: Seq, name: str) -> None:
@@ -434,10 +459,10 @@ def classify_type(model: Model, type_id: int) -> str:
     """HONEST when truth-telling strictly beats every lie for every true symbol.
 
     Honesty of the one-letter table lifts to all lengths: a sum of strict
-    winners strictly wins.
+    winners strictly wins. Compared on the scaled integer table.
     """
     _check_type(model, type_id)
-    table = model.utility[type_id]
+    _, table = model.scaled_utility[type_id]
     k = model.num_symbols
     for truth in range(k):
         diag = table[truth][truth]

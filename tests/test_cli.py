@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -12,6 +13,20 @@ from screengame.cli import main
 from conftest import make_random_model
 
 EXAMPLE1_DIGEST = "145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738"
+# Labels the JSON encoder escapes or passes through, and literals spelled off
+# their canonical form; the digest is that of the canonical document.
+ODD_DOC = {
+    "alphabet": ['q"x', "b\\s", "t\tb", "c\x01"],
+    "types": ["l\u2028s", "\u00e9t\u00e9"],
+    "prior": {"l\u2028s": "+1/4", "\u00e9t\u00e9": " 6/8 "},
+    "utility": {
+        "l\u2028s": [
+            [2, "-1", "0/3", "1"], ["1/2", 3, "-0", "4/8"], [0, 0, "7", "-5/3"], [1, "2", 3, "+4"]
+        ],
+        "\u00e9t\u00e9": [["-2", 1, 1, 1], [0, "9/3", 0, 0], [1, 1, 1, 1], ["1/7", "-2/7", 0, 2]],
+    },
+}
+ODD_DIGEST = "376cb2a67d2c60ac9e8a21e467e88d951d4bdf5a7800c500ae1819792b519e84"
 
 D_GRAPH_DOT = """\
 graph sender_d_n1 {
@@ -645,6 +660,19 @@ def test_reports_are_deterministic(capsys):
         capsys, "bounds", "--model", "example1", "--n", "2", "--format", "machine"
     )
     assert stable_lines(first) == stable_lines(second)
+
+
+def test_models_that_parse_alike_share_one_digest(capsys, tmp_path):
+    model = sg.Model.from_tables(**ODD_DOC)
+    for name, text in (
+        ("ascii.json", json.dumps(ODD_DOC)),
+        ("canonical.json", sg.serialize_model(model)),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ("validate", "--model", str(tmp_path / name), "--format", "machine")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"digest={ODD_DIGEST}" in out.splitlines()
 
 
 def test_model_file_round_trips_through_the_cli(capsys, tmp_path):

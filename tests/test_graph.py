@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from operator import or_
 
 import pytest
 
@@ -81,6 +82,21 @@ def test_honest_one_letter_graph_is_empty(example):
     g = sg.build_sender_graph(example, example.type_index("h"), 1)
     assert g.edge_count == 0
     assert sg.max_independent_set(g).size == 3
+
+
+def test_honest_types_skip_the_kernel_for_the_same_adjacency():
+    rng = random.Random(53)
+    honest = 0
+    for _ in range(60):
+        m = make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3))
+        for t in range(m.num_types):
+            if sg.classify_type(m, t) != sg.HONEST:
+                continue
+            honest += 1
+            for n in (1, 2, 3):
+                kernel = sg.preference_masks(m, t, sg.enumerate_sequences(m, n))
+                assert sg.build_sender_graph(m, t, n).adjacency == tuple(map(or_, *kernel))
+    assert honest >= 5
 
 
 def test_deceptive_two_letter_graph_is_complete(example):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ import screengame as sg
 from screengame.cli import _parse_sequence as parse_sequence
 from screengame.model import ModelSyntaxError
 
-from conftest import make_random_model, model_pool
+from conftest import GRID, make_random_model, model_pool
 
 
 def test_example_shape(example):
@@ -285,6 +286,78 @@ def test_parse_serialize_roundtrip_example(example):
 def test_parse_serialize_roundtrip_random():
     for m in model_pool(25, seed=77):
         assert sg.parse_model(sg.serialize_model(m)) == m
+
+
+# Labels the JSON encoder must escape (a quote, a backslash, a tab, U+0001)
+# or must pass through (U+2028, non-ASCII letters).
+ODD_LABELS = ('q"x', "b\\s", "t\tb", "c\x01", "l\u2028s", "\u00e9t\u00e9", "\u03b1")
+
+
+def odd_label_model(rng: random.Random, num_symbols: int, num_types: int) -> sg.Model:
+    """`make_random_model` relabelled with symbol and type labels drawn from ODD_LABELS."""
+    m = make_random_model(rng, num_symbols, num_types)
+    labels = rng.sample(ODD_LABELS, num_symbols + num_types)
+    return sg.Model(tuple(labels[:num_symbols]), tuple(labels[num_symbols:]), m.prior, m.utility)
+
+
+def stdlib_serialization(model: sg.Model) -> str:
+    doc = {
+        "alphabet": list(model.alphabet),
+        "types": list(model.types),
+        "prior": {t: str(p) for t, p in zip(model.types, model.prior)},
+        "utility": {
+            t: [[str(entry) for entry in row] for row in table]
+            for t, table in zip(model.types, model.utility)
+        },
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_serialization_is_the_stdlib_json_layout_byte_for_byte():
+    rng = random.Random(61)
+    models = model_pool(40, seed=59) + [odd_label_model(rng, k, t) for k, t in GRID]
+    for m in models:
+        assert sg.serialize_model(m) == stdlib_serialization(m)
+        assert sg.parse_model(sg.serialize_model(m)) == m
+
+
+def test_each_literal_is_parsed_by_its_own_type_and_position():
+    def utility_error(entries) -> str:
+        doc = json.loads(sg.EXAMPLE1_TEXT)
+        doc["utility"]["d"] = [entries[:3], entries[3:6], entries[6:]]
+        with pytest.raises(sg.ModelError) as info:
+            sg.parse_model(json.dumps(doc))
+        return str(info.value)
+
+    # An equal int before them is no licence for a boolean or a float.
+    assert utility_error([1, 0, 1, 0, True, 0, 0, 0, 0]) == (
+        "utility['d'][1][1]: expected a rational, got a boolean"
+    )
+    assert utility_error([1, 1, 0, 0, 0, 0, 0, 1.0, 0]) == (
+        "utility['d'][2][1]: expected an integer or p/q string, got float"
+    )
+    assert utility_error([0, 0, 0, [1], 0, 0, [1], 0, 0]) == (
+        "utility['d'][1][0]: expected an integer or p/q string, got list"
+    )
+    # A bad literal that repeats is named where it first appears.
+    assert utility_error(["1", "2", "1/0", "0", "1/0", "0", "1/0", "0", "0"]) == (
+        "utility['d'][0][2]: zero denominator in '1/0'"
+    )
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+    doc["prior"] = {"h": "x", "d": "x"}
+    with pytest.raises(sg.ModelError) as info:
+        sg.parse_model(json.dumps(doc))
+    assert str(info.value) == "prior['h']: 'x' is not an integer or p/q rational"
+    # Every spelling of one value, in any order, gives one model.
+    models = set()
+    for spellings in itertools.permutations((3, "3", "+3", " 3 ")):
+        doc = json.loads(sg.EXAMPLE1_TEXT)
+        doc["utility"]["d"][0] = list(spellings[:3])
+        doc["utility"]["d"][1][0] = spellings[3]
+        models.add(sg.parse_model(json.dumps(doc)))
+    assert len(models) == 1
+    (m,) = models
+    assert m.utility[1][0] == (3, 3, 3) and m.utility[1][1][0] == 3
 
 
 def test_parse_reports_syntax_position():
