@@ -32,9 +32,6 @@ from .graph import _mask_to_members, clique_cover_bound
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
-# Fewest undecided sequences at which the exact search tries the clique-cover
-# ceiling; below it the count ceiling alone is cheaper than the covers.
-COVER_MIN_UNDECIDED = 4
 PATIENCE = 2  # zero-gain growth steps the heuristic tolerates
 
 
@@ -211,15 +208,13 @@ def solve_exact(
 
     With pruning on, a node whose undecided sequences are R gets a ceiling
     on every subset below it, and is cut when that ceiling is strictly below
-    the incumbent. A member that I beats stays beaten in every I | S with S
-    inside R. The count ceiling lets a deceptive type count every member of
-    I | R that I does not beat, and an honest type all of I | R. When that
-    does not cut and at least `COVER_MIN_UNDECIDED` sequences are undecided,
-    the clique-cover ceiling tries next: a type's truthful members never
-    beat each other, so they are independent in its sender graph and meet
-    each clique of a cover at most once. The type then counts a greedy
-    clique cover of those unbeaten members (`clique_cover_bound`, on the
-    graphs in the scorer's covers) instead.
+    the incumbent (`cover_cuts`). A member that I beats stays beaten in every
+    I | S with S inside R, and a type's truthful members never beat each
+    other, so they are independent in its sender graph and meet each clique
+    of a cover at most once. The ceiling lets an honest type count all of
+    I | R, and a deceptive type a greedy clique cover of the members of
+    I | R that I does not beat (`clique_cover_bound`, on the graphs in the
+    scorer's covers): the independence-number ceiling, inside the subtree.
 
     Once max(report_cap, 1) maximizers at the incumbent value are listed,
     nodes whose ceiling equals the incumbent are cut as well (`tie_cuts`);
@@ -253,13 +248,11 @@ def solve_exact(
         members, beaten, k = stack.pop()
         if prune:
             span = members | low >> k << k
-            ceiling = score(span, beaten)
-            if ceiling >= floor and count - k >= COVER_MIN_UNDECIDED:
-                ceiling = honest * span.bit_count()
-                for weight, shift, graph in covers:
-                    ceiling += weight * clique_cover_bound(graph, span & ~(beaten >> shift))
-                cover_cuts += ceiling < best
+            ceiling = honest * span.bit_count()
+            for weight, shift, graph in covers:
+                ceiling += weight * clique_cover_bound(graph, span & ~(beaten >> shift))
             if ceiling < floor:
+                cover_cuts += ceiling < best
                 if ceiling == best:
                     tie_cuts += 1
                     ties_cut = True
@@ -323,9 +316,11 @@ def solve_heuristic(
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
     costs one OR, and a drop recomputes the OR of the kept members once.
-    Among equal-scoring trials the first one visited wins.
+    Among equal-scoring trials the first one visited wins. The scorer's
+    k^(2n) pairs are refused past `enum_budget` before it is built.
     """
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
+    check_space(model, 2 * n, enum_budget, "heuristic scorer")
     rng = random.Random(seed)
     scale, beats, score, covers = packed_scorer(model, seqs)
     full = (1 << len(seqs)) - 1

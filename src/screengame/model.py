@@ -83,9 +83,12 @@ def _parse_rational(value: object) -> Fraction:
 
 
 def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list:
-    """`table` in type order; a map keyed by type label must name each type exactly."""
+    """`table` in type order: a list must have one entry per type, a map name each type exactly."""
     if not isinstance(table, dict):
-        return list(table)
+        table = list(table)
+        if len(table) != len(types):
+            raise ModelError(f"{field}: expected {len(types)} entries, got {len(table)}")
+        return table
     missing = [t for t in types if t not in table]
     if missing:
         raise ModelError(f"{field}: missing {entry} for type {missing[0]!r}")
@@ -164,7 +167,7 @@ class Model:
                         raise ModelError(f"{where(j)}: {exc}") from None
             return tuple(map(memo.__getitem__, keys))
 
-        prior_t = rationals(prior_seq[: len(types_t)], lambda j: f"prior[{types_t[j]!r}]")
+        prior_t = rationals(prior_seq, lambda j: f"prior[{types_t[j]!r}]")
         k = len(alphabet)
         tables = []
         for label, table in zip(types_t, utility_seq):

@@ -36,6 +36,15 @@ def make_random_model(rng: random.Random, num_symbols: int, num_types: int) -> s
     return sg.Model.from_tables(alphabet, types, prior, utility)
 
 
+# "X6": two deceptive types, the seventh draw of
+# make_random_model(rng, rng.choice((2, 3)), 2) from Random(21). For b, a
+# report y weakly beats the truth x exactly when y contains x as a 0/1 set, so
+# b's truthful sets are Sperner antichains; a's mutual graph is complete.
+X6 = sg.Model.from_tables(
+    ["0", "1"], ["a", "b"], ["2/11", "9/11"], [[[0, 1], [3, 0]], [[-2, -1], [-2, 1]]]
+)
+
+
 def model_pool(count: int = POOL_SIZE, seed: int = POOL_SEED) -> list[sg.Model]:
     rng = random.Random(seed)
     return [make_random_model(rng, *GRID[i % len(GRID)]) for i in range(count)]

@@ -350,7 +350,7 @@ def test_solve_search_counters_golden(capsys):
     # example1 at n=1-3 (n=3 past the default subset budget): what the exact
     # search prints about its walk. Each n has one or two maximizers, all
     # listed under the default cap, so no tie is cut.
-    expected = {1: (6, 1, 0), 2: (20, 491, 1), 3: (38, 2**27 - 1 - 38, 1)}
+    expected = {1: (6, 1, 1), 2: (20, 491, 19), 3: (38, 2**27 - 1 - 38, 37)}
     for n, (examined, pruned, cover_cuts) in expected.items():
         code, out, _ = run(
             capsys, "solve", "--model", "example1", "--n", str(n), "--subset-budget", "27",
@@ -475,9 +475,9 @@ FORWARDED_FLAGS = [
     ),
     (("asymptotic",), "asymptotic_bounds", {}),
     (
-        ("asymptotic", "--mis-budget", "30", "--enum-budget", "99"),
+        ("asymptotic", "--mis-budget", "30", "--enum-budget", "729"),
         "asymptotic_bounds",
-        {"mis_budget": 30, "enum_budget": 99},
+        {"mis_budget": 30, "enum_budget": 729},  # 3^6 pairs at --n-max 3
     ),
     (SIMULATE_D, "solve_exact", {"report_cap": 0}),
     (
@@ -562,6 +562,30 @@ def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys)
     code, out, err = run(capsys, *argv, "--enum-budget", "4782969")
     assert (code, out) == (1, "")
     assert "cross-check payoff table: requested 9565938 exceeds budget 4782969" in err
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("bounds", "--n", "7"), "sender graph"),
+        ((*GRAPH_D, "--n", "7", "--alpha", "skip"), "sender graph"),
+        (("solve", "--n", "7", "--mode", "heuristic"), "heuristic scorer"),
+    ],
+)
+def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch, argv, refusal):
+    # 3^7 sequences pass --enum-budget, but their 3^14 pairs do not.
+    def fail(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(sg.graph, "preference_masks", fail)
+    monkeypatch.setattr(sg.equilibrium, "preference_masks", fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--model", "example1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert f"{refusal}: requested 4782969 exceeds budget 1000000" in err
+    with pytest.raises(AssertionError, match="the kernel ran"):
+        main([*argv, "--model", "example1", "--enum-budget", "4782969"])
 
 
 def test_integers_past_the_decimal_limit_print_in_hex(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import brute_best, make_random_model, model_pool
+from conftest import X6, brute_best, make_random_model, model_pool
 
 
 def test_truthful_subset_known_cases(example):
@@ -92,10 +92,10 @@ def test_solve_exact_example_one_letter(example):
     assert result.designated.truthful == (((0,), (2,)), ((0,),))
     assert result.certified and result.mode == "exact"
     assert result.maximizers_complete
-    # golden work counters: 6 subsets evaluated, 1 cut in a subtree, by the
-    # count ceiling alone
+    # golden work counters: 6 subsets evaluated, 1 cut in a subtree below
+    # the best value
     assert (result.subsets_examined, result.subsets_pruned) == (6, 1)
-    assert (result.cover_cuts, result.tie_cuts) == (0, 0)
+    assert (result.cover_cuts, result.tie_cuts) == (1, 0)
 
 
 def test_solve_exact_example_two_letters(example):
@@ -104,10 +104,10 @@ def test_solve_exact_example_two_letters(example):
     # the full space is the unique maximizer at this horizon
     assert result.maximizer_count == 1 and result.maximizers_complete
     assert result.maximizers[0] == tuple(sg.enumerate_sequences(example, 2))
-    # golden work counters: 20 subsets evaluated, the other 491 cut in
-    # subtrees, one of them by the clique-cover ceiling
+    # golden work counters: 20 subsets evaluated, the other 491 cut in 19
+    # subtrees below the best value
     assert (result.subsets_examined, result.subsets_pruned) == (20, 491)
-    assert (result.cover_cuts, result.tie_cuts) == (1, 0)
+    assert (result.cover_cuts, result.tie_cuts) == (19, 0)
 
 
 def test_solve_exact_example_three_letters_past_the_default_budget(example):
@@ -117,8 +117,12 @@ def test_solve_exact_example_three_letters_past_the_default_budget(example):
     assert sg.receiver_objective(example, result.designated.members) == 9
     assert result.subsets_examined + result.subsets_pruned == 2**27 - 1
     assert result.subsets_examined == 38
-    assert (result.cover_cuts, result.tie_cuts) == (1, 0)
+    assert (result.cover_cuts, result.tie_cuts) == (37, 0)
     assert result.maximizer_count == 1 and result.maximizers_complete
+
+
+def test_solve_exact_x6_four_letters():
+    assert sg.solve_exact(X6, 4, subset_budget=16).optimum == Fraction(54, 11)
 
 
 def test_solve_exact_constant_model_prefers_singletons():

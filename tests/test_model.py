@@ -528,6 +528,7 @@ TINY = {
     "utility": {"t": [["1", "0"], ["0", "1"]]},
 }
 IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+TABLE = TINY["utility"]["t"]
 
 
 def _parse_tiny(**fields):
@@ -574,6 +575,22 @@ REFUSALS = {
     "unseparated labels": (
         lambda: parse_sequence(_parse_tiny(alphabet=["ab", "cd"])(), "abcd"),
         "sequence 'abcd': separate multi-character symbol labels with commas",
+    ),
+    "long prior list": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2", "5"], [TABLE] * 3),
+        "prior: expected 2 entries, got 3",
+    ),
+    "short prior list": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1"], [TABLE] * 2),
+        "prior: expected 2 entries, got 1",
+    ),
+    "long utility list": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2"], [TABLE] * 3),
+        "utility: expected 2 entries, got 3",
+    ),
+    "short utility list": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2"], [TABLE]),
+        "utility: expected 2 entries, got 1",
     ),
 }
 

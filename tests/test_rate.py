@@ -7,7 +7,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import make_random_model, model_pool
+from conftest import X6, make_random_model, model_pool
 
 
 def only_deceptive_model():
@@ -203,6 +203,19 @@ def test_asymptotic_floor_moves_to_the_horizon_with_the_largest_root():
     assert report.alphas == (1, 2, 3, 6, 10, 20)
     assert report.certified_floor_at == 6
     assert report.certified_floor == pytest.approx(20 ** (1 / 6))
+
+
+def test_x6_is_its_named_draw_and_type_b_recovers_the_central_binomials():
+    rng = random.Random(21)
+    draws = [make_random_model(rng, rng.choice((2, 3)), 2) for _ in range(7)]
+    assert draws[-1] == X6
+    # Sperner: the largest antichain of {0, 1}^n has C(n, n // 2) members.
+    alphas = []
+    for n in range(1, 7):
+        bounds = sg.finite_bounds(X6, n)
+        assert bounds.upper_certified
+        alphas.append(bounds.alpha_per_type)
+    assert alphas == [(1, 1), (1, 2), (1, 3), (1, 6), (1, 10), (1, 20)]
 
 
 def test_asymptotic_rejects_bad_horizon(example):
