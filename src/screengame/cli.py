@@ -60,8 +60,9 @@ def _format_scalar(value) -> str:
         return format(value, ".12g")
     try:
         return str(value)
-    except ValueError:  # an int past the decimal conversion limit; hex is exact
-        return hex(value)
+    except ValueError:  # an int or p/q past the decimal conversion limit; hex is exact
+        num, den = value.as_integer_ratio()
+        return hex(num) if den == 1 else f"{hex(num)}/{hex(den)}"
 
 
 def _render_plain(payload: dict, indent: int = 0) -> list[str]:

@@ -10,13 +10,12 @@ all nonempty I.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -87,9 +86,8 @@ class Questionnaire:
 def evaluate_questionnaire(model: Model, members) -> Questionnaire:
     mem = _normalize_members(members)
     parts = tuple(truthful_subset(model, mem, t) for t in range(model.num_types))
-    objective = Fraction(0)
-    for p, part in zip(model.prior, parts):
-        objective += p * len(part)
+    scale, weights = model.prior_weights
+    objective = Fraction(sum(map(mul, weights, map(len, parts))), scale)
     return Questionnaire(len(mem[0]), mem, parts, objective)
 
 
@@ -139,23 +137,23 @@ def packed_scorer(model: Model, seqs: list[Seq]):
     y weakly beats (see `preference_masks`); honest types count |I|.
     Deceptive type number `slot` owns bits slot * N .. slot * N + N - 1 of
     beats[y], so one OR serves every type. score(members, beaten) is the
-    objective times `scale`, the lcm of the prior denominators, so searches
-    compare integers. covers holds (prior times `scale`, bit offset, sender
-    graph) per deceptive type, in slot order; the graph's row y is
+    objective times `scale`, the model's `prior_weights` scale, so searches
+    compare integers. covers holds (the type's prior weight, bit offset,
+    sender graph) per deceptive type, in slot order; the graph's row y is
     beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives.
     """
     count = len(seqs)
-    scale = math.lcm(*(p.denominator for p in model.prior))
+    scale, weights = model.prior_weights
     beats = [0] * count
     covers = []
-    for type_id, p in enumerate(model.prior):
+    for type_id, weight in enumerate(weights):
         if classify_type(model, type_id) == HONEST:
             continue
         shift = len(covers) * count
         beaten_by, type_beats = preference_masks(model, type_id, seqs)
         for y, mask in enumerate(type_beats):
             beats[y] |= mask << shift
-        covers.append((int(p * scale), shift, tuple(map(or_, beaten_by, type_beats))))
+        covers.append((weight, shift, tuple(map(or_, beaten_by, type_beats))))
     # Multiplying a member set by `copies` places it in each type's bits.
     copies = sum(1 << shift for _, shift, _ in covers)
     low = (1 << count) - 1

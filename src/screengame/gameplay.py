@@ -6,9 +6,11 @@ resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
 the receiver objective the questionnaire searches score. Every route prices
-reports with one payoff-table builder, `_payoffs`, and picks them with one
-argmax-with-ties, `_best_response`. The cross-check builds each type's table
-over the whole space once per call and looks members' payoffs up in it.
+reports with one payoff-table builder, `_payoffs`, picks them with one
+argmax-with-ties, `_best_response`, and keeps robust truths by one rule,
+`_robust`; `recovery_report` is the one scan of a strategy. The cross-check
+prices each type's whole space once per call and counts in integers over
+the model's `prior_weights` scale, as the searches' packed scorer does.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -23,7 +25,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import getitem, itemgetter, or_
+from math import prod
+from operator import getitem, itemgetter, mul, or_
 
 from .model import (
     BudgetExceededError,
@@ -104,22 +107,9 @@ def _best_response(totals, image) -> tuple[int, list[Seq]]:
     return best_total, list(itertools.compress(image, map(best_total.__eq__, totals)))
 
 
-def _robust(rows, image, truths) -> tuple[Seq, ...]:
-    """The truths whose unique optimal decoded outcome is themselves.
-
-    rows[i] prices the members of `image` at truths[i].
-    """
-    return tuple(
-        truth for truth, totals in zip(truths, rows) if _best_response(totals, image)[1] == [truth]
-    )
-
-
-def _played_value(model: Model, tables, image, seqs: list[Seq]) -> Fraction:
-    """Prior-weighted count of robust truths; tables[t] holds type t's rows for `_robust`."""
-    value = Fraction(0)
-    for p, rows in zip(model.prior, tables):
-        value += p * len(_robust(rows, image, seqs))
-    return value
+def _robust(truths, winners) -> tuple[Seq, ...]:
+    """The truths whose only optimal outcome is themselves; winners[i] lists truths[i]'s."""
+    return tuple(truth for truth, won in zip(truths, winners) if won == [truth])
 
 
 def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReportOutcome:
@@ -152,12 +142,10 @@ def robust_recovery_set(
     """True sequences recovered no matter how this type breaks payoff ties.
 
     A sequence qualifies exactly when its unique optimal decoded outcome is
-    itself.
+    itself. Read from `recovery_report`.
     """
     _check_type(model, type_id)
-    image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
-    return _robust(_payoffs(model, type_id, seqs, image), image, seqs)
+    return recovery_report(model, strategy, enum_budget=enum_budget).robust[type_id]
 
 
 def worst_case_recovery(
@@ -167,10 +155,7 @@ def worst_case_recovery(
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Fraction:
     """Prior-weighted count of sequences recovered against worst-case senders."""
-    image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
-    tables = [_payoffs(model, t, seqs, image) for t in range(model.num_types)]
-    return _played_value(model, tables, image, seqs)
+    return recovery_report(model, strategy, enum_budget=enum_budget).value
 
 
 @dataclass(frozen=True)
@@ -188,26 +173,26 @@ def recovery_report(
 ) -> RecoveryReport:
     """Full worst-case picture: robust sets plus how many best responses exist.
 
-    The multiplicity for a type is the product over true sequences of the
-    number of reports that decode into an optimal outcome, since best
-    responses choose independently at each true sequence.
+    The one scan: one `_best_response` over the image per type and truth
+    gives both. The multiplicity for a type is the product over true
+    sequences of the number of reports that decode into an optimal outcome,
+    since best responses choose independently at each true sequence. Its
+    T * k^n * |image| payoffs are refused past `enum_budget` before any is summed.
     """
     image = strategy.image
     seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
-    reach = Counter(strategy.decode(y) for y in seqs)  # reports per decoded outcome
+    payoffs = model.num_types * len(seqs) * len(image)
+    if payoffs > enum_budget:
+        raise BudgetExceededError("played-out scan", payoffs, enum_budget)
+    reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
     for type_id in range(model.num_types):
-        robust_t: list[Seq] = []
-        multiplicity = 1
-        for truth, totals in zip(seqs, _payoffs(model, type_id, seqs, image)):
-            _, winners = _best_response(totals, image)
-            if winners == [truth]:
-                robust_t.append(truth)
-            multiplicity *= sum(reach[d] for d in winners)
-        robust.append(tuple(robust_t))
-        multiplicities.append(multiplicity)
-    value = sum(p * len(r) for p, r in zip(model.prior, robust))
+        winners = [_best_response(row, image)[1] for row in _payoffs(model, type_id, seqs, image)]
+        robust.append(_robust(seqs, winners))
+        multiplicities.append(prod(sum(map(reach.__getitem__, won)) for won in winners))
+    scale, weights = model.prior_weights
+    value = Fraction(sum(map(mul, weights, map(len, robust))), scale)
     return RecoveryReport(value, tuple(robust), tuple(multiplicities))
 
 
@@ -320,12 +305,13 @@ def cross_check_equivalence(
     if totals > enum_budget:
         raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
+    scale, _ = model.prior_weights
     checked = 0
     mismatches = []
     for members, played, formula in _scored_image_sets(model, seqs, id_sets):
         checked += 1
         if played != formula:
-            mismatches.append((members, played, formula))
+            mismatches.append((members, Fraction(played, scale), Fraction(formula, scale)))
     return CrossCheckResult(n, checked, not mismatches, tuple(mismatches))
 
 
@@ -344,14 +330,17 @@ def _image_id_sets(
 
 
 def _scored_image_sets(model: Model, seqs: list[Seq], id_sets):
-    """Yield (members, played, formula) per image set, both routes set up once."""
-    scale, beats, score, _ = packed_scorer(model, seqs)
+    """Yield (members, played, formula) per image set, each over the `prior_weights` scale."""
+    _, weights = model.prior_weights
+    _, beats, score, _ = packed_scorer(model, seqs)
     tables = [list(_payoffs(model, t, seqs, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)
         # Each row, cut down to the members' columns, prices the image at one truth.
         pick = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
-        played = _played_value(model, [map(pick, table) for table in tables], members, seqs)
+        played = sum(
+            weight * len(_robust(seqs, (_best_response(pick(row), members)[1] for row in table)))
+            for weight, table in zip(weights, tables)
+        )
         mask = sum(1 << v for v in ids)
-        formula = Fraction(score(mask, reduce(or_, (beats[v] for v in ids))), scale)
-        yield members, played, formula
+        yield members, played, score(mask, reduce(or_, (beats[v] for v in ids)))

@@ -71,10 +71,14 @@ def _parse_rational(value: object) -> Fraction:
         match = _RATIONAL_RE.fullmatch(value)
         if match is None:
             raise ModelError(f"{value!r} is not an integer or p/q rational")
-        den = int(match[2] or 1)
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # the longer part is past the decimal conversion limit
+            digits = max(len(match[1].lstrip("+-")), len(match[2] or ""))
+            raise ModelError(f"{digits}-digit integer is past the decimal conversion limit")
         if not den:
             raise ModelError(f"zero denominator in {value!r}")
-        return Fraction(int(match[1]), den)
+        return Fraction(num, den)
     if isinstance(value, bool):
         raise ModelError("expected a rational, got a boolean")
     if isinstance(value, int):
@@ -220,6 +224,12 @@ class Model:
             )
             out.append((scale, int_table))
         return tuple(out)
+
+    @cached_property
+    def prior_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, weights): the lcm of the prior denominators, and each prior times it."""
+        scale = math.lcm(*(p.denominator for p in self.prior))
+        return scale, tuple(p.numerator * (scale // p.denominator) for p in self.prior)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .model import DEFAULT_ENUMERATION_BUDGET, Model
 from .graph import (
@@ -97,9 +98,8 @@ def finite_bounds(
     else:
         per_type = [clique_cover_bound(g.adjacency, (1 << g.vertex_count) - 1) for g in graphs]
         union_alpha = max_independent_set(union, mode="greedy").size
-    weighted = Fraction(0)
-    for p, size in zip(model.prior, per_type):
-        weighted += p * size
+    scale, weights = model.prior_weights
+    weighted = Fraction(sum(map(mul, weights, per_type)), scale)
 
     achieved: Fraction | None = None
     achieved_certified = False

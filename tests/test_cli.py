@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -603,6 +605,37 @@ def test_integers_past_the_decimal_limit_print_in_hex(capsys):
     for label, m in zip(model.types, report.multiplicities):
         assert m.bit_length() * math.log10(2) > 4300
         assert f"best_response_multiplicity.{label}={hex(m)}" in out.splitlines()
+
+
+def test_rationals_past_the_decimal_limit_print_in_hex(capsys, tmp_path):
+    # Each literal is under 1,500 digits, but the optimal utility's
+    # denominator has 14,928 bits, past what str() converts by default.
+    diagonal = [Fraction(1, 7**1770), Fraction(1, 2**4980), Fraction(1, 3**3140)]
+    table = [[str(d if i == j else 0) for j in range(3)] for i, d in enumerate(diagonal)]
+    doc = {"alphabet": ["0", "1", "2"], "types": ["a"], "prior": {"a": "1"}, "utility": {"a": table}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "simulate", "--model", str(path), "--type", "a", "--truth", "012",
+        "--members", "012;000", "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    utility = sum(diagonal) / 3
+    assert utility.denominator.bit_length() == 14928
+    assert f"utility={hex(utility.numerator)}/{hex(utility.denominator)}" in out.splitlines()
+
+
+def test_simulate_refuses_a_played_out_scan_past_the_enumeration_budget(capsys):
+    # Every example1 sequence at n=7 as a member: 2 * 3^7 * 3^7 payoffs.
+    members = ";".join(map("".join, itertools.product("012", repeat=7)))
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "0000000",
+        "--members", members,
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert "played-out scan: requested 9565938 exceeds budget 1000000" in err
 
 
 def test_solve_refuses_negative_report_cap_in_both_modes(capsys):

@@ -300,18 +300,21 @@ def test_cross_check_example_all_subsets(example):
 
 def test_batched_routes_equal_the_public_functions():
     # The cross-check scores each image set on one packed scorer and one
-    # payoff table per type. Each value must still equal the
-    # per-set public routes: the formula side the reference truthful-subset
-    # objective, the played side the worst case of the canonical strategy.
+    # payoff table per type, both as integers over the prior weights' scale.
+    # Each value must still equal the per-set public routes: the formula side
+    # the reference truthful-subset objective, the played side the worst case
+    # of the canonical strategy.
     rng = random.Random(79)
     checked = 0
     for k, n in ((2, 3), (3, 2), (8, 1), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
         m = make_random_model(rng, k, rng.randint(1, 3))
+        scale, _ = m.prior_weights
         seqs = sg.enumerate_sequences(m, n)
         for mode in ("all", "random") if len(seqs) <= 9 else ("random",):
             id_sets = sg.gameplay._image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
             for members, played, formula in sg.gameplay._scored_image_sets(m, seqs, id_sets):
-                assert formula == sg.receiver_objective(m, members), members
+                assert Fraction(formula, scale) == sg.receiver_objective(m, members), members
+                played = Fraction(played, scale)
                 assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
                 checked += 1
     assert checked == 255 * 2 + 511 + 12 * 9
@@ -355,9 +358,58 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
             value = sum(p * len(r) for p, r in zip(m.prior, robust))
             report = sg.recovery_report(m, strategy)
             assert (report.robust, report.value) == (tuple(robust), value)
-            assert played[image] == value
+            assert played[image] == value * m.prior_weights[0]
             checked += 1
     assert checked == 5 * 8
+
+
+def test_prior_weights_are_exact_and_a_zero_prior_counts_nothing():
+    # Priors 1/6, 3/10, 8/15 and 0 weigh 5, 9, 16 and 0 over their lcm 30.
+    # Every prior-weighted value must equal its Fraction sum over the prior,
+    # written out here, and the zero-prior type's robust truths count nothing.
+    rng = random.Random(89)
+    labels = ["a", "b", "c", "z"]
+    prior = [Fraction(1, 6), Fraction(3, 10), Fraction(8, 15), Fraction(0)]
+    utility = {t: [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)] for t in labels}
+    m = sg.Model.from_tables(["0", "1", "2"], labels, [str(p) for p in prior], utility)
+    assert m.prior_weights == (30, (5, 9, 16, 0))
+    zero_type_recovers = False
+    for n in (1, 2):
+        assert sg.cross_check_equivalence(m, n, strategies="all").agreed
+        seqs = sg.enumerate_sequences(m, n)
+        for _ in range(8):
+            members = rng.sample(seqs, rng.randint(1, len(seqs)))
+            report = sg.recovery_report(m, sg.canonical_strategy(members))
+            assert report.value == sum(p * len(r) for p, r in zip(prior, report.robust))
+            zero_type_recovers |= bool(report.robust[3])
+            q = sg.evaluate_questionnaire(m, members)
+            assert q.objective == sum(p * len(part) for p, part in zip(prior, q.truthful))
+        bounds = sg.finite_bounds(m, n)
+        assert bounds.weighted_alpha == sum(p * a for p, a in zip(prior, bounds.alpha_per_type))
+    assert zero_type_recovers
+
+
+def test_played_out_scan_is_priced_before_it_runs(example, monkeypatch):
+    # Example1 at n=7 with every sequence as a member: T * k^n * |image| =
+    # 2 * 3^7 * 3^7 payoffs, refused at once under the default budget by the
+    # report and by both of its projections; under 2 * 3^14 the scan runs.
+    def payoffs_forbidden(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(sg.gameplay, "_payoffs", payoffs_forbidden)
+    strategy = naive_strategy(example, 7)
+    for route in (
+        lambda **kw: sg.recovery_report(example, strategy, **kw),
+        lambda **kw: sg.worst_case_recovery(example, strategy, **kw),
+        lambda **kw: sg.robust_recovery_set(example, strategy, 1, **kw),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(sg.BudgetExceededError, match="played-out scan") as info:
+            route()
+        assert time.perf_counter() - started < 1
+        assert (info.value.requested, info.value.budget) == (2 * 3**14, 10**6)
+        with pytest.raises(AssertionError, match="the scan ran"):
+            route(enum_budget=2 * 3**14)
 
 
 def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example, monkeypatch):
@@ -463,14 +515,14 @@ def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
             return super().sample(*args, **kwargs)
 
     at_first_score = []
-    played_value = sg.gameplay._played_value
+    robust = sg.gameplay._robust
 
     def spy(*args):
         at_first_score.append(len(drawn))
-        return played_value(*args)
+        return robust(*args)
 
     monkeypatch.setattr(sg.gameplay.random, "Random", CountingRandom)
-    monkeypatch.setattr(sg.gameplay, "_played_value", spy)
+    monkeypatch.setattr(sg.gameplay, "_robust", spy)
     result = sg.cross_check_equivalence(example, 2, strategies="random", count=5)
     assert result.image_sets_checked == 5 and result.agreed
     assert at_first_score[0] == 1 and len(drawn) == 5

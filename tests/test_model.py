@@ -576,6 +576,10 @@ REFUSALS = {
         lambda: parse_sequence(_parse_tiny(alphabet=["ab", "cd"])(), "abcd"),
         "sequence 'abcd': separate multi-character symbol labels with commas",
     ),
+    "literal past the decimal limit": (
+        _parse_tiny(utility={"t": [["1", "0"], ["0", "-" + "9" * 5000]]}),
+        "utility['t'][1][1]: 5000-digit integer is past the decimal conversion limit",
+    ),
     "long prior list": (
         lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2", "5"], [TABLE] * 3),
         "prior: expected 2 entries, got 3",
