@@ -178,7 +178,10 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     if args.type is not None and args.union:
         raise ModelError("--type and --union are mutually exclusive")
     type_ids = range(model.num_types) if args.union else [model.type_index(args.type)]
-    if args.alpha == "exact" and not args.export:
+    if args.export:
+        _refuse(args, "reports", "alpha")
+    alpha = args.alpha or "exact"
+    if alpha == "exact" and not args.export:
         check_mis_budget(model, [args.n], **_given(args, "mis_budget"))
     else:
         _refuse(args, "--alpha exact reports", "mis_budget")
@@ -195,8 +198,8 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
     }
-    if args.alpha != "skip":
-        result = max_independent_set(graph, mode=args.alpha, **_given(args, "mis_budget"))
+    if alpha != "skip":
+        result = max_independent_set(graph, mode=alpha, **_given(args, "mis_budget"))
         payload["alpha"] = result.size
         payload["alpha_certified"] = result.certified
         payload["independent_set"] = _seq_labels(model, [seqs[v] for v in result.members])
@@ -400,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--alpha",
         choices=("exact", "greedy", "skip"),
-        default="exact",
-        help="independent-set computation",
+        help="independent-set computation (default exact)",
     )
     sub.add_argument("--export", action="store_true", help="emit DOT instead of a report")
     sub.set_defaults(handler=_cmd_graph)

@@ -128,7 +128,7 @@ def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy
     return ReceiverStrategy(len(mem[0]), mem, fallback)
 
 
-def packed_scorer(model: Model, seqs: list[Seq]):
+def packed_scorer(model: Model, seqs: list[Seq], enum_budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The receiver objective on member bitmasks: (scale, beats, score, covers).
 
     A member x of I is truthful for a deceptive type when no other member
@@ -141,7 +141,9 @@ def packed_scorer(model: Model, seqs: list[Seq]):
     compare integers. covers holds (the type's prior weight, bit offset,
     sender graph) per deceptive type, in slot order; the graph's row y is
     beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives.
+    Its k^(2n) pairs are refused past `enum_budget` before any type is read.
     """
+    check_space(model, 2 * len(seqs[0]), enum_budget, "packed scorer")
     count = len(seqs)
     scale, weights = model.prior_weights
     beats = [0] * count
@@ -229,7 +231,7 @@ def solve_exact(
     count = check_space(model, n, subset_budget, "questionnaire search")
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
 
-    scale, beats, score, covers = packed_scorer(model, seqs)
+    scale, beats, score, covers = packed_scorer(model, seqs, enum_budget)
     low = (1 << count) - 1
     honest = scale - sum(weight for weight, _, _ in covers)
     listed = max(report_cap, 1)  # maximizers walked before ties are cut
@@ -314,13 +316,11 @@ def solve_heuristic(
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
     costs one OR, and a drop recomputes the OR of the kept members once.
-    Among equal-scoring trials the first one visited wins. The scorer's
-    k^(2n) pairs are refused past `enum_budget` before it is built.
+    Among equal-scoring trials the first one visited wins.
     """
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
-    check_space(model, 2 * n, enum_budget, "heuristic scorer")
     rng = random.Random(seed)
-    scale, beats, score, covers = packed_scorer(model, seqs)
+    scale, beats, score, covers = packed_scorer(model, seqs, enum_budget)
     full = (1 << len(seqs)) - 1
 
     start = rng.randrange(len(seqs))

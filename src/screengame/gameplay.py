@@ -308,7 +308,7 @@ def cross_check_equivalence(
     scale, _ = model.prior_weights
     checked = 0
     mismatches = []
-    for members, played, formula in _scored_image_sets(model, seqs, id_sets):
+    for members, played, formula in _scored_image_sets(model, seqs, id_sets, enum_budget):
         checked += 1
         if played != formula:
             mismatches.append((members, Fraction(played, scale), Fraction(formula, scale)))
@@ -329,10 +329,10 @@ def _image_id_sets(
     raise ValueError(f"unknown strategies mode {strategies!r}")
 
 
-def _scored_image_sets(model: Model, seqs: list[Seq], id_sets):
+def _scored_image_sets(model: Model, seqs: list[Seq], id_sets, enum_budget: int):
     """Yield (members, played, formula) per image set, each over the `prior_weights` scale."""
     _, weights = model.prior_weights
-    _, beats, score, _ = packed_scorer(model, seqs)
+    _, beats, score, _ = packed_scorer(model, seqs, enum_budget)
     tables = [list(_payoffs(model, t, seqs, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)

@@ -65,6 +65,21 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+@dataclass(frozen=True)
+class _LongLiteral:
+    """A JSON integer literal past the decimal conversion limit, kept as its digit count."""
+
+    digits: int
+
+
+def _json_int(literal: str) -> int | _LongLiteral:
+    """A JSON integer literal as an int, or as a _LongLiteral past the decimal limit."""
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongLiteral(len(literal.lstrip("-")))
+
+
 def _parse_rational(value: object) -> Fraction:
     """An int, or an integer or p/q string, as a Fraction; a ModelError says what is wrong."""
     if isinstance(value, str):
@@ -79,6 +94,8 @@ def _parse_rational(value: object) -> Fraction:
         if not den:
             raise ModelError(f"zero denominator in {value!r}")
         return Fraction(num, den)
+    if isinstance(value, _LongLiteral):
+        raise ModelError(f"{value.digits}-digit integer is past the decimal conversion limit")
     if isinstance(value, bool):
         raise ModelError("expected a rational, got a boolean")
     if isinstance(value, int):
@@ -239,7 +256,12 @@ class Model:
 def parse_model(text: str) -> Model:
     """Parse a model document. Raises ModelSyntaxError / ModelError on defects."""
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer literal past the decimal conversion limit
+            doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):

@@ -431,6 +431,7 @@ UNREAD_FLAGS = [
     ((*GRAPH_D, "--alpha", "greedy"), ("--mis-budget", "5"), "--alpha exact reports"),
     ((*GRAPH_D, "--alpha", "skip"), ("--mis-budget", "5"), "--alpha exact reports"),
     ((*GRAPH_D, "--export"), ("--mis-budget", "5"), "--alpha exact reports"),
+    ((*GRAPH_D, "--export"), ("--alpha", "greedy"), "reports"),
 ]
 
 
@@ -505,6 +506,7 @@ FORWARDED_FLAGS = [
     (GRAPH_D, "build_sender_graph", {}),
     ((*GRAPH_D, "--enum-budget", "99"), "build_sender_graph", {"enum_budget": 99}),
     (GRAPH_D, "max_independent_set", {"mode": "exact"}),
+    ((*GRAPH_D, "--alpha", "greedy"), "max_independent_set", {"mode": "greedy"}),
     (
         (*GRAPH_D, "--mis-budget", "7"),
         "max_independent_set",
@@ -571,7 +573,8 @@ def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys)
     [
         (("bounds", "--n", "7"), "sender graph"),
         ((*GRAPH_D, "--n", "7", "--alpha", "skip"), "sender graph"),
-        (("solve", "--n", "7", "--mode", "heuristic"), "heuristic scorer"),
+        (("solve", "--n", "7", "--mode", "heuristic"), "packed scorer"),
+        (("solve", "--n", "7", "--subset-budget", "2187"), "packed scorer"),
     ],
 )
 def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch, argv, refusal):

@@ -239,6 +239,34 @@ def test_scorer_covers_are_the_sender_graphs():
         assert score(members, 0) == scale * members.bit_count()
 
 
+def test_packed_scorer_refuses_exactly_past_its_pairs(monkeypatch):
+    # The scorer prices its k^(2n) (report, truth) pairs before it reads any
+    # type, so a refusal never reaches the kernel, and an all-honest model,
+    # whose scorer never runs it, is priced all the same.
+    rng = random.Random(31)
+    cases = [_typed(["g", "h"])]
+    cases += [make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3)) for _ in range(5)]
+    kernel = sg.equilibrium.preference_masks
+
+    def kernel_forbidden(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    for m in cases:
+        for n in (1, 2):
+            seqs = sg.enumerate_sequences(m, n)
+            pairs = len(seqs) ** 2
+            for budget in (pairs - 1, pairs, pairs + 1, rng.randint(1, 2 * pairs)):
+                if budget < pairs:
+                    monkeypatch.setattr(sg.equilibrium, "preference_masks", kernel_forbidden)
+                    with pytest.raises(sg.BudgetExceededError, match="packed scorer") as info:
+                        sg.equilibrium.packed_scorer(m, seqs, enum_budget=budget)
+                    assert (info.value.requested, info.value.budget) == (pairs, budget)
+                else:
+                    monkeypatch.setattr(sg.equilibrium, "preference_masks", kernel)
+                    scale, _, _, _ = sg.equilibrium.packed_scorer(m, seqs, enum_budget=budget)
+                    assert scale == m.prior_weights[0]
+
+
 def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
     kernel = sg.equilibrium.preference_masks
     calls = []

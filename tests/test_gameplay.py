@@ -312,7 +312,9 @@ def test_batched_routes_equal_the_public_functions():
         seqs = sg.enumerate_sequences(m, n)
         for mode in ("all", "random") if len(seqs) <= 9 else ("random",):
             id_sets = sg.gameplay._image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
-            for members, played, formula in sg.gameplay._scored_image_sets(m, seqs, id_sets):
+            # A budget of exactly the k^(2n) pairs the scorer prices.
+            scored = sg.gameplay._scored_image_sets(m, seqs, id_sets, len(seqs) ** 2)
+            for members, played, formula in scored:
                 assert Fraction(formula, scale) == sg.receiver_objective(m, members), members
                 played = Fraction(played, scale)
                 assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
@@ -336,10 +338,8 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
             (rng.randrange(len(seqs)),),
             tuple(range(len(seqs))),
         ]
-        played = {
-            members: value
-            for members, value, _ in sg.gameplay._scored_image_sets(m, seqs, id_sets)
-        }
+        scored = sg.gameplay._scored_image_sets(m, seqs, id_sets, len(seqs) ** 2)
+        played = {members: value for members, value, _ in scored}
         for ids in id_sets:
             image = tuple(seqs[v] for v in ids)
             strategy = sg.canonical_strategy(image)
@@ -436,6 +436,23 @@ def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example,
     assert info.value.requested == 2 * 3**12
 
 
+def test_cross_check_builds_its_scorer_under_its_own_budget(monkeypatch):
+    # At example1 n=7 the 3^14 scorer pairs are past the default budget, and
+    # the 2 * 3^14 payoff totals are not past 10^7: oracle-check reaches the
+    # scorer only if it passes its --enum-budget on.
+    budgets = []
+
+    def scorer_spy(model, seqs, enum_budget):
+        budgets.append(enum_budget)
+        raise AssertionError("the scorer was reached")
+
+    monkeypatch.setattr(sg.gameplay, "packed_scorer", scorer_spy)
+    argv = ["oracle-check", "--model", "example1", "--n", "7", "--strategies", "random"]
+    with pytest.raises(AssertionError, match="the scorer was reached"):
+        main([*argv, "--enum-budget", "10000000"])
+    assert budgets == [10**7]
+
+
 def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
     # Skew each route by one on the image set {0, 2} alone: the cross-check
     # must report exactly that set, and oracle-check must exit 1.
@@ -443,8 +460,8 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
     packed = sg.gameplay.packed_scorer
     scale = packed(example, sg.enumerate_sequences(example, 1))[0]
 
-    def skewed_scorer(model, seqs):
-        scale, beats, score, covers = packed(model, seqs)
+    def skewed_scorer(model, seqs, enum_budget):
+        scale, beats, score, covers = packed(model, seqs, enum_budget)
         return scale, beats, (lambda mask, beaten: score(mask, beaten) + (mask == 0b101)), covers
 
     with monkeypatch.context() as patch:

@@ -535,6 +535,12 @@ def _parse_tiny(**fields):
     return lambda: sg.parse_model(json.dumps(TINY | fields))
 
 
+def _parse_tiny_number(**fields):
+    """_parse_tiny with each string "N" written as a 5,001-digit JSON number."""
+    text = json.dumps(TINY | fields).replace('"N"', "1" + "0" * 5000)
+    return lambda: sg.parse_model(text)
+
+
 REFUSALS = {
     "boolean rational": (
         _parse_tiny(prior={"t": True}), "prior['t']: expected a rational, got a boolean"
@@ -579,6 +585,17 @@ REFUSALS = {
     "literal past the decimal limit": (
         _parse_tiny(utility={"t": [["1", "0"], ["0", "-" + "9" * 5000]]}),
         "utility['t'][1][1]: 5000-digit integer is past the decimal conversion limit",
+    ),
+    "number past the decimal limit": (
+        _parse_tiny_number(utility={"t": [["1", "0"], ["0", "N"]]}),
+        "utility['t'][1][1]: 5001-digit integer is past the decimal conversion limit",
+    ),
+    "number label past the decimal limit": (
+        _parse_tiny_number(alphabet=["0", "N"]), "alphabet must be a list of strings"
+    ),
+    "syntax error after a long number": (
+        lambda: sg.parse_model("[" + "1" * 5001 + ", "),
+        "not valid JSON: Expecting value (line 1, column 5005)",
     ),
     "long prior list": (
         lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2", "5"], [TABLE] * 3),

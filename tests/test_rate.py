@@ -64,6 +64,13 @@ def test_bounds_sandwich_the_optimum():
             assert bounds.alpha_union <= bounds.achieved <= bounds.weighted_alpha
 
 
+def test_bounds_without_solve_have_no_achieved_rate(example):
+    bounds = sg.finite_bounds(example, 2)
+    assert bounds.achieved is None
+    assert bounds.achieved_rate is None
+    assert not bounds.achieved_certified
+
+
 def test_small_mis_budget_degrades_to_uncertified(example):
     bounds = sg.finite_bounds(example, 1, mis_budget=2)
     assert not bounds.lower_certified
