@@ -20,7 +20,6 @@ from .model import (
     format_sequence,
     parse_model,
     preference_masks,
-    sequence_utility,
     serialize_model,
 )
 from .graph import (
@@ -37,7 +36,6 @@ from .equilibrium import (
     ReceiverStrategy,
     canonical_strategy,
     evaluate_questionnaire,
-    receiver_objective,
     solve_exact,
     solve_heuristic,
     truthful_subset,
@@ -52,7 +50,6 @@ from .gameplay import (
     best_reports,
     cross_check_equivalence,
     recovery_report,
-    robust_recovery_set,
     simulate,
     table_strategy,
     worst_case_recovery,
@@ -63,7 +60,6 @@ from .rate import (
     RateBounds,
     asymptotic_bounds,
     extraction_rate,
-    fekete_check,
     finite_bounds,
 )
 
@@ -102,16 +98,12 @@ __all__ = [
     "example_model",
     "export_dot",
     "extraction_rate",
-    "fekete_check",
     "finite_bounds",
     "format_sequence",
     "max_independent_set",
     "parse_model",
     "preference_masks",
-    "receiver_objective",
     "recovery_report",
-    "robust_recovery_set",
-    "sequence_utility",
     "serialize_model",
     "simulate",
     "solve_exact",

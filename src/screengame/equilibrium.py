@@ -68,11 +68,6 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
     return tuple(out)
 
 
-def receiver_objective(model: Model, members) -> Fraction:
-    """Prior-weighted count of members every sender type reports truthfully."""
-    return evaluate_questionnaire(model, members).objective
-
-
 @dataclass(frozen=True)
 class Questionnaire:
     """One evaluated questionnaire with its per-type truthful subsets."""

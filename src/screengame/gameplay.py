@@ -132,22 +132,6 @@ def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReport
     )
 
 
-def robust_recovery_set(
-    model: Model,
-    strategy,
-    type_id: int,
-    *,
-    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[Seq, ...]:
-    """True sequences recovered no matter how this type breaks payoff ties.
-
-    A sequence qualifies exactly when its unique optimal decoded outcome is
-    itself. Read from `recovery_report`.
-    """
-    _check_type(model, type_id)
-    return recovery_report(model, strategy, enum_budget=enum_budget).robust[type_id]
-
-
 def worst_case_recovery(
     model: Model,
     strategy,
@@ -293,7 +277,8 @@ def cross_check_equivalence(
     sequence is enumerated when the space exceeds `subset_budget` sequences;
     the random mode does not read it. The payoff table holds k^(2n) totals
     per type, T * k^(2n) in all, so it is refused past `enum_budget` before
-    it or the scorer is built.
+    it or the scorer is built; so are the `count` * T * k^n truth scans of
+    the random mode.
     """
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
@@ -304,6 +289,10 @@ def cross_check_equivalence(
     totals = model.num_types * check_space(model, 2 * n, enum_budget, "cross-check payoff table")
     if totals > enum_budget:
         raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
+    # Each random draw scans every truth of every type.
+    scans = count * model.num_types * len(seqs)
+    if strategies == "random" and scans > enum_budget:
+        raise BudgetExceededError("random cross-check", scans, enum_budget)
     id_sets = _image_id_sets(len(seqs), strategies, count, seed)
     scale, _ = model.prior_weights
     checked = 0

@@ -48,9 +48,6 @@ class SenderGraph:
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically ordered."""
         out = []

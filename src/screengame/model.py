@@ -395,20 +395,6 @@ def _check_type(model: Model, type_id: int) -> None:
         raise ValueError(f"type id {type_id} out of range")
 
 
-def sequence_utility(model: Model, type_id: int, reported: Seq, truth: Seq) -> Fraction:
-    """Average per-letter payoff for reporting `reported` when `truth` holds."""
-    if len(reported) != len(truth):
-        raise ValueError(
-            f"reported and truth lengths differ: {len(reported)} vs {len(truth)}"
-        )
-    _check_sequence(model, reported, "reported")
-    _check_sequence(model, truth, "truth")
-    _check_type(model, type_id)
-    scale, table = model.scaled_utility[type_id]
-    total = sum(table[r][t] for r, t in zip(reported, truth))
-    return Fraction(total, len(truth) * scale)
-
-
 # Maps a lane's top byte to b"1" when its high bit is set, else to b"0".
 _TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 

@@ -135,48 +135,6 @@ class FeketeWitness:
     holds: bool  # alpha_sum >= alpha_m * alpha_n
 
 
-def fekete_check(
-    model: Model,
-    type_id: int,
-    m: int,
-    n: int,
-    *,
-    mis_budget: int = DEFAULT_EXACT_MIS_BUDGET,
-    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> FeketeWitness:
-    """Verify supermultiplicativity of independence numbers across horizons.
-
-    Products of independent sets are independent, so the number at horizon
-    m + n must reach the product of the numbers at m and n. Requires certified
-    sizes; raises past the exact-search budget rather than degrade.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("horizons must be >= 1")
-    horizons = dict.fromkeys((m, n, m + n))  # m == n is searched once
-    check_mis_budget(model, horizons, mis_budget)
-    alphas = {h: _alpha(model, type_id, h, mis_budget, enum_budget) for h in horizons}
-    return _witness(type_id, m, n, alphas)
-
-
-def _alpha(model: Model, type_id: int, horizon: int, mis_budget: int, enum_budget: int) -> int:
-    """One type's certified independence number at one horizon."""
-    graph = build_sender_graph(model, type_id, horizon, enum_budget=enum_budget)
-    return max_independent_set(graph, mis_budget=mis_budget).size
-
-
-def _witness(type_id: int, m: int, n: int, alphas: dict[int, int]) -> FeketeWitness:
-    """Witness from independence numbers `alphas[h]` at horizons m, n, m + n."""
-    return FeketeWitness(
-        type_id=type_id,
-        m=m,
-        n=n,
-        alpha_m=alphas[m],
-        alpha_n=alphas[n],
-        alpha_sum=alphas[m + n],
-        holds=alphas[m + n] >= alphas[m] * alphas[n],
-    )
-
-
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Long-horizon picture built from one-letter graphs and a best type."""
@@ -215,7 +173,11 @@ def asymptotic_bounds(
     alpha1 = one_letter.alpha_per_type
     best_type = max(range(model.num_types), key=lambda t: (alpha1[t], -t))
     alphas = [alpha1[best_type]] + [
-        _alpha(model, best_type, h, mis_budget, enum_budget) for h in range(2, n_max + 1)
+        max_independent_set(
+            build_sender_graph(model, best_type, h, enum_budget=enum_budget),
+            mis_budget=mis_budget,
+        ).size
+        for h in range(2, n_max + 1)
     ]
     estimates = tuple(extraction_rate(a, k + 1) for k, a in enumerate(alphas))
     # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h),
@@ -225,9 +187,16 @@ def asymptotic_bounds(
         if alphas[h - 1] ** floor_h > alphas[floor_h - 1] ** h:
             floor_h = h
 
-    by_horizon = dict(enumerate(alphas, start=1))
     witnesses = [
-        _witness(best_type, m, n, by_horizon)
+        FeketeWitness(
+            type_id=best_type,
+            m=m,
+            n=n,
+            alpha_m=alphas[m - 1],
+            alpha_n=alphas[n - 1],
+            alpha_sum=alphas[m + n - 1],
+            holds=alphas[m + n - 1] >= alphas[m - 1] * alphas[n - 1],
+        )
         for m in range(1, n_max)
         for n in range(m, n_max - m + 1)
     ]

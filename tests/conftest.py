@@ -79,6 +79,21 @@ def brute_alpha(graph: sg.SenderGraph) -> int:
     return best
 
 
+def sequence_utility(model: sg.Model, type_id: int, reported, truth) -> Fraction:
+    """Average per-letter payoff of `reported` under `truth`, in raw Fractions."""
+    payoffs = model.utility[type_id]
+    return sum((payoffs[r][x] for r, x in zip(reported, truth)), Fraction(0)) / len(truth)
+
+
+def fekete_check(model: sg.Model, type_id: int, m: int, n: int) -> bool:
+    """Supermultiplicativity: alpha at horizon m + n reaches alpha(m) * alpha(n)."""
+
+    def alpha(h: int) -> int:
+        return sg.max_independent_set(sg.build_sender_graph(model, type_id, h)).size
+
+    return alpha(m + n) >= alpha(m) * alpha(n)
+
+
 def brute_best(model: sg.Model, n: int) -> tuple[Fraction, list[tuple]]:
     """Optimum and all maximizers by evaluating every nonempty questionnaire."""
     seqs = sg.enumerate_sequences(model, n)
@@ -86,7 +101,7 @@ def brute_best(model: sg.Model, n: int) -> tuple[Fraction, list[tuple]]:
     sets: list[tuple] = []
     for size in range(1, len(seqs) + 1):
         for combo in itertools.combinations(seqs, size):
-            value = sg.receiver_objective(model, combo)
+            value = sg.evaluate_questionnaire(model, combo).objective
             if best is None or value > best:
                 best, sets = value, [combo]
             elif value == best:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import screengame as sg
 from screengame.cli import main as cli_main
 
-from conftest import brute_best, model_pool
+from conftest import brute_best, fekete_check
 
 
 class Gate:
@@ -146,8 +146,7 @@ def test_criterion_5_product_floor_and_growth_laws(example, pool):
             for type_id in range(model.num_types):
                 for m in (1, 2):
                     for n in range(m, 5 - m):
-                        witness = sg.fekete_check(model, type_id, m, n)
-                        assert witness.holds
+                        assert fekete_check(model, type_id, m, n)
                         witnesses += 1
 
         report = sg.asymptotic_bounds(example, 4)
@@ -178,8 +177,8 @@ def test_criterion_6_honest_identity_and_adversarial_play(example, pool):
             for members in image_sets:
                 strategy = sg.canonical_strategy(members)
                 strategies_checked += 1
-                for t in range(model.num_types):
-                    robust = sg.robust_recovery_set(model, strategy, t)
+                report = sg.recovery_report(model, strategy)
+                for t, robust in enumerate(report.robust):
                     if sg.classify_type(model, t) == sg.HONEST:
                         assert robust == strategy.image
                         honest_checked += 1

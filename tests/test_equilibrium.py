@@ -8,7 +8,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import X6, brute_best, make_random_model, model_pool
+from conftest import X6, brute_best, make_random_model, model_pool, sequence_utility
 
 
 def test_truthful_subset_known_cases(example):
@@ -28,11 +28,11 @@ def test_truthful_subset_ignores_order_and_duplicates(example):
 
 
 def test_receiver_objective_known_values(example):
-    assert sg.receiver_objective(example, [(0,), (1,), (2,)]) == 1
-    assert sg.receiver_objective(example, [(0,), (2,)]) == Fraction(4, 3)
-    assert sg.receiver_objective(example, [(1,), (2,)]) == Fraction(4, 3)
-    assert sg.receiver_objective(example, [(0,), (1,)]) == Fraction(2, 3)
-    assert sg.receiver_objective(example, [(0,)]) == 1
+    assert sg.evaluate_questionnaire(example, [(0,), (1,), (2,)]).objective == 1
+    assert sg.evaluate_questionnaire(example, [(0,), (2,)]).objective == Fraction(4, 3)
+    assert sg.evaluate_questionnaire(example, [(1,), (2,)]).objective == Fraction(4, 3)
+    assert sg.evaluate_questionnaire(example, [(0,), (1,)]).objective == Fraction(2, 3)
+    assert sg.evaluate_questionnaire(example, [(0,)]).objective == 1
 
 
 def test_objective_never_exceeds_size():
@@ -41,7 +41,7 @@ def test_objective_never_exceeds_size():
         seqs = sg.enumerate_sequences(m, 1)
         for _ in range(8):
             members = rng.sample(seqs, rng.randint(1, len(seqs)))
-            assert sg.receiver_objective(m, members) <= len(members)
+            assert sg.evaluate_questionnaire(m, members).objective <= len(members)
 
 
 def test_evaluate_questionnaire(example):
@@ -114,7 +114,7 @@ def test_solve_exact_example_three_letters_past_the_default_budget(example):
     result = sg.solve_exact(example, 3, subset_budget=27)
     assert result.certified
     assert result.optimum == 9
-    assert sg.receiver_objective(example, result.designated.members) == 9
+    assert sg.evaluate_questionnaire(example, result.designated.members).objective == 9
     assert result.subsets_examined + result.subsets_pruned == 2**27 - 1
     assert result.subsets_examined == 38
     assert (result.cover_cuts, result.tie_cuts) == (37, 0)
@@ -289,21 +289,32 @@ def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
             assert calls == _deceptive_ids(m)
 
 
+def _count_scans(monkeypatch) -> list[int]:
+    """Record the type id of every call of the scan-based `truthful_subset`."""
+    calls: list[int] = []
+    scan = sg.equilibrium.truthful_subset
+
+    def counting(model, members, type_id):
+        calls.append(type_id)
+        return scan(model, members, type_id)
+
+    monkeypatch.setattr(sg.equilibrium, "truthful_subset", counting)
+    return calls
+
+
 def test_solve_exact_scores_on_the_packed_scorer_alone(example, monkeypatch):
     # The walk's incumbent starts at the singleton value 1 in both modes, so
-    # the scan-based objective is never consulted.
+    # the scan-based objective runs once per type, on the designated set only.
     cases = [(example, 1), (example, 2), (_only_d(), 1), (_only_d(), 2)]
     expected = [brute_best(m, n) for m, n in cases]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve_exact must not call a second objective")
-
-    monkeypatch.setattr(sg.equilibrium, "receiver_objective", refuse)
+    calls = _count_scans(monkeypatch)
     for (m, n), (best, sets) in zip(cases, expected):
         for prune in (True, False):
+            calls.clear()
             result = sg.solve_exact(m, n, prune=prune, report_cap=1 << 20)
             assert result.optimum == best
             assert list(result.maximizers) == sets
+            assert calls == list(range(m.num_types))
 
 
 def test_solve_exact_respects_budget(example):
@@ -377,7 +388,7 @@ def test_heuristic_never_below_the_closure_seed(example):
         assert sg.solve_heuristic(example, 2, seed=seed).optimum == 3
     result = sg.solve_heuristic(example, 4)
     assert result.optimum >= 27
-    assert sg.receiver_objective(example, result.designated.members) == result.optimum
+    assert sg.evaluate_questionnaire(example, result.designated.members).objective == result.optimum
 
 
 def _closure(model, n):
@@ -409,7 +420,7 @@ def test_heuristic_returns_the_closure_floor_where_it_binds():
         honest = tuple(tuple(Fraction(int(r == t)) for t in symbols) for r in symbols)
         twin = sg.Model(m.alphabet, (*m.types, "z"), (*m.prior, Fraction(0)), (*m.utility, honest))
         floor = _closure(m, n)
-        floor_value = sg.receiver_objective(m, floor)
+        floor_value = sg.evaluate_questionnaire(m, floor).objective
         for seed in (0, 1):
             result = sg.solve_heuristic(m, n, seed=seed)
             local = sg.solve_heuristic(twin, n, seed=seed)
@@ -424,14 +435,13 @@ def test_heuristic_returns_the_closure_floor_where_it_binds():
 
 def test_solve_heuristic_never_calls_the_scan_based_objective(example, monkeypatch):
     # The floor, too, is scored on the packed masks; only the designated set
-    # is evaluated by the definition-level scan.
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve_heuristic must not call receiver_objective")
-
-    monkeypatch.setattr(sg.equilibrium, "receiver_objective", refuse)
+    # is evaluated by the definition-level scan, once per type.
+    calls = _count_scans(monkeypatch)
     for m, n in [(example, 1), (example, 2), (example, 3), (_only_d(), 1), (_only_d(), 2)]:
+        calls.clear()
         result = sg.solve_heuristic(m, n)
         assert result.designated.objective == result.optimum
+        assert calls == list(range(m.num_types))
 
 
 def test_heuristic_bounded_by_singleton_and_exact():
@@ -449,7 +459,7 @@ def _member_mask(model, result) -> int:
 
 # (optimum, designated members as a bitmask over enumerate_sequences order,
 # subsets_examined), recorded from the reference implementation of the
-# heuristic that rescored every trial with receiver_objective. The packed
+# heuristic that rescored every trial with the scan-based objective. The packed
 # walk must visit the same trials and break ties the same way.
 HEURISTIC_EXAMPLE_GOLDEN = {
     1: [("4/3", 0x6, 9), ("4/3", 0x5, 9), ("4/3", 0x6, 9)],
@@ -509,7 +519,7 @@ def test_heuristic_example_five_letters(example):
 
 def test_empty_questionnaire_rejected(example):
     with pytest.raises(ValueError):
-        sg.receiver_objective(example, [])
+        sg.evaluate_questionnaire(example, [])
     with pytest.raises(ValueError):
         sg.truthful_subset(example, [], 0)
 
@@ -528,7 +538,7 @@ def pair_graph_optimum(model: sg.Model, n: int) -> int:
     weights = [int(model.prior[t] * scale) for t, _ in pairs]
 
     def beats(t, y, x):
-        return sg.sequence_utility(model, t, y, x) >= sg.sequence_utility(model, t, x, x)
+        return sequence_utility(model, t, y, x) >= sequence_utility(model, t, x, x)
 
     adjacency = [
         sum(

@@ -9,7 +9,7 @@ import pytest
 import screengame as sg
 from screengame.cli import main
 
-from conftest import make_random_model, model_pool
+from conftest import make_random_model, model_pool, sequence_utility
 
 
 def naive_strategy(model, n=1):
@@ -58,13 +58,13 @@ def test_best_reports_validates_the_truth(example):
 def test_robust_recovery_sets(example):
     h = example.type_index("h")
     d = example.type_index("d")
-    naive = naive_strategy(example)
-    assert sg.robust_recovery_set(example, naive, h) == ((0,), (1,), (2,))
-    assert sg.robust_recovery_set(example, naive, d) == ()
+    naive = sg.recovery_report(example, naive_strategy(example)).robust
+    assert naive[h] == ((0,), (1,), (2,))
+    assert naive[d] == ()
 
-    gtilde = two_member_strategy()
-    assert sg.robust_recovery_set(example, gtilde, h) == ((0,), (2,))
-    assert sg.robust_recovery_set(example, gtilde, d) == ((0,),)
+    gtilde = sg.recovery_report(example, two_member_strategy()).robust
+    assert gtilde[h] == ((0,), (2,))
+    assert gtilde[d] == ((0,),)
 
 
 def test_worst_case_recovery_known_values(example):
@@ -98,14 +98,11 @@ def test_multiplicities_match_the_definition():
                 expected = 1
                 for truth in seqs:
                     payoffs = [
-                        sg.sequence_utility(m, t, strategy.decode(y), truth) for y in seqs
+                        sequence_utility(m, t, strategy.decode(y), truth) for y in seqs
                     ]
                     expected *= payoffs.count(max(payoffs))
                 assert report.multiplicities[t] == expected
             assert report.value == sg.worst_case_recovery(m, strategy)
-            assert report.robust == tuple(
-                sg.robust_recovery_set(m, strategy, t) for t in range(m.num_types)
-            )
 
 
 def test_oracle_never_uses_the_formula(monkeypatch):
@@ -124,15 +121,12 @@ def test_oracle_never_uses_the_formula(monkeypatch):
         strategy = sg.canonical_strategy(rng.sample(seqs, 6))
         report = sg.recovery_report(m, strategy)
         assert report.value == sg.worst_case_recovery(m, strategy)
-        assert report.robust == tuple(
-            sg.robust_recovery_set(m, strategy, t) for t in range(m.num_types)
-        )
         for t in range(m.num_types):
             for policy in sg.TIE_POLICIES:
                 outcome = sg.simulate(m, strategy, t, rng.choice(seqs), policy=policy)
                 assert outcome.decoded in strategy.image
     with pytest.raises(AssertionError, match="formula's code"):
-        sg.receiver_objective(m, strategy.image)
+        sg.evaluate_questionnaire(m, strategy.image)
     # The cross-check's formula side is the searches' kernel.
     with pytest.raises(AssertionError, match="formula's code"):
         sg.cross_check_equivalence(m, 1)
@@ -146,10 +140,8 @@ def test_only_the_image_matters(example):
         example, 1, {(0,): (0,), (1,): (2,), (2,): (2,)}
     )
     assert table.image == gtilde.image
+    assert sg.recovery_report(example, table).robust == sg.recovery_report(example, gtilde).robust
     for t in range(example.num_types):
-        assert sg.robust_recovery_set(example, table, t) == sg.robust_recovery_set(
-            example, gtilde, t
-        )
         for truth in sg.enumerate_sequences(example, 1):
             assert sg.best_reports(example, table, t, truth) == sg.best_reports(
                 example, gtilde, t, truth
@@ -266,7 +258,7 @@ def test_simulated_outcomes_are_realizable():
                 outcome = sg.simulate(m, strategy, t, truth)
                 assert outcome.decoded in strategy.image
                 assert strategy.decode(outcome.reported) == outcome.decoded
-                assert outcome.utility == sg.sequence_utility(
+                assert outcome.utility == sequence_utility(
                     m, t, outcome.decoded, truth
                 )
                 best = sg.best_reports(m, strategy, t, truth)
@@ -283,7 +275,7 @@ def test_honest_types_always_recover_under_the_naive_strategy():
             if sg.classify_type(m, t) != sg.HONEST:
                 continue
             checked += 1
-            assert sg.robust_recovery_set(m, naive, t) == tuple(seqs)
+            assert sg.recovery_report(m, naive).robust[t] == tuple(seqs)
     assert checked >= 3  # the pool must actually exercise honest types
 
 
@@ -315,7 +307,8 @@ def test_batched_routes_equal_the_public_functions():
             # A budget of exactly the k^(2n) pairs the scorer prices.
             scored = sg.gameplay._scored_image_sets(m, seqs, id_sets, len(seqs) ** 2)
             for members, played, formula in scored:
-                assert Fraction(formula, scale) == sg.receiver_objective(m, members), members
+                objective = sg.evaluate_questionnaire(m, members).objective
+                assert Fraction(formula, scale) == objective, members
                 played = Fraction(played, scale)
                 assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
                 checked += 1
@@ -347,14 +340,13 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
             for t in range(m.num_types):
                 robust_t = []
                 for truth in seqs:
-                    payoffs = [sg.sequence_utility(m, t, z, truth) for z in image]
+                    payoffs = [sequence_utility(m, t, z, truth) for z in image]
                     best = max(payoffs)
                     winners = tuple(z for z, u in zip(image, payoffs) if u == best)
                     assert sg.best_reports(m, strategy, t, truth).decoded == winners
                     if winners == (truth,):
                         robust_t.append(truth)
                 robust.append(tuple(robust_t))
-                assert sg.robust_recovery_set(m, strategy, t) == robust[t]
             value = sum(p * len(r) for p, r in zip(m.prior, robust))
             report = sg.recovery_report(m, strategy)
             assert (report.robust, report.value) == (tuple(robust), value)
@@ -392,7 +384,7 @@ def test_prior_weights_are_exact_and_a_zero_prior_counts_nothing():
 def test_played_out_scan_is_priced_before_it_runs(example, monkeypatch):
     # Example1 at n=7 with every sequence as a member: T * k^n * |image| =
     # 2 * 3^7 * 3^7 payoffs, refused at once under the default budget by the
-    # report and by both of its projections; under 2 * 3^14 the scan runs.
+    # report and by its projection; under 2 * 3^14 the scan runs.
     def payoffs_forbidden(*args, **kwargs):
         raise AssertionError("the scan ran")
 
@@ -401,7 +393,6 @@ def test_played_out_scan_is_priced_before_it_runs(example, monkeypatch):
     for route in (
         lambda **kw: sg.recovery_report(example, strategy, **kw),
         lambda **kw: sg.worst_case_recovery(example, strategy, **kw),
-        lambda **kw: sg.robust_recovery_set(example, strategy, 1, **kw),
     ):
         started = time.perf_counter()
         with pytest.raises(sg.BudgetExceededError, match="played-out scan") as info:
@@ -434,6 +425,25 @@ def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example,
     with pytest.raises(sg.BudgetExceededError, match="cross-check payoff table") as info:
         sg.cross_check_equivalence(example, 6, strategies="random", enum_budget=2 * 3**12 - 1)
     assert info.value.requested == 2 * 3**12
+
+
+def test_random_cross_check_prices_its_draws_before_the_scorer(example, monkeypatch):
+    # Each draw scans every truth of every type: count * T * k^n = 10^7 * 2 *
+    # 3^4 at example1 n=4, refused at once; a budget that holds them lets the
+    # run reach the scorer.
+    def scorer_forbidden(*args, **kwargs):
+        raise AssertionError("the scorer was built")
+
+    monkeypatch.setattr(sg.gameplay, "packed_scorer", scorer_forbidden)
+    started = time.perf_counter()
+    with pytest.raises(sg.BudgetExceededError, match="random cross-check") as info:
+        sg.cross_check_equivalence(example, 4, strategies="random", count=10**7)
+    assert time.perf_counter() - started < 1
+    assert (info.value.requested, info.value.budget) == (2 * 10**7 * 3**4, 10**6)
+    with pytest.raises(AssertionError, match="scorer was built"):
+        sg.cross_check_equivalence(
+            example, 4, strategies="random", count=10**7, enum_budget=2 * 10**7 * 3**4
+        )
 
 
 def test_cross_check_builds_its_scorer_under_its_own_budget(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 import screengame as sg
 from screengame.graph import clique_cover_bound
 
-from conftest import brute_alpha, make_random_model, model_pool
+from conftest import brute_alpha, make_random_model, model_pool, sequence_utility
 
 
 def graph_from_edges(count: int, edges) -> sg.SenderGraph:
@@ -104,7 +104,7 @@ def test_deceptive_two_letter_graph_is_complete(example):
     assert g.vertex_count == 9
     # every one of the 36 pairs is adjacent, checked pair by pair
     for u, v in itertools.combinations(range(9), 2):
-        assert g.has_edge(u, v)
+        assert g.adjacency[u] >> v & 1
     assert g.edge_count == 36
     result = sg.max_independent_set(g)
     assert result.size == 1 and result.certified
@@ -115,9 +115,9 @@ def test_no_self_loops_and_symmetry():
     for m in model_pool(10, seed=41):
         g = sg.build_sender_graph(m, 0, 1)
         for v in range(g.vertex_count):
-            assert not g.has_edge(v, v)
+            assert not g.adjacency[v] >> v & 1
             for u in range(g.vertex_count):
-                assert g.has_edge(u, v) == g.has_edge(v, u)
+                assert g.adjacency[u] >> v & 1 == g.adjacency[v] >> u & 1
 
 
 def test_edge_rule_matches_direct_average_comparison():
@@ -139,13 +139,13 @@ def test_edge_rule_matches_direct_average_comparison():
                 for i, j in pairs:
                     x, y = seqs[i], seqs[j]
                     expected = (
-                        sg.sequence_utility(m, t, x, x)
-                        <= sg.sequence_utility(m, t, y, x)
+                        sequence_utility(m, t, x, x)
+                        <= sequence_utility(m, t, y, x)
                     ) or (
-                        sg.sequence_utility(m, t, y, y)
-                        <= sg.sequence_utility(m, t, x, y)
+                        sequence_utility(m, t, y, y)
+                        <= sequence_utility(m, t, x, y)
                     )
-                    assert g.has_edge(i, j) == g.has_edge(j, i) == expected
+                    assert g.adjacency[i] >> j & 1 == g.adjacency[j] >> i & 1 == expected
 
 
 def test_union_is_edge_union(example):
@@ -189,7 +189,7 @@ def test_exact_independent_set_matches_bruteforce():
                 assert result.size == brute_alpha(g)
                 assert result.size == len(result.members)
                 for u, v in itertools.combinations(result.members, 2):
-                    assert not g.has_edge(u, v)
+                    assert not g.adjacency[u] >> v & 1
 
 
 def test_exact_search_is_deterministic():
@@ -209,10 +209,10 @@ def test_greedy_is_maximal_but_uncertified():
         assert greedy.size <= exact.size
         chosen = set(greedy.members)
         for u, v in itertools.combinations(greedy.members, 2):
-            assert not g.has_edge(u, v)
+            assert not g.adjacency[u] >> v & 1
         for v in range(g.vertex_count):
             if v not in chosen:
-                assert any(g.has_edge(v, u) for u in chosen)
+                assert any(g.adjacency[v] >> u & 1 for u in chosen)
 
 
 def test_exact_budget_is_enforced(example):

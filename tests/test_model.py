@@ -13,7 +13,7 @@ import screengame as sg
 from screengame.cli import _parse_sequence as parse_sequence
 from screengame.model import ModelSyntaxError
 
-from conftest import GRID, make_random_model, model_pool
+from conftest import GRID, make_random_model, model_pool, sequence_utility
 
 
 def test_example_shape(example):
@@ -35,12 +35,14 @@ def test_classify_diagonal_tie_is_not_honest():
 
 
 def test_sequence_utility_known_values(example):
-    assert sg.sequence_utility(example, 1, (1, 0), (0, 1)) == 2
-    assert sg.sequence_utility(example, 1, (2, 2), (0, 0)) == 0
-    assert sg.sequence_utility(example, 0, (0, 1, 2), (0, 1, 2)) == 1
+    assert sequence_utility(example, 1, (1, 0), (0, 1)) == 2
+    assert sequence_utility(example, 1, (2, 2), (0, 0)) == 0
+    assert sequence_utility(example, 0, (0, 1, 2), (0, 1, 2)) == 1
 
 
 def test_sequence_utility_matches_fraction_average():
+    # The kernel's integer totals over `scaled_utility`, divided back out,
+    # are the raw Fraction average.
     rng = random.Random(11)
     for m in model_pool(12, seed=3):
         n = rng.randint(1, 4)
@@ -48,10 +50,9 @@ def test_sequence_utility_matches_fraction_average():
             rep = tuple(rng.randrange(m.num_symbols) for _ in range(n))
             tru = tuple(rng.randrange(m.num_symbols) for _ in range(n))
             t = rng.randrange(m.num_types)
-            direct = sum(
-                (m.utility[t][r][x] for r, x in zip(rep, tru)), Fraction(0)
-            ) / n
-            assert sg.sequence_utility(m, t, rep, tru) == direct
+            scale, table = m.scaled_utility[t]
+            total = sum(table[r][x] for r, x in zip(rep, tru))
+            assert Fraction(total, n * scale) == sequence_utility(m, t, rep, tru)
 
 
 def test_averaging_consistency_across_concatenation():
@@ -63,9 +64,9 @@ def test_averaging_consistency_across_concatenation():
             rep = tuple(rng.randrange(m.num_symbols) for _ in range(a + b))
             tru = tuple(rng.randrange(m.num_symbols) for _ in range(a + b))
             t = rng.randrange(m.num_types)
-            whole = (a + b) * sg.sequence_utility(m, t, rep, tru)
-            left = a * sg.sequence_utility(m, t, rep[:a], tru[:a])
-            right = b * sg.sequence_utility(m, t, rep[a:], tru[a:])
+            whole = (a + b) * sequence_utility(m, t, rep, tru)
+            left = a * sequence_utility(m, t, rep[:a], tru[:a])
+            right = b * sequence_utility(m, t, rep[a:], tru[a:])
             assert whole == left + right
 
 
@@ -85,10 +86,10 @@ def test_honest_lifts_to_longer_sequences():
             seqs = sg.enumerate_sequences(m, n)
             for t in types:
                 for x in seqs:
-                    own = sg.sequence_utility(m, t, x, x)
+                    own = sequence_utility(m, t, x, x)
                     for y in seqs:
                         if y != x:
-                            assert sg.sequence_utility(m, t, y, x) < own
+                            assert sequence_utility(m, t, y, x) < own
 
 
 def test_scaled_utility_is_the_exact_table_times_its_scale():
@@ -107,9 +108,9 @@ def test_scaled_utility_is_the_exact_table_times_its_scale():
                 assert all(type(x) is int and x == e * scale for x, e in zip(int_row, row))
 
 
-def test_sequence_utility_rejects_mismatched_lengths(example):
-    with pytest.raises(ValueError):
-        sg.sequence_utility(example, 0, (0, 1), (0,))
+def test_best_reports_rejects_mismatched_lengths(example):
+    with pytest.raises(ValueError, match="truth length 2 differs from the strategy's 1"):
+        sg.best_reports(example, sg.canonical_strategy([(0,)]), 0, (0, 1))
 
 
 def test_enumerate_is_lexicographic(example):
@@ -162,7 +163,7 @@ def test_beaten_masks_match_definition_beyond_nine_sequences():
                     i, j = rng.randrange(len(seqs)), rng.randrange(len(seqs))
                     x, y = seqs[i], seqs[j]
                     expected = i != j and (
-                        sg.sequence_utility(m, t, y, x) >= sg.sequence_utility(m, t, x, x)
+                        sequence_utility(m, t, y, x) >= sequence_utility(m, t, x, x)
                     )
                     assert bool(masks[i] >> j & 1) == expected
                 for _ in range(20):
@@ -196,12 +197,12 @@ def _assert_masks_match_sequence_utility(m, t, n):
     """Every bit of both directions against raw Fraction averages; returns beaten_by."""
     seqs = sg.enumerate_sequences(m, n)
     beaten_by, beats = sg.preference_masks(m, t, seqs)
-    own = [sg.sequence_utility(m, t, x, x) for x in seqs]
+    own = [sequence_utility(m, t, x, x) for x in seqs]
     for i, x in enumerate(seqs):
         expected = sum(
             1 << j
             for j, y in enumerate(seqs)
-            if j != i and sg.sequence_utility(m, t, y, x) >= own[i]
+            if j != i and sequence_utility(m, t, y, x) >= own[i]
         )
         assert beaten_by[i] == expected
     assert beats == _bit_transpose(beaten_by)
@@ -502,14 +503,9 @@ def test_symbol_and_type_lookup(example):
 TYPE_ID_CALLS = {
     "build_sender_graph": lambda m, t: sg.build_sender_graph(m, t, 1),
     "truthful_subset": lambda m, t: sg.truthful_subset(m, [(0,), (1,)], t),
-    "robust_recovery_set": lambda m, t: sg.robust_recovery_set(
-        m, sg.canonical_strategy([(0,)]), t
-    ),
     "classify_type": sg.classify_type,
     "preference_masks": lambda m, t: sg.preference_masks(m, t, [(0,), (1,)]),
-    "fekete_check": lambda m, t: sg.fekete_check(m, t, 1, 1),
     "best_reports": lambda m, t: sg.best_reports(m, sg.canonical_strategy([(0,)]), t, (0,)),
-    "sequence_utility": lambda m, t: sg.sequence_utility(m, t, (0,), (0,)),
 }
 
 
@@ -575,8 +571,8 @@ REFUSALS = {
         "utility['t']: expected a 2x2 matrix",
     ),
     "empty sequence": (
-        lambda: sg.sequence_utility(sg.example_model(), 0, (), ()),
-        "reported: sequences must have length >= 1",
+        lambda: sg.best_reports(sg.example_model(), sg.TableStrategy(0, {(): ()}), 0, ()),
+        "truth: sequences must have length >= 1",
     ),
     "unseparated labels": (
         lambda: parse_sequence(_parse_tiny(alphabet=["ab", "cd"])(), "abcd"),

@@ -102,34 +102,11 @@ def test_small_subset_budget_degrades_achieved(example):
     assert bounds.achieved <= bounds.weighted_alpha
 
 
-def test_fekete_check_example_all_small_pairs(example):
-    for type_id in range(example.num_types):
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                if m + n > 4:
-                    continue
-                witness = sg.fekete_check(example, type_id, m, n)
-                assert witness.holds
-                assert witness.alpha_sum >= witness.alpha_m * witness.alpha_n
-
-
-def test_fekete_check_refuses_uncertifiable_horizons(example):
-    with pytest.raises(sg.BudgetExceededError):
-        sg.fekete_check(example, 0, 2, 2, mis_budget=10)
-    with pytest.raises(ValueError, match="horizons"):
-        sg.fekete_check(example, 0, 0, 1)
-
-
 def test_mis_budget_refuses_before_any_graph_is_built(example, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a graph was built before the budget check")
 
     monkeypatch.setattr(sg.rate, "build_sender_graph", fail)
-    with pytest.raises(sg.BudgetExceededError) as caught:
-        sg.fekete_check(example, 0, 2, 1, mis_budget=10)
-    assert (caught.value.what, caught.value.requested, caught.value.budget) == (
-        "exact independent set", 27, 10
-    )
     with pytest.raises(sg.BudgetExceededError) as caught:
         sg.asymptotic_bounds(example, 4, mis_budget=30)
     assert (caught.value.what, caught.value.requested, caught.value.budget) == (
@@ -155,9 +132,6 @@ def test_exact_searches_are_not_repeated(example, monkeypatch):
     searched.clear()
     assert sg.asymptotic_bounds(example, 3).alphas == (3, 9, 27)
     assert searched == [("h", 1), ("d", 1), ("h", 2), ("h", 3)]
-    searched.clear()
-    sg.fekete_check(example, 0, 2, 2)
-    assert searched == [("h", 2), ("h", 4)]  # m == n is searched once
 
 
 def test_asymptotic_example_golden(example):
