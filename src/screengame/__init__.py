@@ -16,7 +16,6 @@ from .model import (
     OTHER,
     classify_type,
     enumerate_sequences,
-    example_model,
     format_sequence,
     parse_model,
     preference_masks,
@@ -41,18 +40,15 @@ from .equilibrium import (
     truthful_subset,
 )
 from .gameplay import (
-    BestReportOutcome,
     CrossCheckResult,
     RecoveryReport,
     SimulationOutcome,
     TIE_POLICIES,
     TableStrategy,
-    best_reports,
     cross_check_equivalence,
     recovery_report,
     simulate,
     table_strategy,
-    worst_case_recovery,
 )
 from .rate import (
     AsymptoticReport,
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticReport",
-    "BestReportOutcome",
     "BudgetExceededError",
     "CrossCheckResult",
     "EXAMPLE1_TEXT",
@@ -88,14 +83,12 @@ __all__ = [
     "TIE_POLICIES",
     "TableStrategy",
     "asymptotic_bounds",
-    "best_reports",
     "build_sender_graph",
     "canonical_strategy",
     "classify_type",
     "cross_check_equivalence",
     "enumerate_sequences",
     "evaluate_questionnaire",
-    "example_model",
     "export_dot",
     "extraction_rate",
     "finite_bounds",
@@ -111,5 +104,4 @@ __all__ = [
     "table_strategy",
     "truthful_subset",
     "union_graph",
-    "worst_case_recovery",
 ]

@@ -22,6 +22,8 @@ from .model import (
     HONEST,
     Model,
     Seq,
+    _check_sequences,
+    _count_sequences,
     check_space,
     classify_type,
     enumerate_sequences,
@@ -54,6 +56,7 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
     reference the exact search is tested against.
     """
     mem = _normalize_members(members)
+    _check_sequences(model, mem, "member")
     if classify_type(model, type_id) == HONEST:
         return mem
     _, table = model.scaled_utility[type_id]
@@ -123,9 +126,10 @@ def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy
     return ReceiverStrategy(len(mem[0]), mem, fallback)
 
 
-def packed_scorer(model: Model, seqs: list[Seq], enum_budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """The receiver objective on member bitmasks: (scale, beats, score, covers).
+def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """The receiver objective on member bitmasks: (seqs, scale, beats, score, covers).
 
+    Bit v of a member set I stands for seqs[v], the v-th length-n sequence.
     A member x of I is truthful for a deceptive type when no other member
     beats it, so the type's truthful count is |I| minus |I & beaten|, where
     beaten is the OR of beats[y] over y in I and beats[y] holds the members
@@ -135,10 +139,12 @@ def packed_scorer(model: Model, seqs: list[Seq], enum_budget: int = DEFAULT_ENUM
     objective times `scale`, the model's `prior_weights` scale, so searches
     compare integers. covers holds (the type's prior weight, bit offset,
     sender graph) per deceptive type, in slot order; the graph's row y is
-    beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives.
-    Its k^(2n) pairs are refused past `enum_budget` before any type is read.
+    beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives. Its
+    k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
     """
-    check_space(model, 2 * len(seqs[0]), enum_budget, "packed scorer")
+    _count_sequences(model, n, enum_budget)
+    check_space(model, 2 * n, enum_budget, "packed scorer")
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     count = len(seqs)
     scale, weights = model.prior_weights
     beats = [0] * count
@@ -163,7 +169,7 @@ def packed_scorer(model: Model, seqs: list[Seq], enum_budget: int = DEFAULT_ENUM
             value -= weight * (hit >> shift & low).bit_count()
         return value
 
-    return scale, beats, score, covers
+    return seqs, scale, beats, score, covers
 
 
 @dataclass(frozen=True)
@@ -224,9 +230,7 @@ def solve_exact(
     if report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {report_cap}")
     count = check_space(model, n, subset_budget, "questionnaire search")
-    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
-
-    scale, beats, score, covers = packed_scorer(model, seqs, enum_budget)
+    seqs, scale, beats, score, covers = packed_scorer(model, n, enum_budget)
     low = (1 << count) - 1
     honest = scale - sum(weight for weight, _, _ in covers)
     listed = max(report_cap, 1)  # maximizers walked before ties are cut
@@ -313,12 +317,10 @@ def solve_heuristic(
     costs one OR, and a drop recomputes the OR of the kept members once.
     Among equal-scoring trials the first one visited wins.
     """
-    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
-    rng = random.Random(seed)
-    scale, beats, score, covers = packed_scorer(model, seqs, enum_budget)
+    seqs, scale, beats, score, covers = packed_scorer(model, n, enum_budget)
     full = (1 << len(seqs)) - 1
 
-    start = rng.randrange(len(seqs))
+    start = random.Random(seed).randrange(len(seqs))
     current, beaten = 1 << start, beats[start]
     current_value = score(current, beaten)
     evaluations = 1

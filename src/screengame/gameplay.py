@@ -33,8 +33,9 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
-    _check_sequence,
+    _check_sequences,
     _check_type,
+    _count_sequences,
     check_space,
     enumerate_sequences,
 )
@@ -75,16 +76,8 @@ def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrate
     for decoded in normalized.values():
         if len(decoded) != n:
             raise ValueError(f"decoded sequence {decoded} has length {len(decoded)}, not {n}")
-        _check_sequence(model, decoded, "decoded sequence")
+        _check_sequences(model, [decoded], "decoded sequence")
     return TableStrategy(n, normalized)
-
-
-@dataclass(frozen=True)
-class BestReportOutcome:
-    truth: Seq
-    type_id: int
-    decoded: tuple[Seq, ...]  # decoded outcomes reachable by optimal reports
-    utility: Fraction  # the optimal averaged payoff
 
 
 def _payoffs(model: Model, type_id: int, truths, reports) -> Iterator[list[int]]:
@@ -112,36 +105,6 @@ def _robust(truths, winners) -> tuple[Seq, ...]:
     return tuple(truth for truth, won in zip(truths, winners) if won == [truth])
 
 
-def best_reports(model: Model, strategy, type_id: int, truth: Seq) -> BestReportOutcome:
-    """Decoded outcomes a sender of this type can force with optimal reports.
-
-    Every decoded outcome is reachable by some report, so the scan ranges over
-    the strategy's image rather than over raw reports.
-    """
-    truth = tuple(truth)
-    image = strategy.image
-    if len(truth) != len(image[0]):
-        raise ValueError(f"truth length {len(truth)} differs from the strategy's {len(image[0])}")
-    _check_sequence(model, truth, "truth")
-    _check_type(model, type_id)
-    scale, _ = model.scaled_utility[type_id]
-    (totals,) = _payoffs(model, type_id, [truth], image)
-    best_total, winners = _best_response(totals, image)
-    return BestReportOutcome(
-        truth, type_id, tuple(winners), Fraction(best_total, len(truth) * scale)
-    )
-
-
-def worst_case_recovery(
-    model: Model,
-    strategy,
-    *,
-    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Fraction:
-    """Prior-weighted count of sequences recovered against worst-case senders."""
-    return recovery_report(model, strategy, enum_budget=enum_budget).value
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     value: Fraction  # prior-weighted worst-case recovery count
@@ -160,14 +123,15 @@ def recovery_report(
     The one scan: one `_best_response` over the image per type and truth
     gives both. The multiplicity for a type is the product over true
     sequences of the number of reports that decode into an optimal outcome,
-    since best responses choose independently at each true sequence. Its
-    T * k^n * |image| payoffs are refused past `enum_budget` before any is summed.
+    since best responses choose independently at each true sequence. Its k^n
+    sequences, then its T * k^n * |image| payoffs, are refused past `enum_budget` first.
     """
     image = strategy.image
-    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
-    payoffs = model.num_types * len(seqs) * len(image)
+    _check_sequences(model, image, "image")
+    payoffs = model.num_types * _count_sequences(model, len(image[0]), enum_budget) * len(image)
     if payoffs > enum_budget:
         raise BudgetExceededError("played-out scan", payoffs, enum_budget)
+    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
@@ -203,8 +167,10 @@ def simulate(
 ) -> SimulationOutcome:
     """Play one round: the sender reports optimally, ties broken per policy.
 
-    Policies: adversarial picks an outcome differing from the truth whenever
-    one exists (least such), lexicographic picks the least outcome, random
+    The options, the outcomes optimal reports decode to, are found by a scan
+    of the image: every decoded outcome is reachable by some report.
+    Policies: adversarial picks an option differing from the truth whenever
+    one exists (least such), lexicographic picks the least option, random
     draws from a generator seeded per (seed, type, truth) so concurrent calls
     replay identically.
     """
@@ -212,8 +178,15 @@ def simulate(
     n = len(truth)
     # The report is located by scanning the whole sequence space.
     check_space(model, n, enum_budget, "report search")
-    outcome = best_reports(model, strategy, type_id, truth)
-    options = outcome.decoded
+    image = strategy.image
+    if n != len(image[0]):
+        raise ValueError(f"truth length {n} differs from the strategy's {len(image[0])}")
+    _check_sequences(model, [truth], "truth")
+    _check_type(model, type_id)
+    _check_sequences(model, image, "image")
+    scale, _ = model.scaled_utility[type_id]
+    (totals,) = _payoffs(model, type_id, [truth], image)
+    best_total, options = _best_response(totals, image)
     if policy == ADVERSARIAL:
         lying = [z for z in options if z != truth]
         decoded = min(lying) if lying else options[0]
@@ -223,23 +196,20 @@ def simulate(
         stream_seed = seed
         for part in (type_id, len(truth), *truth):
             stream_seed = stream_seed * 1000003 + part + 1
-        decoded = random.Random(stream_seed).choice(list(options))
+        decoded = random.Random(stream_seed).choice(options)
     else:
         raise ValueError(f"unknown tie policy {policy!r}")
-    reported = None
-    for y in itertools.product(range(model.num_symbols), repeat=n):
-        if strategy.decode(y) == decoded:
-            reported = y
-            break
-    assert reported is not None  # decoded is in the image, some report reaches it
+    # decoded is in the image, so some report reaches it; the least one is kept.
+    reports = itertools.product(range(model.num_symbols), repeat=n)
+    reported = next(y for y in reports if strategy.decode(y) == decoded)
     return SimulationOutcome(
         truth=truth,
         policy=policy,
-        options=options,
+        options=tuple(options),
         decoded=decoded,
         reported=reported,
         recovered=decoded == truth,
-        utility=outcome.utility,
+        utility=Fraction(best_total, n * scale),
     )
 
 
@@ -284,20 +254,20 @@ def cross_check_equivalence(
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
-    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
+    space = _count_sequences(model, n, enum_budget)
     # One type's k^(2n) first, so a huge horizon is refused before k^(2n) is built.
     totals = model.num_types * check_space(model, 2 * n, enum_budget, "cross-check payoff table")
     if totals > enum_budget:
         raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
     # Each random draw scans every truth of every type.
-    scans = count * model.num_types * len(seqs)
+    scans = count * model.num_types * space
     if strategies == "random" and scans > enum_budget:
         raise BudgetExceededError("random cross-check", scans, enum_budget)
-    id_sets = _image_id_sets(len(seqs), strategies, count, seed)
+    id_sets = _image_id_sets(space, strategies, count, seed)
     scale, _ = model.prior_weights
     checked = 0
     mismatches = []
-    for members, played, formula in _scored_image_sets(model, seqs, id_sets, enum_budget):
+    for members, played, formula in _scored_image_sets(model, n, id_sets, enum_budget):
         checked += 1
         if played != formula:
             mismatches.append((members, Fraction(played, scale), Fraction(formula, scale)))
@@ -318,10 +288,10 @@ def _image_id_sets(
     raise ValueError(f"unknown strategies mode {strategies!r}")
 
 
-def _scored_image_sets(model: Model, seqs: list[Seq], id_sets, enum_budget: int):
+def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
     """Yield (members, played, formula) per image set, each over the `prior_weights` scale."""
     _, weights = model.prior_weights
-    _, beats, score, _ = packed_scorer(model, seqs, enum_budget)
+    seqs, _, beats, score, _ = packed_scorer(model, n, enum_budget)
     tables = [list(_payoffs(model, t, seqs, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)

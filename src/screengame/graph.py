@@ -21,6 +21,7 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     HONEST,
     Model,
+    _count_sequences,
     check_space,
     classify_type,
     enumerate_sequences,
@@ -71,10 +72,11 @@ def build_sender_graph(
 
     x and y are adjacent when either one weakly beats the other as a report,
     so the adjacency is the kernel's beaten-by masks OR its beats masks.
-    Its k^(2n) pairs, like its k^n sequences, are refused past `enum_budget` first.
+    Its k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
     """
-    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
+    _count_sequences(model, n, enum_budget)
     check_space(model, 2 * n, enum_budget, "sender graph")
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     if classify_type(model, type_id) == HONEST:  # strict wins stay strict under sums
         adjacency = (0,) * len(seqs)
     else:

@@ -335,11 +335,6 @@ EXAMPLE1_TEXT = """\
 """
 
 
-def example_model() -> Model:
-    """Built-in three-symbol fixture with one honest and one deceptive type."""
-    return parse_model(EXAMPLE1_TEXT)
-
-
 # ----------------------------------------------------------------------
 # sequences and payoffs
 
@@ -350,10 +345,15 @@ def enumerate_sequences(
     model: Model, n: int, *, enum_budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[Seq]:
     """All length-n symbol-id sequences in lexicographic order."""
+    _count_sequences(model, n, enum_budget)
+    return list(itertools.product(range(model.num_symbols), repeat=n))
+
+
+def _count_sequences(model: Model, n: int, enum_budget: int) -> int:
+    """k^n, refused as `enumerate_sequences` refuses it, but with no sequence built."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    check_space(model, n, enum_budget, "sequence enumeration")
-    return list(itertools.product(range(model.num_symbols), repeat=n))
+    return check_space(model, n, enum_budget, "sequence enumeration")
 
 
 def check_space(model: Model, n: int, budget: int, what: str) -> int:
@@ -381,13 +381,14 @@ def format_sequence(model: Model, seq: Seq) -> str:
     return _label_separator(model).join([model.alphabet[s] for s in seq])
 
 
-def _check_sequence(model: Model, seq: Seq, name: str) -> None:
-    if len(seq) < 1:
-        raise ValueError(f"{name}: sequences must have length >= 1")
+def _check_sequences(model: Model, seqs, name: str) -> None:
     k = model.num_symbols
-    for s in seq:
-        if not 0 <= s < k:
-            raise ValueError(f"{name}: symbol id {s} out of range")
+    for seq in seqs:
+        if len(seq) < 1:
+            raise ValueError(f"{name}: sequences must have length >= 1")
+        for s in seq:
+            if not 0 <= s < k:
+                raise ValueError(f"{name}: symbol id {s} out of range")
 
 
 def _check_type(model: Model, type_id: int) -> None:

@@ -57,7 +57,7 @@ def pool() -> list[sg.Model]:
 
 @pytest.fixture()
 def example() -> sg.Model:
-    return sg.example_model()
+    return sg.parse_model(sg.EXAMPLE1_TEXT)
 
 
 def brute_alpha(graph: sg.SenderGraph) -> int:

@@ -39,13 +39,13 @@ def test_criterion_1_example_golden_values(example):
     with Gate(1) as gate:
         started = time.perf_counter()
         naive = sg.canonical_strategy(sg.enumerate_sequences(example, 1))
-        assert sg.worst_case_recovery(example, naive) == 1
+        assert sg.recovery_report(example, naive).value == 1
         designated = sg.canonical_strategy([(0,), (2,)])
-        assert sg.worst_case_recovery(example, designated) == Fraction(4, 3)
+        assert sg.recovery_report(example, designated).value == Fraction(4, 3)
         assert sg.solve_exact(example, 1).optimum == Fraction(4, 3)
         for n in (1, 2):
             constant = sg.canonical_strategy([(0,) * n])
-            value = sg.worst_case_recovery(example, constant)
+            value = sg.recovery_report(example, constant).value
             assert value == 1
             assert sg.extraction_rate(value, n) == 1.0
         elapsed = time.perf_counter() - started

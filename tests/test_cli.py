@@ -568,6 +568,10 @@ def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys)
     assert "cross-check payoff table: requested 9565938 exceeds budget 4782969" in err
 
 
+# Every example1 sequence at n=7, as a questionnaire.
+ALL_N7 = ";".join(map("".join, itertools.product("012", repeat=7)))
+
+
 @pytest.mark.parametrize(
     "argv, refusal",
     [
@@ -575,25 +579,32 @@ def test_oracle_check_refuses_a_payoff_table_past_the_enumeration_budget(capsys)
         ((*GRAPH_D, "--n", "7", "--alpha", "skip"), "sender graph"),
         (("solve", "--n", "7", "--mode", "heuristic"), "packed scorer"),
         (("solve", "--n", "7", "--subset-budget", "2187"), "packed scorer"),
+        (("oracle-check", "--n", "7", "--strategies", "random"), "cross-check payoff table"),
+        (("simulate", "--type", "d", "--truth", "0" * 7, "--members", ALL_N7), "played-out scan"),
     ],
 )
 def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch, argv, refusal):
-    # 3^7 sequences pass --enum-budget, but their 3^14 pairs do not.
+    # 3^7 sequences pass --enum-budget, but their 3^14 pairs do not, nor the
+    # played-out scan's 2 * 3^7 * 3^7 payoffs: each is refused before the
+    # space is enumerated, and a budget that holds them lets the work begin.
     def fail(*args, **kwargs):
-        raise AssertionError("the kernel ran")
+        raise AssertionError("the work began")
 
+    for module in (sg.graph, sg.equilibrium, sg.gameplay):
+        monkeypatch.setattr(module, "enumerate_sequences", fail)
     monkeypatch.setattr(sg.graph, "preference_masks", fail)
     monkeypatch.setattr(sg.equilibrium, "preference_masks", fail)
+    requested = 2 * 3**14 if refusal == "played-out scan" else 3**14
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--model", "example1")
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert f"{refusal}: requested 4782969 exceeds budget 1000000" in err
-    with pytest.raises(AssertionError, match="the kernel ran"):
-        main([*argv, "--model", "example1", "--enum-budget", "4782969"])
+    assert f"{refusal}: requested {requested} exceeds budget 1000000" in err
+    with pytest.raises(AssertionError, match="the work began"):
+        main([*argv, "--model", "example1", "--enum-budget", str(2 * 3**14)])
 
 
-def test_integers_past_the_decimal_limit_print_in_hex(capsys):
+def test_integers_past_the_decimal_limit_print_in_hex(capsys, example):
     # At n=7 the best-response multiplicities of example1 have over 4,300
     # decimal digits, past what str() converts by default.
     members = "0000000;2222222"
@@ -602,10 +613,9 @@ def test_integers_past_the_decimal_limit_print_in_hex(capsys):
         "--members", members, "--format", "machine",
     )
     assert (code, err) == (0, "")
-    model = sg.example_model()
     strategy = sg.canonical_strategy([(0,) * 7, (2,) * 7])
-    report = sg.recovery_report(model, strategy)
-    for label, m in zip(model.types, report.multiplicities):
+    report = sg.recovery_report(example, strategy)
+    for label, m in zip(example.types, report.multiplicities):
         assert m.bit_length() * math.log10(2) > 4300
         assert f"best_response_multiplicity.{label}={hex(m)}" in out.splitlines()
 
@@ -626,19 +636,6 @@ def test_rationals_past_the_decimal_limit_print_in_hex(capsys, tmp_path):
     utility = sum(diagonal) / 3
     assert utility.denominator.bit_length() == 14928
     assert f"utility={hex(utility.numerator)}/{hex(utility.denominator)}" in out.splitlines()
-
-
-def test_simulate_refuses_a_played_out_scan_past_the_enumeration_budget(capsys):
-    # Every example1 sequence at n=7 as a member: 2 * 3^7 * 3^7 payoffs.
-    members = ";".join(map("".join, itertools.product("012", repeat=7)))
-    started = time.perf_counter()
-    code, out, err = run(
-        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "0000000",
-        "--members", members,
-    )
-    assert time.perf_counter() - started < 1
-    assert (code, out) == (1, "")
-    assert "played-out scan: requested 9565938 exceeds budget 1000000" in err
 
 
 def test_solve_refuses_negative_report_cap_in_both_modes(capsys):
@@ -735,9 +732,9 @@ def test_models_that_parse_alike_share_one_digest(capsys, tmp_path):
         assert f"digest={ODD_DIGEST}" in out.splitlines()
 
 
-def test_model_file_round_trips_through_the_cli(capsys, tmp_path):
+def test_model_file_round_trips_through_the_cli(capsys, tmp_path, example):
     path = tmp_path / "example.json"
-    path.write_text(sg.serialize_model(sg.example_model()), encoding="utf-8")
+    path.write_text(sg.serialize_model(example), encoding="utf-8")
     _, from_file, _ = run(capsys, "solve", "--model", str(path), "--n", "1")
     _, builtin, _ = run(capsys, "solve", "--model", "example1", "--n", "1")
     assert f"digest: {EXAMPLE1_DIGEST}" in from_file

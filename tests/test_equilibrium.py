@@ -223,48 +223,51 @@ def test_scorer_covers_are_the_sender_graphs():
     for m in cases:
         deceptive = _deceptive_ids(m)
         for n in (1, 2):
-            seqs = sg.enumerate_sequences(m, n)
-            scale, _, _, covers = sg.equilibrium.packed_scorer(m, seqs)
+            seqs, scale, _, _, covers = sg.equilibrium.packed_scorer(m, n)
+            assert seqs == sg.enumerate_sequences(m, n)
             assert len(covers) == len(deceptive)
             for slot, (t, (weight, shift, graph)) in enumerate(zip(deceptive, covers)):
                 assert (weight, shift) == (m.prior[t] * scale, slot * len(seqs))
                 assert graph == sg.build_sender_graph(m, t, n).adjacency
     # With every type honest there is no cover, and any set I scores scale * |I|.
     all_honest = _typed(["g", "h"])
-    scale, beats, score, covers = sg.equilibrium.packed_scorer(
-        all_honest, sg.enumerate_sequences(all_honest, 2)
-    )
+    _, scale, beats, score, covers = sg.equilibrium.packed_scorer(all_honest, 2)
     assert covers == [] and beats == [0] * 9
     for members in range(1, 1 << 9):
         assert score(members, 0) == scale * members.bit_count()
 
 
 def test_packed_scorer_refuses_exactly_past_its_pairs(monkeypatch):
-    # The scorer prices its k^(2n) (report, truth) pairs before it reads any
-    # type, so a refusal never reaches the kernel, and an all-honest model,
-    # whose scorer never runs it, is priced all the same.
+    # The scorer prices its k^n sequences, then its k^(2n) (report, truth)
+    # pairs, before it builds any sequence or reads any type, so a refusal
+    # never reaches the kernel, and an all-honest model, whose scorer never
+    # runs it, is priced all the same.
     rng = random.Random(31)
     cases = [_typed(["g", "h"])]
     cases += [make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3)) for _ in range(5)]
-    kernel = sg.equilibrium.preference_masks
 
-    def kernel_forbidden(*args, **kwargs):
-        raise AssertionError("the kernel ran")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scorer built its tables")
 
     for m in cases:
         for n in (1, 2):
-            seqs = sg.enumerate_sequences(m, n)
-            pairs = len(seqs) ** 2
+            space = len(sg.enumerate_sequences(m, n))
+            pairs = space**2
             for budget in (pairs - 1, pairs, pairs + 1, rng.randint(1, 2 * pairs)):
-                if budget < pairs:
-                    monkeypatch.setattr(sg.equilibrium, "preference_masks", kernel_forbidden)
-                    with pytest.raises(sg.BudgetExceededError, match="packed scorer") as info:
-                        sg.equilibrium.packed_scorer(m, seqs, enum_budget=budget)
-                    assert (info.value.requested, info.value.budget) == (pairs, budget)
-                else:
-                    monkeypatch.setattr(sg.equilibrium, "preference_masks", kernel)
-                    scale, _, _, _ = sg.equilibrium.packed_scorer(m, seqs, enum_budget=budget)
+                if budget >= pairs:
+                    _, scale, _, _, _ = sg.equilibrium.packed_scorer(m, n, enum_budget=budget)
                     assert scale == m.prior_weights[0]
+                    continue
+                # A budget below the k^n sequences names them first.
+                what, requested = ("packed scorer", pairs) if budget >= space else (
+                    "sequence enumeration", space
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(sg.equilibrium, "preference_masks", forbidden)
+                    patch.setattr(sg.equilibrium, "enumerate_sequences", forbidden)
+                    with pytest.raises(sg.BudgetExceededError, match=what) as info:
+                        sg.equilibrium.packed_scorer(m, n, enum_budget=budget)
+                assert (info.value.requested, info.value.budget) == (requested, budget)
 
 
 def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
@@ -281,7 +284,7 @@ def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
     cases += [make_random_model(rng, 2, 3) for _ in range(3)]
     for m in cases:
         for call in (
-            lambda: sg.equilibrium.packed_scorer(m, sg.enumerate_sequences(m, 2)),
+            lambda: sg.equilibrium.packed_scorer(m, 2),
             lambda: sg.solve_exact(m, 2),
         ):
             calls.clear()

@@ -24,17 +24,17 @@ def test_best_reports_known_cases(example):
     h = example.type_index("h")
     d = example.type_index("d")
     naive = naive_strategy(example)
-    out = sg.best_reports(example, naive, d, (2,))
-    assert out.decoded == ((0,), (1,))
+    out = sg.simulate(example, naive, d, (2,))
+    assert out.options == ((0,), (1,))
     assert out.utility == 1
 
     gtilde = two_member_strategy()
-    out = sg.best_reports(example, gtilde, d, (0,))
-    assert out.decoded == ((0,),)
+    out = sg.simulate(example, gtilde, d, (0,))
+    assert out.options == ((0,),)
     assert out.utility == 1
 
-    out = sg.best_reports(example, gtilde, h, (1,))
-    assert out.decoded == ((0,), (2,))
+    out = sg.simulate(example, gtilde, h, (1,))
+    assert out.options == ((0,), (2,))
     assert out.utility == 0
 
 
@@ -44,15 +44,15 @@ def test_best_reports_validates_the_truth(example):
     with pytest.raises(ValueError, match="truth length 1 differs"):
         sg.simulate(example, strategy, 1, (2,))
     with pytest.raises(ValueError, match="truth length 3 differs"):
-        sg.best_reports(example, strategy, 0, (0, 0, 0))
+        sg.simulate(example, strategy, 0, (0, 0, 0))
     with pytest.raises(ValueError, match="symbol id 5 out of range"):
         sg.simulate(example, strategy, 0, (5, 5))
     with pytest.raises(ValueError, match="symbol id -1 out of range"):
-        sg.best_reports(example, strategy, 0, (0, -1))
+        sg.simulate(example, strategy, 0, (0, -1))
     for type_id in (7, 2, -1):
         with pytest.raises(ValueError, match=f"type id {type_id} out of range"):
-            sg.best_reports(example, strategy, type_id, (0, 0))
-    assert sg.best_reports(example, strategy, 1, (2, 2)).decoded == ((0, 0),)
+            sg.simulate(example, strategy, type_id, (0, 0))
+    assert sg.simulate(example, strategy, 1, (2, 2)).options == ((0, 0),)
 
 
 def test_robust_recovery_sets(example):
@@ -68,9 +68,9 @@ def test_robust_recovery_sets(example):
 
 
 def test_worst_case_recovery_known_values(example):
-    assert sg.worst_case_recovery(example, naive_strategy(example)) == 1
-    assert sg.worst_case_recovery(example, two_member_strategy()) == Fraction(4, 3)
-    assert sg.worst_case_recovery(example, sg.canonical_strategy([(0,)])) == 1
+    assert sg.recovery_report(example, naive_strategy(example)).value == 1
+    assert sg.recovery_report(example, two_member_strategy()).value == Fraction(4, 3)
+    assert sg.recovery_report(example, sg.canonical_strategy([(0,)])).value == 1
 
 
 def test_recovery_report_multiplicities(example):
@@ -102,7 +102,7 @@ def test_multiplicities_match_the_definition():
                     ]
                     expected *= payoffs.count(max(payoffs))
                 assert report.multiplicities[t] == expected
-            assert report.value == sg.worst_case_recovery(m, strategy)
+            assert report.value == sum(p * len(r) for p, r in zip(m.prior, report.robust))
 
 
 def test_oracle_never_uses_the_formula(monkeypatch):
@@ -120,7 +120,7 @@ def test_oracle_never_uses_the_formula(monkeypatch):
         seqs = sg.enumerate_sequences(m, n)
         strategy = sg.canonical_strategy(rng.sample(seqs, 6))
         report = sg.recovery_report(m, strategy)
-        assert report.value == sg.worst_case_recovery(m, strategy)
+        assert report.value == sum(p * len(r) for p, r in zip(m.prior, report.robust))
         for t in range(m.num_types):
             for policy in sg.TIE_POLICIES:
                 outcome = sg.simulate(m, strategy, t, rng.choice(seqs), policy=policy)
@@ -143,16 +143,16 @@ def test_only_the_image_matters(example):
     assert sg.recovery_report(example, table).robust == sg.recovery_report(example, gtilde).robust
     for t in range(example.num_types):
         for truth in sg.enumerate_sequences(example, 1):
-            assert sg.best_reports(example, table, t, truth) == sg.best_reports(
-                example, gtilde, t, truth
-            )
-    assert sg.worst_case_recovery(example, table) == Fraction(4, 3)
+            # Only the least report reaching the outcome may differ.
+            played = [sg.simulate(example, s, t, truth) for s in (table, gtilde)]
+            assert len({(o.options, o.decoded, o.utility) for o in played}) == 1
+    assert sg.recovery_report(example, table).value == Fraction(4, 3)
 
 
 def test_fallback_choice_does_not_change_recovery(example):
     a = sg.canonical_strategy([(0,), (2,)])
     b = sg.canonical_strategy([(0,), (2,)], fallback=(2,))
-    assert sg.worst_case_recovery(example, a) == sg.worst_case_recovery(example, b)
+    assert sg.recovery_report(example, a).value == sg.recovery_report(example, b).value
 
 
 def test_table_strategy_must_be_total(example):
@@ -261,9 +261,10 @@ def test_simulated_outcomes_are_realizable():
                 assert outcome.utility == sequence_utility(
                     m, t, outcome.decoded, truth
                 )
-                best = sg.best_reports(m, strategy, t, truth)
-                assert outcome.options == best.decoded
-                assert outcome.decoded in best.decoded
+                payoffs = [sequence_utility(m, t, z, truth) for z in strategy.image]
+                best = [z for z, u in zip(strategy.image, payoffs) if u == max(payoffs)]
+                assert outcome.options == tuple(best)
+                assert outcome.decoded in best
 
 
 def test_honest_types_always_recover_under_the_naive_strategy():
@@ -305,12 +306,12 @@ def test_batched_routes_equal_the_public_functions():
         for mode in ("all", "random") if len(seqs) <= 9 else ("random",):
             id_sets = sg.gameplay._image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
             # A budget of exactly the k^(2n) pairs the scorer prices.
-            scored = sg.gameplay._scored_image_sets(m, seqs, id_sets, len(seqs) ** 2)
+            scored = sg.gameplay._scored_image_sets(m, n, id_sets, len(seqs) ** 2)
             for members, played, formula in scored:
                 objective = sg.evaluate_questionnaire(m, members).objective
                 assert Fraction(formula, scale) == objective, members
                 played = Fraction(played, scale)
-                assert played == sg.worst_case_recovery(m, sg.canonical_strategy(members))
+                assert played == sg.recovery_report(m, sg.canonical_strategy(members)).value
                 checked += 1
     assert checked == 255 * 2 + 511 + 12 * 9
 
@@ -331,7 +332,7 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
             (rng.randrange(len(seqs)),),
             tuple(range(len(seqs))),
         ]
-        scored = sg.gameplay._scored_image_sets(m, seqs, id_sets, len(seqs) ** 2)
+        scored = sg.gameplay._scored_image_sets(m, n, id_sets, len(seqs) ** 2)
         played = {members: value for members, value, _ in scored}
         for ids in id_sets:
             image = tuple(seqs[v] for v in ids)
@@ -343,7 +344,7 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
                     payoffs = [sequence_utility(m, t, z, truth) for z in image]
                     best = max(payoffs)
                     winners = tuple(z for z, u in zip(image, payoffs) if u == best)
-                    assert sg.best_reports(m, strategy, t, truth).decoded == winners
+                    assert sg.simulate(m, strategy, t, truth).options == winners
                     if winners == (truth,):
                         robust_t.append(truth)
                 robust.append(tuple(robust_t))
@@ -383,24 +384,20 @@ def test_prior_weights_are_exact_and_a_zero_prior_counts_nothing():
 
 def test_played_out_scan_is_priced_before_it_runs(example, monkeypatch):
     # Example1 at n=7 with every sequence as a member: T * k^n * |image| =
-    # 2 * 3^7 * 3^7 payoffs, refused at once under the default budget by the
-    # report and by its projection; under 2 * 3^14 the scan runs.
+    # 2 * 3^7 * 3^7 payoffs, refused at once under the default budget; under
+    # 2 * 3^14 the scan runs.
     def payoffs_forbidden(*args, **kwargs):
         raise AssertionError("the scan ran")
 
     monkeypatch.setattr(sg.gameplay, "_payoffs", payoffs_forbidden)
     strategy = naive_strategy(example, 7)
-    for route in (
-        lambda **kw: sg.recovery_report(example, strategy, **kw),
-        lambda **kw: sg.worst_case_recovery(example, strategy, **kw),
-    ):
-        started = time.perf_counter()
-        with pytest.raises(sg.BudgetExceededError, match="played-out scan") as info:
-            route()
-        assert time.perf_counter() - started < 1
-        assert (info.value.requested, info.value.budget) == (2 * 3**14, 10**6)
-        with pytest.raises(AssertionError, match="the scan ran"):
-            route(enum_budget=2 * 3**14)
+    started = time.perf_counter()
+    with pytest.raises(sg.BudgetExceededError, match="played-out scan") as info:
+        sg.recovery_report(example, strategy)
+    assert time.perf_counter() - started < 1
+    assert (info.value.requested, info.value.budget) == (2 * 3**14, 10**6)
+    with pytest.raises(AssertionError, match="the scan ran"):
+        sg.recovery_report(example, strategy, enum_budget=2 * 3**14)
 
 
 def test_cross_check_refuses_a_payoff_table_over_the_enumeration_budget(example, monkeypatch):
@@ -452,7 +449,7 @@ def test_cross_check_builds_its_scorer_under_its_own_budget(monkeypatch):
     # scorer only if it passes its --enum-budget on.
     budgets = []
 
-    def scorer_spy(model, seqs, enum_budget):
+    def scorer_spy(model, n, enum_budget):
         budgets.append(enum_budget)
         raise AssertionError("the scorer was reached")
 
@@ -468,11 +465,12 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
     # must report exactly that set, and oracle-check must exit 1.
     target = ((0,), (2,))
     packed = sg.gameplay.packed_scorer
-    scale = packed(example, sg.enumerate_sequences(example, 1))[0]
+    scale = packed(example, 1)[1]
 
-    def skewed_scorer(model, seqs, enum_budget):
-        scale, beats, score, covers = packed(model, seqs, enum_budget)
-        return scale, beats, (lambda mask, beaten: score(mask, beaten) + (mask == 0b101)), covers
+    def skewed_scorer(model, n, enum_budget):
+        seqs, scale, beats, score, covers = packed(model, n, enum_budget)
+        skewed = lambda mask, beaten: score(mask, beaten) + (mask == 0b101)
+        return seqs, scale, beats, skewed, covers
 
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "packed_scorer", skewed_scorer)

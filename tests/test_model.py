@@ -110,7 +110,7 @@ def test_scaled_utility_is_the_exact_table_times_its_scale():
 
 def test_best_reports_rejects_mismatched_lengths(example):
     with pytest.raises(ValueError, match="truth length 2 differs from the strategy's 1"):
-        sg.best_reports(example, sg.canonical_strategy([(0,)]), 0, (0, 1))
+        sg.simulate(example, sg.canonical_strategy([(0,)]), 0, (0, 1))
 
 
 def test_enumerate_is_lexicographic(example):
@@ -183,14 +183,14 @@ def _bit_transpose(masks):
     return out
 
 
-def test_beats_is_the_bit_transpose_of_beaten_by(pool):
+def test_beats_is_the_bit_transpose_of_beaten_by(pool, example):
     for m in pool[:40]:
         for n in (1, 2, 3):
             seqs = sg.enumerate_sequences(m, n)
             for t in range(m.num_types):
                 beaten_by, beats = sg.preference_masks(m, t, seqs)
                 assert beats == _bit_transpose(beaten_by)
-    assert sg.preference_masks(sg.example_model(), 1, []) == ([], [])
+    assert sg.preference_masks(example, 1, []) == ([], [])
 
 
 def _assert_masks_match_sequence_utility(m, t, n):
@@ -268,13 +268,12 @@ def test_preference_masks_binary_eight_letters():
         assert len(beaten_by) == 256
 
 
-def test_format_sequence():
+def test_format_sequence(example):
     m = sg.Model.from_tables(
         ["lo", "hi"], ["t"], {"t": 1}, {"t": [[1, 0], [0, 1]]}
     )
     assert sg.format_sequence(m, (0, 1)) == "lo,hi"
-    single = sg.example_model()
-    assert sg.format_sequence(single, (2, 0)) == "20"
+    assert sg.format_sequence(example, (2, 0)) == "20"
 
 
 def test_parse_serialize_roundtrip_example(example):
@@ -505,7 +504,7 @@ TYPE_ID_CALLS = {
     "truthful_subset": lambda m, t: sg.truthful_subset(m, [(0,), (1,)], t),
     "classify_type": sg.classify_type,
     "preference_masks": lambda m, t: sg.preference_masks(m, t, [(0,), (1,)]),
-    "best_reports": lambda m, t: sg.best_reports(m, sg.canonical_strategy([(0,)]), t, (0,)),
+    "simulate": lambda m, t: sg.simulate(m, sg.canonical_strategy([(0,)]), t, (0,)),
 }
 
 
@@ -525,6 +524,7 @@ TINY = {
 }
 IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 TABLE = TINY["utility"]["t"]
+EXAMPLE = sg.parse_model(sg.EXAMPLE1_TEXT)
 
 
 def _parse_tiny(**fields):
@@ -571,8 +571,26 @@ REFUSALS = {
         "utility['t']: expected a 2x2 matrix",
     ),
     "empty sequence": (
-        lambda: sg.best_reports(sg.example_model(), sg.TableStrategy(0, {(): ()}), 0, ()),
+        lambda: sg.simulate(EXAMPLE, sg.TableStrategy(0, {(): ()}), 0, ()),
         "truth: sequences must have length >= 1",
+    ),
+    # A negative symbol id would otherwise index the last symbol, and one past
+    # the alphabet would raise IndexError; the honest type 0 is checked too.
+    "negative member symbol": (
+        lambda: sg.evaluate_questionnaire(EXAMPLE, [(-1,), (0,)]),
+        "member: symbol id -1 out of range",
+    ),
+    "member symbol past the alphabet": (
+        lambda: sg.truthful_subset(EXAMPLE, [(0,), (7,)], 0),
+        "member: symbol id 7 out of range",
+    ),
+    "negative image symbol": (
+        lambda: sg.recovery_report(EXAMPLE, sg.canonical_strategy([(-1,), (0,)])),
+        "image: symbol id -1 out of range",
+    ),
+    "image symbol past the alphabet": (
+        lambda: sg.simulate(EXAMPLE, sg.canonical_strategy([(0,), (7,)]), 1, (0,)),
+        "image: symbol id 7 out of range",
     ),
     "unseparated labels": (
         lambda: parse_sequence(_parse_tiny(alphabet=["ab", "cd"])(), "abcd"),

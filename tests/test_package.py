@@ -1,10 +1,11 @@
-"""Package-wide rules: a stdlib-only runtime and one name per budget."""
+"""Package-wide rules: a stdlib-only runtime, one name per budget, a documented API that runs."""
 
 from __future__ import annotations
 
 import ast
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import screengame as sg
@@ -32,3 +33,13 @@ def test_each_budget_keyword_is_named_after_its_flag():
         obj = getattr(sg, name)
         if inspect.isfunction(obj):
             assert "budget" not in inspect.signature(obj).parameters, name
+
+
+def test_the_readme_library_example_runs_as_its_comments_say():
+    # The documented API is only what the package exports, with the values its comments state.
+    readme = (SOURCE_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+    names: dict = {}
+    exec(readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0], names)
+    result, bounds, third = names["result"], names["bounds"], Fraction(1, 3)
+    assert (result.optimum, result.maximizer_count, names["recovered"]) == (4 * third, 2, 4 * third)
+    assert (bounds.alpha_union, bounds.achieved, bounds.weighted_alpha) == (1, 4 * third, 5 * third)
