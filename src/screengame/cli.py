@@ -19,12 +19,14 @@ from functools import cache
 from pathlib import Path
 
 from .model import (
+    DEFAULT_ENUMERATION_BUDGET,
     EXAMPLE1_TEXT,
     Model,
     ModelError,
     BudgetExceededError,
     Seq,
     _label_separator,
+    check_space,
     classify_type,
     enumerate_sequences,
     format_sequence,
@@ -332,10 +334,13 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         )
         strategy = canonical_strategy(solved.designated.members)
         origin = "solved"
+    # Both scans are priced before either runs: simulate's k^n report search
+    # here, then the played-out scan inside recovery_report, before simulate.
+    check_space(model, n, enum.get("enum_budget", DEFAULT_ENUMERATION_BUDGET), "report search")
+    report = recovery_report(model, strategy, **enum)
     outcome = simulate(
         model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"), **enum
     )
-    report = recovery_report(model, strategy, **enum)
     payload = {
         "n": n,
         "type": args.type,

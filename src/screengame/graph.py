@@ -30,6 +30,10 @@ from .model import (
 
 DEFAULT_EXACT_MIS_BUDGET = 512
 
+# The propagation ceiling runs only where the smaller clique cover misses a cut
+# by at most this many cliques: past it, a cut needs too many conflicts to pay.
+_PROPAGATION_GAP = 2
+
 UNION = "union"
 
 
@@ -123,12 +127,14 @@ def max_independent_set(
     """Maximum independent set, certified in exact mode.
 
     Exact mode is a deterministic branch and reduce on an explicit stack,
-    seeded with the greedy set. Each node first takes every candidate of
-    degree 0 or 1, or of degree 2 inside a triangle, and drops its
-    neighbours: they are pairwise adjacent, so some maximum set takes it.
-    It then cuts when a greedy clique cover of the candidates, grown from
-    the lowest or from the highest id, cannot beat the incumbent, and
-    otherwise branches on the candidate of highest degree (ties to the
+    seeded with the greedy set after a (1,2)-swap descent. Each node first
+    takes every candidate of degree 0 or 1, or of degree 2 inside a
+    triangle, and drops its neighbours: they are pairwise adjacent, so some
+    maximum set takes it. It then cuts when a greedy clique cover of the
+    candidates, grown from the lowest or from the highest id, cannot beat
+    the incumbent. When the smaller cover misses by at most two cliques,
+    unit propagation over its cliques may find that many conflicts and cut.
+    Otherwise it branches on the candidate of highest degree (ties to the
     lowest id), "exclude" first. The "include" branch is skipped when a
     neighbour u of the pivot has N[u] inside N[pivot]: u can then replace
     the pivot in any independent set. Greedy mode grows a maximal
@@ -142,9 +148,9 @@ def max_independent_set(
         raise BudgetExceededError("exact independent set", graph.vertex_count, mis_budget)
 
     adjacency = graph.adjacency
-    seed = _greedy_independent_set(graph)
-    best_size = seed.size
-    best_mask = sum(1 << v for v in seed.members)
+    greedy = _greedy_independent_set(graph)
+    best_mask = _swap_descent(adjacency, sum(1 << v for v in greedy.members))
+    best_size = best_mask.bit_count()
     nodes = 0
     stack = [(0, 0, (1 << graph.vertex_count) - 1)]
     while stack:
@@ -180,11 +186,20 @@ def max_independent_set(
             continue
         # Two greedy covers, grown from opposite ends, often differ by several
         # cliques; the second runs only when the first does not cut.
-        if (
-            size + clique_cover_bound(adjacency, cand) <= best_size
-            or size + clique_cover_bound(adjacency, cand, descending=True) <= best_size
-        ):
+        room = best_size - size
+        ascending = clique_cover_bound(adjacency, cand)
+        if ascending <= room:
             continue
+        descending = clique_cover_bound(adjacency, cand, descending=True)
+        excess = min(ascending, descending) - room
+        if excess <= 0:
+            continue
+        # Near a cut, each propagation conflict over the smaller cover's
+        # cliques takes one more off its ceiling.
+        if excess <= _PROPAGATION_GAP:
+            classes = _cover_classes(adjacency, cand, descending < ascending)
+            if _cover_conflicts(adjacency, classes, excess) >= excess:
+                continue
         bit = 1 << pivot
         closed = (adjacency[pivot] | bit) & cand
         rest = closed ^ bit
@@ -220,6 +235,103 @@ def clique_cover_bound(adjacency: tuple[int, ...], cand: int, *, descending: boo
             joinable &= adjacency[bit.bit_length() - 1]
         count += 1
     return count
+
+
+def _cover_classes(adjacency: tuple[int, ...], cand: int, descending: bool) -> list[int]:
+    """The cliques of `clique_cover_bound`'s cover, as masks, in the order grown."""
+    classes = []
+    while cand:
+        bit = 1 << cand.bit_length() - 1 if descending else cand & -cand
+        cand ^= bit
+        clique = bit
+        joinable = adjacency[bit.bit_length() - 1] & cand
+        while joinable:
+            bit = 1 << joinable.bit_length() - 1 if descending else joinable & -joinable
+            cand ^= bit
+            clique |= bit
+            joinable &= adjacency[bit.bit_length() - 1]
+        classes.append(clique)
+    return classes
+
+
+def _cover_conflicts(adjacency: tuple[int, ...], classes: list[int], need: int) -> int:
+    """How many disjoint sets of cover cliques no independent set meets in full.
+
+    Unit propagation, after Li and Quan's MaxSAT bound (2010): a singleton
+    clique forces its vertex, every clique drops the neighbours of each
+    forced vertex, a clique left with one vertex forces it, and one left
+    empty is a conflict. A set meeting every clique that forced a vertex
+    holds every forced vertex, so it misses the emptied clique; those
+    cliques are spent, and later starts avoid them. Starts run from the last
+    singleton back, and stop after `need` conflicts or at the first start
+    that ends without one.
+    """
+    live = reduce(or_, classes, 0)
+    conflicts = 0
+    for start in reversed(classes):
+        if start & (start - 1) or not start & live:
+            continue  # not a singleton, or spent
+        claimed = start  # the cliques forced or queued
+        used = 0  # the cliques that forced a vertex
+        removed = 0
+        queue = [start]
+        while queue:
+            clique = queue.pop()
+            vertex = clique & ~removed
+            if not vertex:
+                break
+            used |= clique
+            removed |= adjacency[vertex.bit_length() - 1]
+            for other in classes:
+                if other & removed and other & live & ~claimed:
+                    left = other & ~removed
+                    if not left & (left - 1):  # one vertex left, or none
+                        claimed |= other
+                        queue.append(other)
+        else:
+            return conflicts
+        live &= ~(used | clique)
+        conflicts += 1
+        if conflicts >= need:
+            return conflicts
+    return conflicts
+
+
+def _swap_descent(adjacency: tuple[int, ...], chosen: int) -> int:
+    """A (1,2)-swap local optimum grown from the independent set `chosen`.
+
+    Each step adds a free vertex, one with no neighbour in the set, or else
+    replaces a member x by two non-adjacent non-members whose only neighbour
+    in the set is x (Andrade, Resende and Werneck, 2012), until neither
+    applies. Both grow the set by one.
+    """
+    outside = ((1 << len(adjacency)) - 1) & ~chosen
+    while move := _improving_move(adjacency, chosen, outside):
+        chosen ^= move
+        outside ^= move
+    return chosen
+
+
+def _improving_move(adjacency: tuple[int, ...], chosen: int, outside: int) -> int:
+    """The vertices an improving step flips, the first found by vertex id; 0 if none."""
+    tight: dict[int, int] = {}  # member bit -> the non-members whose one member neighbour it is
+    rest = outside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        hits = adjacency[low.bit_length() - 1] & chosen
+        if not hits:
+            return low
+        if not hits & (hits - 1):
+            tight[hits] = tight.get(hits, 0) | low
+    for member, group in tight.items():
+        while group:
+            low = group & -group
+            group ^= low
+            partners = group & ~adjacency[low.bit_length() - 1]
+            if partners:
+                return member | low | partners & -partners
+    return 0
 
 
 def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:

@@ -604,6 +604,24 @@ def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch,
         main([*argv, "--model", "example1", "--enum-budget", str(2 * 3**14)])
 
 
+def test_simulate_prices_the_played_out_scan_before_its_report_search(capsys, monkeypatch):
+    # Two members at n=7 cost the scan 2 * 3^7 * 2 payoffs. One budget short
+    # of that, the refusal comes before simulate runs; at it, the scan runs
+    # and simulate is reached.
+    def fail(*args, **kwargs):
+        raise AssertionError("the report search began")
+
+    monkeypatch.setattr(sg.cli, "simulate", fail)
+    argv = ("simulate", "--model", "example1", "--type", "d", "--truth", "0" * 7,
+            "--members", "0000000;1111111")
+    payoffs = 2 * 3**7 * 2
+    code, out, err = run(capsys, *argv, "--enum-budget", str(payoffs - 1))
+    assert (code, out) == (1, "")
+    assert f"played-out scan: requested {payoffs} exceeds budget {payoffs - 1}" in err
+    with pytest.raises(AssertionError, match="the report search began"):
+        main([*argv, "--enum-budget", str(payoffs)])
+
+
 def test_integers_past_the_decimal_limit_print_in_hex(capsys, example):
     # At n=7 the best-response multiplicities of example1 have over 4,300
     # decimal digits, past what str() converts by default.

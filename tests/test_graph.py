@@ -8,7 +8,7 @@ from operator import or_
 import pytest
 
 import screengame as sg
-from screengame.graph import clique_cover_bound
+from screengame.graph import _cover_classes, _cover_conflicts, _swap_descent, clique_cover_bound
 
 from conftest import brute_alpha, make_random_model, model_pool, sequence_utility
 
@@ -336,8 +336,76 @@ def test_search_node_count_is_golden():
         (53, 71, 77, 79), 4, False, 0
     )
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (6, 105)
+    assert (result.size, result.nodes) == (6, 100)
     assert sg.max_independent_set(g) == result
+
+
+def test_propagation_cut_node_count_is_golden():
+    # P156 at n=4: 81 vertices, independence number 32. The clique covers
+    # alone leave 35 nodes; the propagation ceiling cuts it to 14.
+    g = sg.build_sender_graph(model_pool()[156], 0, 4)
+    result = sg.max_independent_set(g)
+    assert (result.size, result.nodes) == (32, 14)
+
+
+def induced(adjacency, cand: int) -> sg.SenderGraph:
+    """The subgraph on the vertices of `cand`, relabelled 0, 1, ... in id order."""
+    kept = [v for v in range(len(adjacency)) if cand >> v & 1]
+    pairs = itertools.combinations(enumerate(kept), 2)
+    return graph_from_edges(len(kept), [(i, j) for (i, u), (j, v) in pairs if adjacency[u] >> v & 1])
+
+
+def test_propagation_conflicts_lower_the_cover_ceiling():
+    # An independent set meets each cover clique at most once and misses at
+    # least one clique of each conflict, so alpha <= cliques - conflicts.
+    rng = random.Random(103)
+    fired = 0
+    for trial in range(400):
+        g = structured_graph(rng) if trial % 2 else graph_from_edges(
+            count := rng.randint(1, 16),
+            [e for e in itertools.combinations(range(count), 2) if rng.random() < rng.random()],
+        )
+        cand = rng.getrandbits(g.vertex_count) | rng.getrandbits(g.vertex_count)
+        alpha = brute_alpha(induced(g.adjacency, cand))
+        for descending in (False, True):
+            classes = _cover_classes(g.adjacency, cand, descending)
+            assert len(classes) == clique_cover_bound(g.adjacency, cand, descending=descending)
+            assert sum(classes) == cand  # disjoint, and covering every candidate
+            for clique in classes:
+                for v in range(g.vertex_count):
+                    if clique >> v & 1:
+                        assert (g.adjacency[v] | 1 << v) & clique == clique
+            conflicts = _cover_conflicts(g.adjacency, classes, len(classes))
+            fired += conflicts > 0
+            assert alpha <= len(classes) - conflicts
+    assert fired >= 50
+
+
+def test_swap_descent_is_independent_maximal_and_no_smaller_than_its_start():
+    # The path u - x - v started at {x}: one swap gives {u, v}.
+    path = graph_from_edges(3, [(0, 1), (0, 2)])
+    assert _swap_descent(path.adjacency, 0b001) == 0b110
+    rng = random.Random(107)
+    graphs = [structured_graph(rng) for _ in range(200)]
+    for m in model_pool(20, seed=109):
+        graphs += [sg.build_sender_graph(m, t, 3) for t in range(m.num_types)]
+    for g in graphs:
+        greedy = sum(1 << v for v in sg.max_independent_set(g, mode="greedy").members)
+        for start in (greedy, 1 << rng.randrange(g.vertex_count)):
+            chosen = _swap_descent(g.adjacency, start)
+            assert chosen.bit_count() >= start.bit_count()
+            tight = {}  # member -> the non-members whose only member neighbour it is
+            for v in range(g.vertex_count):
+                hits = g.adjacency[v] & chosen
+                if chosen >> v & 1:
+                    assert not hits  # independent
+                else:
+                    assert hits  # maximal
+                    if hits.bit_count() == 1:
+                        tight.setdefault(hits, []).append(v)
+            for group in tight.values():  # no (1,2)-swap is left
+                for u, v in itertools.combinations(group, 2):
+                    assert g.adjacency[u] >> v & 1
 
 
 def test_perfect_matchings_reduce_without_branching():
