@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from itertools import product
+from operator import itemgetter, or_
 
 from .model import (
     BudgetExceededError,
@@ -39,7 +40,12 @@ UNION = "union"
 
 @dataclass(frozen=True)
 class SenderGraph:
-    """Undirected graph on all length-n sequences, adjacency as bitmasks."""
+    """Undirected graph on all length-n sequences, adjacency as bitmasks.
+
+    `build_sender_graph` and `union_graph` guarantee that permuting the n
+    letter positions of every sequence maps the graph onto itself (payoffs
+    sum per letter); the exact search relies on it. Other graphs use n = 1.
+    """
 
     n: int  # sequence length
     adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of the v-th sequence
@@ -135,10 +141,13 @@ def max_independent_set(
     the incumbent. When the smaller cover misses by at most two cliques,
     unit propagation over its cliques may find that many conflicts and cut.
     Otherwise it branches on the candidate of highest degree (ties to the
-    lowest id), "exclude" first. The "include" branch is skipped when a
-    neighbour u of the pivot has N[u] inside N[pivot]: u can then replace
-    the pivot in any independent set. Greedy mode grows a maximal
-    independent set by repeated minimum-degree choice and is not certified.
+    lowest id), by orbits (Ostrowski, Linderoth, Rossi and Smriglio 2011)
+    of a group keeping the candidates invariant: the position permutations
+    within blocks, one block at the root. "Exclude", first, drops the
+    pivot's orbit; "include" splits the blocks by the pivot's letters and is
+    skipped when a neighbour u outside the orbit has N[u] inside N[pivot].
+    Greedy mode grows a maximal independent set by repeated minimum-degree
+    choice and is not certified.
     """
     if mode == "greedy":
         return _greedy_independent_set(graph)
@@ -151,11 +160,17 @@ def max_independent_set(
     greedy = _greedy_independent_set(graph)
     best_mask = _swap_descent(adjacency, sum(1 << v for v in greedy.members))
     best_size = best_mask.bit_count()
+    n = graph.n
+    k = round(graph.vertex_count ** (1 / n))
+    if k**n != graph.vertex_count:  # not a sequence space: vertex v is the one letter v
+        k, n = graph.vertex_count, 1
+    letters: dict[tuple, list[int]] = {}
     nodes = 0
-    stack = [(0, 0, (1 << graph.vertex_count) - 1)]
+    stack = [(0, 0, (1 << graph.vertex_count) - 1, (tuple(range(n)),))]
     while stack:
-        current, size, cand = stack.pop()
+        current, size, cand, blocks = stack.pop()
         nodes += 1
+        start, before = cand, current
         reduced = True
         while reduced:
             reduced = False
@@ -200,18 +215,55 @@ def max_independent_set(
             classes = _cover_classes(adjacency, cand, descending < ascending)
             if _cover_conflicts(adjacency, classes, excess) >= excess:
                 continue
+        # The group keeps `start` invariant. If the reductions cut an orbit,
+        # the permutations fixing each vertex they took keep what is left.
+        rest = start & ~cand if len(blocks) < n else 0
+        while rest:
+            orbit = _orbit(letters, k, n, blocks, (rest & -rest).bit_length() - 1)
+            if orbit & cand:
+                for v in _mask_to_members(current ^ before):
+                    blocks = _refine(blocks, k, n, v)
+                break
+            rest &= ~orbit
         bit = 1 << pivot
+        orbit = _orbit(letters, k, n, blocks, pivot)
         closed = (adjacency[pivot] | bit) & cand
-        rest = closed ^ bit
+        rest = closed & ~orbit
         while rest:
             low = rest & -rest
             rest ^= low
             if (adjacency[low.bit_length() - 1] | low) & cand & ~closed == 0:
-                break  # dominated: some maximum set avoids the pivot
+                break  # dominated from outside the orbit: some maximum set avoids it all
         else:
-            stack.append((current | bit, size + 1, cand & ~closed))
-        stack.append((current, size, cand ^ bit))
+            stack.append((current | bit, size + 1, cand & ~closed, _refine(blocks, k, n, pivot)))
+        stack.append((current, size, cand & ~orbit, blocks))
     return IndependentSetResult(_mask_to_members(best_mask), best_size, True, nodes)
+
+
+def _orbit(letters: dict, k: int, n: int, blocks: tuple, v: int) -> int:
+    """The orbit of the v-th length-n sequence over k letters under permutations within blocks.
+
+    `letters` caches per block each vertex's class: the vertices with its letters there.
+    """
+    mask = -1
+    for b in blocks:
+        if b not in letters:
+            keys = list(map(itemgetter(*b), product(range(k), repeat=n)))
+            if len(b) > 1:
+                keys = [tuple(sorted(key)) for key in keys]
+            masks: dict = {}
+            for u, key in enumerate(keys):
+                masks[key] = masks.get(key, 0) | 1 << u
+            letters[b] = [masks[key] for key in keys]
+        mask &= letters[b][v]
+    return mask
+
+
+def _refine(blocks: tuple, k: int, n: int, v: int) -> tuple:
+    """The blocks split by the letters of vertex v, so that only permutations fixing v remain."""
+    word = [v // k ** (n - 1 - i) % k for i in range(n)]
+    parts = (tuple(i for i in b if word[i] == a) for b in blocks for a in {word[i] for i in b})
+    return tuple(sorted(parts))
 
 
 def clique_cover_bound(adjacency: tuple[int, ...], cand: int, *, descending: bool = False) -> int:
@@ -335,24 +387,35 @@ def _improving_move(adjacency: tuple[int, ...], chosen: int, outside: int) -> in
 
 
 def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
+    """Repeatedly take the remaining vertex of least remaining degree, ties to the lowest id.
+
+    Only the removed vertices' neighbours are recounted. Vertices of degree 0
+    change no degree, so they are all taken at once.
+    """
     adjacency = graph.adjacency
-    remaining = (1 << graph.vertex_count) - 1
+    count = graph.vertex_count
+    degree = [mask.bit_count() for mask in adjacency]
+    remaining = (1 << count) - 1
     chosen = 0
     while remaining:
-        best_v = -1
-        best_deg = graph.vertex_count + 1
-        rest = remaining
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (adjacency[v] & remaining).bit_count()
-            if d < best_deg:
-                best_deg = d
-                best_v = v
+        least = min(degree)
+        if not least:
+            for v, d in enumerate(degree):
                 if not d:
-                    break  # no later vertex beats degree 0
-        chosen |= 1 << best_v
-        remaining &= ~(adjacency[best_v] | 1 << best_v)
+                    chosen |= 1 << v
+                    degree[v] = count
+            remaining &= ~chosen
+            continue
+        v = degree.index(least)
+        chosen |= 1 << v
+        removed = (adjacency[v] | 1 << v) & remaining
+        remaining ^= removed
+        touched = 0
+        for v in _mask_to_members(removed):
+            degree[v] = count
+            touched |= adjacency[v]
+        for v in _mask_to_members(touched & remaining):
+            degree[v] = (adjacency[v] & remaining).bit_count()
     members = _mask_to_members(chosen)
     return IndependentSetResult(members, len(members), False)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from operator import or_
@@ -10,7 +11,7 @@ import pytest
 import screengame as sg
 from screengame.graph import _cover_classes, _cover_conflicts, _swap_descent, clique_cover_bound
 
-from conftest import brute_alpha, make_random_model, model_pool, sequence_utility
+from conftest import X6, brute_alpha, make_random_model, model_pool, sequence_utility
 
 
 def graph_from_edges(count: int, edges) -> sg.SenderGraph:
@@ -336,16 +337,80 @@ def test_search_node_count_is_golden():
         (53, 71, 77, 79), 4, False, 0
     )
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (6, 100)
+    assert (result.size, result.nodes) == (6, 23)
     assert sg.max_independent_set(g) == result
 
 
 def test_propagation_cut_node_count_is_golden():
     # P156 at n=4: 81 vertices, independence number 32. The clique covers
-    # alone leave 35 nodes; the propagation ceiling cuts it to 14.
+    # alone leave 13 nodes; the propagation ceiling cuts it to 7.
     g = sg.build_sender_graph(model_pool()[156], 0, 4)
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (32, 14)
+    assert (result.size, result.nodes) == (32, 7)
+
+
+def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
+    # Payoffs sum per letter, so permuting the positions of every sequence
+    # maps each graph onto itself. The swap (0 1) and the cyclic shift
+    # generate every permutation, and the exact search relies on all of them.
+    for m in model_pool(60):
+        for n in (2, 3):
+            words = list(itertools.product(range(m.num_symbols), repeat=n))
+            index = {w: v for v, w in enumerate(words)}
+            graphs = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+            graphs.append(sg.union_graph(graphs))
+            for order in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+                image = [index[tuple(w[i] for i in order)] for w in words]
+                for g in graphs:
+                    for u, mask in enumerate(g.adjacency):
+                        moved = sum(1 << image[v] for v in range(g.vertex_count) if mask >> v & 1)
+                        assert g.adjacency[image[u]] == moved
+
+
+def test_orbital_search_pins_p156_and_x6_central_binomials():
+    g = sg.build_sender_graph(model_pool()[156], 0, 5)
+    result = sg.max_independent_set(g)
+    assert (result.size, result.nodes) == (80, 177)
+    for n in range(1, 11):
+        g = sg.build_sender_graph(X6, 1, n, enum_budget=4**n)
+        assert sg.max_independent_set(g, mis_budget=2**n).size == math.comb(n, n // 2)
+
+
+def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
+    """A random graph on k^n sequences whose edges depend only on the letter multisets.
+
+    It is invariant under permuting positions, and each orbit of the
+    permutations is a clique or an independent set of twins, so the search
+    meets pivots dominated from inside their own orbit.
+    """
+    words = list(itertools.product(range(k), repeat=n))
+    orbit = [tuple(sorted(w)) for w in words]
+    p = rng.choice((0.2, 0.4, 0.6))
+    joined = {}
+    edges = []
+    for u, v in itertools.combinations(range(len(words)), 2):
+        pair = tuple(sorted((orbit[u], orbit[v])))
+        if joined.setdefault(pair, rng.random() < p):
+            edges.append((u, v))
+    return sg.SenderGraph(n, graph_from_edges(len(words), edges).adjacency, "test")
+
+
+def test_orbital_search_matches_the_search_without_symmetry():
+    # Relabelled as one-letter sequences, a graph is searched with the
+    # trivial group, so it proves alpha without the position symmetry.
+    rng = random.Random(113)
+    graphs = [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(60)]
+    for m in model_pool(80, seed=113):
+        for n in (2, 3, 4):
+            if m.num_symbols**n <= 81:
+                types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+                graphs += types + [sg.union_graph(types)]
+    for g in graphs:
+        plain = sg.max_independent_set(sg.SenderGraph(1, g.adjacency, "test"))
+        result = sg.max_independent_set(g)
+        assert result.size == plain.size
+        chosen = sum(1 << v for v in result.members)
+        assert all(not g.adjacency[v] & chosen for v in result.members)
 
 
 def induced(adjacency, cand: int) -> sg.SenderGraph:
