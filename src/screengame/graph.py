@@ -42,14 +42,14 @@ UNION = "union"
 class SenderGraph:
     """Undirected graph on all length-n sequences, adjacency as bitmasks.
 
-    `build_sender_graph` and `union_graph` guarantee that permuting the n
-    letter positions of every sequence maps the graph onto itself (payoffs
-    sum per letter); the exact search relies on it. Other graphs use n = 1.
+    `build_sender_graph` and `union_graph` mark their graphs symmetric under permuting the
+    letter positions (payoffs sum per letter); hand-built graphs are searched without it.
     """
 
     n: int  # sequence length
     adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of the v-th sequence
     provenance: str  # sender type label, or UNION
+    _symmetric = False  # not a field, so replace() and the constructor leave it unset
 
     @property
     def vertex_count(self) -> int:
@@ -91,19 +91,22 @@ def build_sender_graph(
         adjacency = (0,) * len(seqs)
     else:
         adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
-    return SenderGraph(n, adjacency, model.types[type_id])
+    graph = SenderGraph(n, adjacency, model.types[type_id])
+    object.__setattr__(graph, "_symmetric", True)
+    return graph
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
-    """Edge union of graphs over the same sequence space."""
+    """Edge union of graphs over the same sequence space, marked symmetric when all inputs are."""
     if not graphs:
         raise ValueError("union of zero graphs")
     first = graphs[0]
-    for g in graphs[1:]:
-        if g.n != first.n or g.vertex_count != first.vertex_count:
-            raise ValueError("cannot union graphs over different sequence spaces")
+    if any(g.n != first.n or g.vertex_count != first.vertex_count for g in graphs):
+        raise ValueError("cannot union graphs over different sequence spaces")
     adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
-    return SenderGraph(first.n, adjacency, UNION)
+    union = SenderGraph(first.n, adjacency, UNION)
+    object.__setattr__(union, "_symmetric", all(g._symmetric for g in graphs))
+    return union
 
 
 def check_mis_budget(model: Model, horizons, mis_budget: int = DEFAULT_EXACT_MIS_BUDGET) -> None:
@@ -160,10 +163,8 @@ def max_independent_set(
     greedy = _greedy_independent_set(graph)
     best_mask = _swap_descent(adjacency, sum(1 << v for v in greedy.members))
     best_size = best_mask.bit_count()
-    n = graph.n
-    k = round(graph.vertex_count ** (1 / n))
-    if k**n != graph.vertex_count:  # not a sequence space: vertex v is the one letter v
-        k, n = graph.vertex_count, 1
+    n = graph.n if graph._symmetric else 1
+    words = list(product(range(round(graph.vertex_count ** (1 / n))), repeat=n))
     letters: dict[tuple, list[int]] = {}
     nodes = 0
     stack = [(0, 0, (1 << graph.vertex_count) - 1, (tuple(range(n)),))]
@@ -219,14 +220,14 @@ def max_independent_set(
         # the permutations fixing each vertex they took keep what is left.
         rest = start & ~cand if len(blocks) < n else 0
         while rest:
-            orbit = _orbit(letters, k, n, blocks, (rest & -rest).bit_length() - 1)
+            orbit = _orbit(letters, words, blocks, (rest & -rest).bit_length() - 1)
             if orbit & cand:
                 for v in _mask_to_members(current ^ before):
-                    blocks = _refine(blocks, k, n, v)
+                    blocks = _refine(blocks, words[v])
                 break
             rest &= ~orbit
         bit = 1 << pivot
-        orbit = _orbit(letters, k, n, blocks, pivot)
+        orbit = _orbit(letters, words, blocks, pivot)
         closed = (adjacency[pivot] | bit) & cand
         rest = closed & ~orbit
         while rest:
@@ -235,20 +236,20 @@ def max_independent_set(
             if (adjacency[low.bit_length() - 1] | low) & cand & ~closed == 0:
                 break  # dominated from outside the orbit: some maximum set avoids it all
         else:
-            stack.append((current | bit, size + 1, cand & ~closed, _refine(blocks, k, n, pivot)))
+            stack.append((current | bit, size + 1, cand & ~closed, _refine(blocks, words[pivot])))
         stack.append((current, size, cand & ~orbit, blocks))
     return IndependentSetResult(_mask_to_members(best_mask), best_size, True, nodes)
 
 
-def _orbit(letters: dict, k: int, n: int, blocks: tuple, v: int) -> int:
-    """The orbit of the v-th length-n sequence over k letters under permutations within blocks.
+def _orbit(letters: dict, words: list, blocks: tuple, v: int) -> int:
+    """The orbit of vertex v, the sequence `words[v]`, under permutations within blocks.
 
     `letters` caches per block each vertex's class: the vertices with its letters there.
     """
     mask = -1
     for b in blocks:
         if b not in letters:
-            keys = list(map(itemgetter(*b), product(range(k), repeat=n)))
+            keys = list(map(itemgetter(*b), words))
             if len(b) > 1:
                 keys = [tuple(sorted(key)) for key in keys]
             masks: dict = {}
@@ -259,9 +260,8 @@ def _orbit(letters: dict, k: int, n: int, blocks: tuple, v: int) -> int:
     return mask
 
 
-def _refine(blocks: tuple, k: int, n: int, v: int) -> tuple:
-    """The blocks split by the letters of vertex v, so that only permutations fixing v remain."""
-    word = [v // k ** (n - 1 - i) % k for i in range(n)]
+def _refine(blocks: tuple, word: tuple) -> tuple:
+    """The blocks split by the letters of `word`, so that only permutations fixing it remain."""
     parts = (tuple(i for i in b if word[i] == a) for b in blocks for a in {word[i] for i in b})
     return tuple(sorted(parts))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -376,12 +377,19 @@ def test_orbital_search_pins_p156_and_x6_central_binomials():
         assert sg.max_independent_set(g, mis_budget=2**n).size == math.comb(n, n // 2)
 
 
+def marked_symmetric(g: sg.SenderGraph) -> sg.SenderGraph:
+    """`g` marked as the builders mark theirs, so the exact search uses position symmetry."""
+    object.__setattr__(g, "_symmetric", True)
+    return g
+
+
 def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
     """A random graph on k^n sequences whose edges depend only on the letter multisets.
 
     It is invariant under permuting positions, and each orbit of the
     permutations is a clique or an independent set of twins, so the search
-    meets pivots dominated from inside their own orbit.
+    meets pivots dominated from inside their own orbit. It is marked
+    symmetric, so the search branches by orbits.
     """
     words = list(itertools.product(range(k), repeat=n))
     orbit = [tuple(sorted(w)) for w in words]
@@ -392,7 +400,7 @@ def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
         pair = tuple(sorted((orbit[u], orbit[v])))
         if joined.setdefault(pair, rng.random() < p):
             edges.append((u, v))
-    return sg.SenderGraph(n, graph_from_edges(len(words), edges).adjacency, "test")
+    return marked_symmetric(sg.SenderGraph(n, graph_from_edges(len(words), edges).adjacency, "test"))
 
 
 def test_orbital_search_matches_the_search_without_symmetry():
@@ -411,6 +419,57 @@ def test_orbital_search_matches_the_search_without_symmetry():
         assert result.size == plain.size
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
+
+
+def random_sixteen_vertex_adjacencies(count: int) -> list[tuple[int, ...]]:
+    """`count` random 16-vertex graphs from Random(5), each edge present with probability 0.3."""
+    rng = random.Random(5)
+    return [
+        graph_from_edges(
+            16, [e for e in itertools.combinations(range(16), 2) if rng.random() < 0.3]
+        ).adjacency
+        for _ in range(count)
+    ]
+
+
+def test_hand_built_graphs_are_searched_without_position_symmetry():
+    # Labelled n = 2 over 16 = 4^2 vertices, these graphs are not invariant
+    # under swapping the two positions; searched by orbits, some get a wrong
+    # certified alpha. A hand-built graph must be searched plainly.
+    for adjacency in random_sixteen_vertex_adjacencies(2000):
+        result = sg.max_independent_set(sg.SenderGraph(2, adjacency, "test"))
+        assert result.size == sg.max_independent_set(sg.SenderGraph(1, adjacency, "test")).size
+        chosen = sum(1 << v for v in result.members)
+        assert all(not adjacency[v] & chosen for v in result.members)
+
+
+def test_only_graphs_from_the_builders_keep_position_symmetry():
+    honest = sg.Model.from_tables(
+        ["0", "1", "2", "3"], ["h"], ["1"], [[[int(r == x) for x in range(4)] for r in range(4)]]
+    )
+    built = sg.build_sender_graph(honest, 0, 2)  # 16 vertices, no edges
+    # The mark is not a field: equality and repr ignore it.
+    twin = sg.SenderGraph(2, built.adjacency, built.provenance)
+    assert (built, repr(built)) == (twin, repr(twin))
+    adjacencies = random_sixteen_vertex_adjacencies(200)
+    # Searched by orbits, as if built, some of these graphs get a wrong alpha ...
+    plain = [sg.max_independent_set(sg.SenderGraph(1, a, "test")).size for a in adjacencies]
+    assert any(
+        sg.max_independent_set(marked_symmetric(sg.SenderGraph(2, a, "test"))).size != alpha
+        for a, alpha in zip(adjacencies, plain)
+    )
+    # ... so a union with a hand-built graph, or a copy with new edges, is searched plainly.
+    for adjacency, alpha in zip(adjacencies, plain):
+        union = sg.union_graph([built, sg.SenderGraph(2, adjacency, "test")])
+        copy = dataclasses.replace(built, adjacency=adjacency)
+        for g in (union, copy):
+            assert g.adjacency == adjacency
+            assert sg.max_independent_set(g).size == alpha
+    # A union of built graphs keeps the symmetry, and with it the P156 pin.
+    g = sg.build_sender_graph(model_pool()[156], 0, 5)
+    result = sg.max_independent_set(sg.union_graph([g, g]))
+    assert (result.size, result.nodes) == (80, 177)
+    assert sg.max_independent_set(dataclasses.replace(g)).nodes > 177
 
 
 def induced(adjacency, cand: int) -> sg.SenderGraph:
