@@ -224,8 +224,7 @@ def solve_exact(
     unpruned search exactly, but `maximizer_count` is then a lower bound:
     `maximizers_complete` is False when a tie was cut at the optimum.
     Without pruning every subset is examined and the count is exact.
-    `subsets_pruned` counts the nonempty extensions of every cut node, a
-    whole subtree at a time, so examined plus pruned is 2^N - 1.
+    `subsets_pruned` (every cut subtree) is 2^N - 1 less the subsets examined.
     """
     if report_cap < 0:
         raise ValueError(f"report cap must be >= 0, got {report_cap}")
@@ -240,7 +239,7 @@ def solve_exact(
     maximizers: list[int] = []  # the first `listed` member bitmasks at `best`
     found = 0  # maximizers at `best` the walk met
     ties_cut = False  # a node with ceiling `best` was cut
-    examined = pruned = cover_cuts = tie_cuts = 0
+    examined = cover_cuts = tie_cuts = 0
 
     stack = [(0, 0, 0)]  # (members, beaten, first undecided sequence)
     while stack:
@@ -255,7 +254,6 @@ def solve_exact(
                 if ceiling == best:
                     tie_cuts += 1
                     ties_cut = True
-                pruned += (1 << count - k) - 1
                 continue
         grown, grown_beaten = members | 1 << k, beaten | beats[k]
         examined += 1
@@ -285,7 +283,7 @@ def solve_exact(
         maximizers_complete=not ties_cut,
         designated=designated,
         subsets_examined=examined,
-        subsets_pruned=pruned,
+        subsets_pruned=low - examined,
         cover_cuts=cover_cuts,
         tie_cuts=tie_cuts,
     )

@@ -84,8 +84,7 @@ def build_sender_graph(
     so the adjacency is the kernel's beaten-by masks OR its beats masks.
     Its k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
     """
-    _count_sequences(model, n, enum_budget)
-    check_space(model, 2 * n, enum_budget, "sender graph")
+    _check_graph_space(model, (n,), enum_budget)
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     if classify_type(model, type_id) == HONEST:  # strict wins stay strict under sums
         adjacency = (0,) * len(seqs)
@@ -94,6 +93,13 @@ def build_sender_graph(
     graph = SenderGraph(n, adjacency, model.types[type_id])
     object.__setattr__(graph, "_symmetric", True)
     return graph
+
+
+def _check_graph_space(model: Model, horizons, enum_budget: int) -> None:
+    """`build_sender_graph`'s refusals, horizon by horizon: k^h sequences, then k^(2h) pairs."""
+    for h in horizons:
+        _count_sequences(model, h, enum_budget)
+        check_space(model, 2 * h, enum_budget, "sender graph")
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
@@ -200,22 +206,19 @@ def max_independent_set(
             if size > best_size:
                 best_size, best_mask = size, current
             continue
-        # Two greedy covers, grown from opposite ends, often differ by several
-        # cliques; the second runs only when the first does not cut.
+        # Two greedy covers, grown from opposite ends, often differ by several cliques;
+        # the second grows only when the first does not cut. Ties keep the first.
         room = best_size - size
-        ascending = clique_cover_bound(adjacency, cand)
-        if ascending <= room:
-            continue
-        descending = clique_cover_bound(adjacency, cand, descending=True)
-        excess = min(ascending, descending) - room
+        classes = _cover_classes(adjacency, cand, False)
+        if len(classes) > room:
+            classes = min(classes, _cover_classes(adjacency, cand, True), key=len)
+        excess = len(classes) - room
         if excess <= 0:
             continue
         # Near a cut, each propagation conflict over the smaller cover's
         # cliques takes one more off its ceiling.
-        if excess <= _PROPAGATION_GAP:
-            classes = _cover_classes(adjacency, cand, descending < ascending)
-            if _cover_conflicts(adjacency, classes, excess) >= excess:
-                continue
+        if excess <= _PROPAGATION_GAP and _cover_conflicts(adjacency, classes, excess) >= excess:
+            continue
         # The group keeps `start` invariant. If the reductions cut an orbit,
         # the permutations fixing each vertex they took keep what is left.
         rest = start & ~cand if len(blocks) < n else 0
@@ -266,23 +269,21 @@ def _refine(blocks: tuple, word: tuple) -> tuple:
     return tuple(sorted(parts))
 
 
-def clique_cover_bound(adjacency: tuple[int, ...], cand: int, *, descending: bool = False) -> int:
+def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
     """Size of a greedy clique cover of the vertices in `cand`.
 
-    Each clique starts at the lowest uncovered vertex (the highest with
-    `descending`) and takes, in that order, every uncovered vertex adjacent
-    to all its members (one AND per member), which is the first-fit
-    partition in vertex order. An independent set meets each clique at most
-    once, so this bounds the independence number of the induced subgraph
-    from above.
+    Each clique starts at the lowest uncovered vertex and takes, in id order,
+    every uncovered vertex adjacent to all its members (one AND per member):
+    the first-fit partition in id order. An independent set meets each clique
+    at most once, so this bounds the induced independence number from above.
     """
     count = 0
     while cand:
-        bit = 1 << cand.bit_length() - 1 if descending else cand & -cand
+        bit = cand & -cand
         cand ^= bit
         joinable = adjacency[bit.bit_length() - 1] & cand
         while joinable:
-            bit = 1 << joinable.bit_length() - 1 if descending else joinable & -joinable
+            bit = joinable & -joinable
             cand ^= bit
             joinable &= adjacency[bit.bit_length() - 1]
         count += 1
@@ -290,19 +291,18 @@ def clique_cover_bound(adjacency: tuple[int, ...], cand: int, *, descending: boo
 
 
 def _cover_classes(adjacency: tuple[int, ...], cand: int, descending: bool) -> list[int]:
-    """The cliques of `clique_cover_bound`'s cover, as masks, in the order grown."""
+    """The cliques, as masks in the order grown, of the first-fit cover in id order or reversed."""
     classes = []
     while cand:
+        start = cand
         bit = 1 << cand.bit_length() - 1 if descending else cand & -cand
         cand ^= bit
-        clique = bit
         joinable = adjacency[bit.bit_length() - 1] & cand
         while joinable:
             bit = 1 << joinable.bit_length() - 1 if descending else joinable & -joinable
             cand ^= bit
-            clique |= bit
             joinable &= adjacency[bit.bit_length() - 1]
-        classes.append(clique)
+        classes.append(start ^ cand)
     return classes
 
 

@@ -16,6 +16,7 @@ from operator import mul
 from .model import DEFAULT_ENUMERATION_BUDGET, Model
 from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
+    _check_graph_space,
     build_sender_graph,
     check_mis_budget,
     clique_cover_bound,
@@ -168,6 +169,7 @@ def asymptotic_bounds(
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_mis_budget(model, range(1, n_max + 1), mis_budget)
+    _check_graph_space(model, range(1, n_max + 1), enum_budget)  # every graph, before the first
     # Horizon 1 is within the budget, so these numbers are certified.
     one_letter = finite_bounds(model, 1, mis_budget=mis_budget, enum_budget=enum_budget)
     alpha1 = one_letter.alpha_per_type

@@ -320,12 +320,12 @@ def test_clique_cover_bounds_are_first_fit_partitions():
                     assert clique_cover_bound(g.adjacency, cand) == first_fit_cover(
                         g.adjacency, cand, up
                     )
-                    assert clique_cover_bound(
-                        g.adjacency, cand, descending=True
-                    ) == first_fit_cover(g.adjacency, cand, reversed(up))
+                    assert len(_cover_classes(g.adjacency, cand, True)) == first_fit_cover(
+                        g.adjacency, cand, reversed(up)
+                    )
                 alpha = sg.max_independent_set(g).size
                 assert clique_cover_bound(g.adjacency, full) >= alpha
-                assert clique_cover_bound(g.adjacency, full, descending=True) >= alpha
+                assert len(_cover_classes(g.adjacency, full, True)) >= alpha
 
 
 def test_search_node_count_is_golden():
@@ -348,6 +348,20 @@ def test_propagation_cut_node_count_is_golden():
     g = sg.build_sender_graph(model_pool()[156], 0, 4)
     result = sg.max_independent_set(g)
     assert (result.size, result.nodes) == (32, 7)
+
+
+def test_search_node_and_alpha_totals_over_the_pool_are_golden():
+    # Every type graph and union of model_pool(60) at n = 1..4 with k^n <= 81.
+    graphs = []
+    for m in model_pool(60):
+        for n in range(1, 5):
+            if m.num_symbols**n <= 81:
+                types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+                graphs += types + [sg.union_graph(types)]
+    results = [sg.max_independent_set(g) for g in graphs]
+    assert len(graphs) == 666
+    assert sum(r.nodes for r in results) == 1470
+    assert sum(r.size for r in results) == 2452
 
 
 def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
@@ -493,7 +507,8 @@ def test_propagation_conflicts_lower_the_cover_ceiling():
         alpha = brute_alpha(induced(g.adjacency, cand))
         for descending in (False, True):
             classes = _cover_classes(g.adjacency, cand, descending)
-            assert len(classes) == clique_cover_bound(g.adjacency, cand, descending=descending)
+            if not descending:
+                assert len(classes) == clique_cover_bound(g.adjacency, cand)
             assert sum(classes) == cand  # disjoint, and covering every candidate
             for clique in classes:
                 for v in range(g.vertex_count):

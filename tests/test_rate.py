@@ -114,6 +114,18 @@ def test_mis_budget_refuses_before_any_graph_is_built(example, monkeypatch):
     )
 
 
+def test_asymptotic_prices_every_graph_before_building_one(example, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built before every horizon was priced")
+
+    monkeypatch.setattr(sg.rate, "build_sender_graph", fail)
+    with pytest.raises(sg.BudgetExceededError) as caught:
+        sg.asymptotic_bounds(example, 7, mis_budget=2187)  # 3^7 fits, but 3^14 pairs do not
+    assert (caught.value.what, caught.value.requested, caught.value.budget) == (
+        "sender graph", 4782969, 1000000
+    )
+
+
 def test_exact_searches_are_not_repeated(example, monkeypatch):
     searched = []
     solve = sg.rate.max_independent_set
