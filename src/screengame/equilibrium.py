@@ -22,12 +22,14 @@ from .model import (
     HONEST,
     Model,
     Seq,
+    _BEATS,
+    _EITHER,
     _check_sequences,
     _count_sequences,
+    _top_bit_masks,
     check_space,
     classify_type,
     enumerate_sequences,
-    preference_masks,
 )
 from .graph import _mask_to_members, clique_cover_bound
 
@@ -139,8 +141,9 @@ def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_B
     objective times `scale`, the model's `prior_weights` scale, so searches
     compare integers. covers holds (the type's prior weight, bit offset,
     sender graph) per deceptive type, in slot order; the graph's row y is
-    beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives. Its
-    k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
+    beaten_by[y] | beats[y], the adjacency `build_sender_graph` gives. One
+    kernel walk per deceptive type extracts both. Its k^n sequences, then
+    its k^(2n) pairs, are refused past `enum_budget` first.
     """
     _count_sequences(model, n, enum_budget)
     check_space(model, 2 * n, enum_budget, "packed scorer")
@@ -153,10 +156,10 @@ def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_B
         if classify_type(model, type_id) == HONEST:
             continue
         shift = len(covers) * count
-        beaten_by, type_beats = preference_masks(model, type_id, seqs)
+        type_beats, edges = _top_bit_masks(model, type_id, n, (_BEATS, _EITHER))
         for y, mask in enumerate(type_beats):
             beats[y] |= mask << shift
-        covers.append((weight, shift, tuple(map(or_, beaten_by, type_beats))))
+        covers.append((weight, shift, tuple(edges)))
     # Multiplying a member set by `copies` places it in each type's bits.
     copies = sum(1 << shift for _, shift, _ in covers)
     low = (1 << count) - 1

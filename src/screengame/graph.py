@@ -22,11 +22,11 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     HONEST,
     Model,
+    _EITHER,
     _count_sequences,
+    _top_bit_masks,
     check_space,
     classify_type,
-    enumerate_sequences,
-    preference_masks,
 )
 
 DEFAULT_EXACT_MIS_BUDGET = 512
@@ -50,6 +50,12 @@ class SenderGraph:
     adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of the v-th sequence
     provenance: str  # sender type label, or UNION
     _symmetric = False  # not a field, so replace() and the constructor leave it unset
+
+    def __post_init__(self) -> None:
+        limit = 1 << len(self.adjacency)
+        for v, row in enumerate(self.adjacency):  # a self-loop would hang the clique covers
+            if row >> v & 1 or not 0 <= row < limit:
+                raise ValueError(f"adjacency row {v} has a self-loop or a bit past the vertices")
 
     @property
     def vertex_count(self) -> int:
@@ -81,15 +87,15 @@ def build_sender_graph(
     """Graph of length-n sequence pairs the given type can confuse.
 
     x and y are adjacent when either one weakly beats the other as a report,
-    so the adjacency is the kernel's beaten-by masks OR its beats masks.
+    so row v is beaten_by[v] | beats[v] of `preference_masks`, which the
+    kernel extracts once from the OR of its two direction sums.
     Its k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
     """
     _check_graph_space(model, (n,), enum_budget)
-    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     if classify_type(model, type_id) == HONEST:  # strict wins stay strict under sums
-        adjacency = (0,) * len(seqs)
+        adjacency = (0,) * model.num_symbols**n
     else:
-        adjacency = tuple(map(or_, *preference_masks(model, type_id, seqs)))
+        adjacency = tuple(_top_bit_masks(model, type_id, n, (_EITHER,))[0])
     graph = SenderGraph(n, adjacency, model.types[type_id])
     object.__setattr__(graph, "_symmetric", True)
     return graph
@@ -276,6 +282,7 @@ def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
     every uncovered vertex adjacent to all its members (one AND per member):
     the first-fit partition in id order. An independent set meets each clique
     at most once, so this bounds the induced independence number from above.
+    The rows must be loop-free, as the `SenderGraph` constructor checks.
     """
     count = 0
     while cand:

@@ -399,81 +399,79 @@ def _check_type(model: Model, type_id: int) -> None:
 # Maps a lane's top byte to b"1" when its high bit is set, else to b"0".
 _TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 
+# What a walk of `_top_bit_masks` extracts per vertex: one direction, or the OR of both.
+_BEATEN_BY, _BEATS, _EITHER = range(3)
 
-def preference_masks(model: Model, type_id: int, seqs: list[Seq]) -> tuple[list[int], list[int]]:
-    """Which sequences this type weakly prefers to report, as (beaten_by, beats).
 
-    Bit j of beaten_by[i] and bit i of beats[j] (j != i) are both set when
+def preference_masks(
+    model: Model, type_id: int, n: int, *, enum_budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> tuple[list[int], list[int]]:
+    """Which length-n sequences this type weakly prefers to report, as (beaten_by, beats).
+
+    Vertex v is the v-th sequence of `enumerate_sequences(model, n)`. Bit j of
+    beaten_by[i] and bit i of beats[j] (j != i) are both set when
     U(seqs[j], seqs[i]) >= U(seqs[i], seqs[i]), i.e. when the sum over letters
     p of D[j_p][i_p] is >= 0, where D[r][t] = table[r][t] - table[t][t] on the
-    scaled integer table. All sequences must share one length n.
+    scaled integer table. The k^n sequences, then the k^(2n) pairs, are
+    refused past `enum_budget` before any lane is built.
+    """
+    _check_type(model, type_id)
+    _count_sequences(model, n, enum_budget)
+    check_space(model, 2 * n, enum_budget, "preference masks")
+    return _top_bit_masks(model, type_id, n, (_BEATEN_BY, _BEATS))
+
+
+def _top_bit_masks(model: Model, type_id: int, n: int, reads) -> tuple[list[int], ...]:
+    """The kernel: per read in `reads`, one mask per vertex (see `preference_masks`).
 
     Both directions are summed in SIMD-within-a-register style: sequence v
     owns bits v*w .. v*w + w - 1 of one Python int, with w = 8 * nbytes the
     least lane width such that n * max|D| < 2^(w-1). Per position p and
-    letter c there is one packed row over truths for beats (lane i:
-    D[c][i_p]) and one over candidates for beaten_by (lane j: D[j_p][c]),
-    each lane shifted up by max|D| so it is never negative. Summing a
-    vertex's n rows, plus a bias on position 0, leaves lane u at 2^(w-1) +
-    (its sum of D): every lane stays in [1, 2^w), so no carry crosses lanes
-    and the lane's top bit is set exactly when its sum is >= 0. The top
-    bytes are cut out with one `to_bytes` and a stride, turned into "0"/"1"
-    by `translate`, and read back as a bitmask. Consecutive sequences share
-    the sums over their common prefix, so a lexicographic list costs about
-    one big-int addition per vertex and direction.
+    letter c there is one packed row over candidates for beaten_by (lane j:
+    D[j_p][c]) and one over truths for beats (lane i: D[c][i_p]), each lane
+    shifted up by max|D| so it is never negative; over the whole space in
+    lexicographic order a row is k runs of one chunk, repeated k^p times.
+    A bias plus a vertex's n rows leaves lane u at 2^(w-1) + (its sum of D):
+    every lane stays in [1, 2^w), so no carry crosses lanes and the lane's
+    top bit (in an OR of both sums, either one's) is set exactly when its
+    sum is >= 0. One depth-first walk keeps both prefix sums, about one
+    big-int addition per vertex and direction, and extracts per vertex the
+    sums `reads` names: top bytes cut out by one `to_bytes` and a stride,
+    turned into "0"/"1" by `translate`, and read back as a bitmask.
     """
-    _check_type(model, type_id)
-    if not seqs:
-        return [], []
     _, table = model.scaled_utility[type_id]
-    n = len(seqs[0])
+    k = model.num_symbols
     diagonal = [row[t] for t, row in enumerate(table)]
     delta = [list(map(sub, row, diagonal)) for row in table]
     shift = max(max(map(abs, row)) for row in delta)
     nbytes = 1
     while n * shift >> 8 * nbytes - 1:
         nbytes += 1
-    lane = [[(d + shift).to_bytes(nbytes, "big") for d in row] for row in delta]
-    # (2^(w-1) - n * shift) in every lane: the offsets' total comes back out.
-    bias = ((1 << 8 * nbytes - 1) - n * shift) * int.from_bytes(
-        (bytes(nbytes - 1) + b"\x01") * len(seqs), "big"
-    )
-    beaten_by = _top_bit_masks(list(zip(*lane)), seqs, bias, nbytes)
-    return beaten_by, _top_bit_masks(lane, seqs, bias, nbytes)
+    # Little-endian lanes: lane u, the u-th sequence, starts at byte u * nbytes.
+    lane = [[(d + shift).to_bytes(nbytes, "little") for d in row] for row in delta]
+    rows = []  # rows[p]: the beaten_by rows, then the beats rows, one per vertex letter
+    for p in range(n):  # lane u's letter at p is u // k^(n-1-p) % k: runs of k^(n-1-p) lanes
+        run = k ** (n - 1 - p)
+        spread = [[chunk * run for chunk in row] for row in lane] if run > 1 else lane
+        grids = (zip(*spread), spread)  # the vertex letter is the truth, then the report
+        rows.append([[int.from_bytes(b"".join(c) * k**p, "little") for c in g] for g in grids])
+    offset = (1 << 8 * nbytes - 1) - n * shift  # per lane: the shifts' total comes back out
+    bias = int.from_bytes(offset.to_bytes(nbytes, "little") * k**n, "little")
+    size = k**n * nbytes
+    masks = tuple([] for _ in reads)
 
+    def walk(p: int, beaten_by: int, beats: int) -> None:
+        for row_a, row_b in zip(*rows[p]):
+            a, b = beaten_by + row_a, beats + row_b
+            if p + 1 < n:
+                walk(p + 1, a, b)
+                continue
+            sums = (a, b, a | b)
+            for out, read in zip(masks, reads):
+                top = sums[read].to_bytes(size, "big")[::nbytes].translate(_TOP_BIT)
+                out.append(int(top, 2) ^ 1 << len(out))  # lane v ties itself: clear its bit
 
-def _top_bit_masks(grid, seqs: list[Seq], bias: int, nbytes: int) -> list[int]:
-    """Per vertex v, the lanes u whose sum over p of grid[v_p][u_p] is >= 0, minus v.
-
-    grid[c][x] is one lane's bytes for vertex letter c against lane letter x.
-    The rows are rows[p][c], whose lane u holds grid[c][u_p]; `bias` rides
-    on position 0.
-    """
-    size = len(seqs) * nbytes
-    rows = []
-    for p in range(len(seqs[0])):
-        letters = [seq[p] for seq in reversed(seqs)]  # lane 0 is least significant
-        start = bias if p == 0 else 0
-        rows.append(
-            [
-                start + int.from_bytes(b"".join(map(chunks.__getitem__, letters)), "big")
-                for chunks in grid
-            ]
-        )
-    masks = []
-    sums: list[int] = []  # sums[p]: rows summed over letters 0..p of the previous vertex
-    previous: Seq = ()
-    for v, seq in enumerate(seqs):
-        shared = 0
-        while shared < len(sums) and seq[shared] == previous[shared]:
-            shared += 1
-        del sums[shared:]
-        for p in range(shared, len(seq)):
-            row = rows[p][seq[p]]
-            sums.append(sums[-1] + row if p else row)
-        previous = seq
-        top = sums[-1].to_bytes(size, "big")[::nbytes].translate(_TOP_BIT)
-        masks.append(int(top, 2) ^ 1 << v)  # lane v ties itself, so its bit is set
+    walk(0, bias, bias)
     return masks
 
 

@@ -586,14 +586,15 @@ ALL_N7 = ";".join(map("".join, itertools.product("012", repeat=7)))
 def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch, argv, refusal):
     # 3^7 sequences pass --enum-budget, but their 3^14 pairs do not, nor the
     # played-out scan's 2 * 3^7 * 3^7 payoffs: each is refused before the
-    # space is enumerated, and a budget that holds them lets the work begin.
+    # space is enumerated or the kernel runs (sender graphs go straight to the
+    # kernel), and a budget that holds them lets the work begin.
     def fail(*args, **kwargs):
         raise AssertionError("the work began")
 
-    for module in (sg.graph, sg.equilibrium, sg.gameplay):
+    for module in (sg.equilibrium, sg.gameplay):
         monkeypatch.setattr(module, "enumerate_sequences", fail)
-    monkeypatch.setattr(sg.graph, "preference_masks", fail)
-    monkeypatch.setattr(sg.equilibrium, "preference_masks", fail)
+    for module in (sg.graph, sg.equilibrium):
+        monkeypatch.setattr(module, "_top_bit_masks", fail)
     requested = 2 * 3**14 if refusal == "played-out scan" else 3**14
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--model", "example1")

@@ -263,7 +263,7 @@ def test_packed_scorer_refuses_exactly_past_its_pairs(monkeypatch):
                     "sequence enumeration", space
                 )
                 with monkeypatch.context() as patch:
-                    patch.setattr(sg.equilibrium, "preference_masks", forbidden)
+                    patch.setattr(sg.equilibrium, "_top_bit_masks", forbidden)
                     patch.setattr(sg.equilibrium, "enumerate_sequences", forbidden)
                     with pytest.raises(sg.BudgetExceededError, match=what) as info:
                         sg.equilibrium.packed_scorer(m, n, enum_budget=budget)
@@ -271,14 +271,15 @@ def test_packed_scorer_refuses_exactly_past_its_pairs(monkeypatch):
 
 
 def test_solve_exact_runs_the_kernel_once_per_deceptive_type(monkeypatch):
-    kernel = sg.equilibrium.preference_masks
+    # One walk per deceptive type serves both the beats and the graph rows.
+    kernel = sg.equilibrium._top_bit_masks
     calls = []
 
-    def counted(model, type_id, seqs):
+    def counted(model, type_id, n, reads):
         calls.append(type_id)
-        return kernel(model, type_id, seqs)
+        return kernel(model, type_id, n, reads)
 
-    monkeypatch.setattr(sg.equilibrium, "preference_masks", counted)
+    monkeypatch.setattr(sg.equilibrium, "_top_bit_masks", counted)
     rng = random.Random(5)
     cases = [_typed(types) for types in _ONE_DECEPTIVE]
     cases += [make_random_model(rng, 2, 3) for _ in range(3)]

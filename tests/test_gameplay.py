@@ -107,12 +107,17 @@ def test_multiplicities_match_the_definition():
 
 def test_oracle_never_uses_the_formula(monkeypatch):
     # The played-out scan cross-checks the receiver objective, so it must not
-    # reach the preference kernel or the truthful-subset scan.
+    # reach the preference kernel, from any module that holds it, or the
+    # truthful-subset scan.
     def forbidden(*args, **kwargs):
         raise AssertionError("the gameplay oracle used the formula's code")
 
-    monkeypatch.setattr(sg.model, "preference_masks", forbidden)
-    monkeypatch.setattr(sg.equilibrium, "preference_masks", forbidden)
+    modules = (sg, sg.model, sg.graph, sg.equilibrium, sg.gameplay, sg.rate, sg.cli)
+    for module in modules:
+        for name in ("preference_masks", "_top_bit_masks"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert hasattr(sg.graph, "_top_bit_masks") and hasattr(sg.equilibrium, "_top_bit_masks")
     monkeypatch.setattr(sg.equilibrium, "truthful_subset", forbidden)
     rng = random.Random(73)
     for k, n in ((3, 3), (3, 4)):
@@ -127,9 +132,13 @@ def test_oracle_never_uses_the_formula(monkeypatch):
                 assert outcome.decoded in strategy.image
     with pytest.raises(AssertionError, match="formula's code"):
         sg.evaluate_questionnaire(m, strategy.image)
-    # The cross-check's formula side is the searches' kernel.
+    # The cross-check's formula side is the searches' kernel, and sender
+    # graphs run it too.
     with pytest.raises(AssertionError, match="formula's code"):
         sg.cross_check_equivalence(m, 1)
+    deceptive = next(t for t in range(m.num_types) if sg.classify_type(m, t) != sg.HONEST)
+    with pytest.raises(AssertionError, match="formula's code"):
+        sg.build_sender_graph(m, deceptive, 1)
 
 
 def test_only_the_image_matters(example):

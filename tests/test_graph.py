@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from operator import or_
 
@@ -96,9 +100,61 @@ def test_honest_types_skip_the_kernel_for_the_same_adjacency():
                 continue
             honest += 1
             for n in (1, 2, 3):
-                kernel = sg.preference_masks(m, t, sg.enumerate_sequences(m, n))
+                kernel = sg.preference_masks(m, t, n)
                 assert sg.build_sender_graph(m, t, n).adjacency == tuple(map(or_, *kernel))
     assert honest >= 5
+
+
+def test_deceptive_graphs_read_the_or_of_both_directions():
+    # The graph extracts one OR of the two direction sums per vertex; it must
+    # equal the OR of the two masks extracted apart, one- and multi-byte lanes.
+    rng = random.Random(59)
+    models = [make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3)) for _ in range(40)]
+    big = 10**9
+    for den in (997, 2**40):
+        utility = {
+            lab: [[f"{rng.randint(-big, big)}/{rng.choice((1, den))}" for _ in range(3)]
+                  for _ in range(3)]
+            for lab in ("a", "b")
+        }
+        models.append(sg.Model.from_tables(["0", "1", "2"], ["a", "b"], [1, 0], utility))
+    deceptive = wide = 0
+    for m in models:
+        for t in range(m.num_types):
+            if sg.classify_type(m, t) == sg.HONEST:
+                continue
+            deceptive += 1
+            _, table = m.scaled_utility[t]
+            k = m.num_symbols
+            wide += max(abs(table[r][c] - table[c][c]) for r in range(k) for c in range(k)) >= 2**8
+            for n in range(1, 5):
+                if m.num_symbols**n > 256:
+                    break
+                kernel = sg.preference_masks(m, t, n)
+                assert sg.build_sender_graph(m, t, n).adjacency == tuple(map(or_, *kernel))
+    assert deceptive >= 40 and wide >= 2
+
+
+# Every type graph of model_pool(60) at every n with k^n <= 81 (528 graphs):
+# their total edge count and a SHA-256 over their adjacency rows, each graph's
+# rows written in decimal, joined by "," and ended by ";".
+POOL_GRAPH_EDGES = 255600
+POOL_GRAPH_SHA256 = "ff4df4d1848c332666b2c1158ad5a571dcdae6bf689f2c001d29b04e39cc750f"
+
+
+def test_pool_sender_graphs_are_golden():
+    digest = hashlib.sha256()
+    graphs = edges = 0
+    for m in model_pool(60):
+        for t in range(m.num_types):
+            n = 1
+            while m.num_symbols**n <= 81:
+                g = sg.build_sender_graph(m, t, n)
+                digest.update(",".join(map(str, g.adjacency)).encode() + b";")
+                graphs += 1
+                edges += g.edge_count
+                n += 1
+    assert (graphs, edges, digest.hexdigest()) == (528, POOL_GRAPH_EDGES, POOL_GRAPH_SHA256)
 
 
 def test_deceptive_two_letter_graph_is_complete(example):
@@ -120,6 +176,50 @@ def test_no_self_loops_and_symmetry():
             assert not g.adjacency[v] >> v & 1
             for u in range(g.vertex_count):
                 assert g.adjacency[u] >> v & 1 == g.adjacency[v] >> u & 1
+
+
+def test_sender_graph_refuses_self_loops_and_rows_past_its_vertices():
+    # The cover routines never return on a row holding its own bit, so the
+    # constructor refuses one. Run in a child process under a timeout, so a
+    # missing check fails here instead of hanging the suite.
+    repro = """
+import random
+import screengame as sg
+rng = random.Random(1)
+refused = 0
+for _ in range(200):
+    adjacency = [0] * 20
+    for u in range(20):
+        for v in range(u + 1, 20):
+            if rng.random() < 0.4:
+                adjacency[u] |= 1 << v
+                adjacency[v] |= 1 << u
+    loop = rng.randrange(20)
+    adjacency[loop] |= 1 << loop
+    try:
+        graph = sg.SenderGraph(1, tuple(adjacency), "loop")
+    except ValueError:
+        refused += 1
+    else:
+        sg.max_independent_set(graph)
+try:
+    sg.SenderGraph(1, (0b010, 0b011, 0), "x")
+except ValueError:
+    refused += 1
+print(refused)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sg.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", repro], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (done.returncode, done.stdout) == (0, "201\n"), done.stderr
+    for adjacency in ((0b100, 0), (0b10, -1), (0b10, 0b1, 0b1000)):
+        with pytest.raises(ValueError, match="self-loop or a bit past the vertices"):
+            sg.SenderGraph(1, adjacency, "x")
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="adjacency row 1"):
+        dataclasses.replace(g, adjacency=(0b010, 0b111, 0b010))
+    assert sg.SenderGraph(1, (), "empty").vertex_count == 0
 
 
 def test_edge_rule_matches_direct_average_comparison():

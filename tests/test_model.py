@@ -154,7 +154,7 @@ def test_beaten_masks_match_definition_beyond_nine_sequences():
                 continue
             seqs = sg.enumerate_sequences(m, n)
             for t in range(m.num_types):
-                masks, beats = sg.preference_masks(m, t, seqs)
+                masks, beats = sg.preference_masks(m, t, n)
                 assert beats == _bit_transpose(masks)
                 assert len(masks) == len(seqs)
                 assert all(not mask >> i & 1 for i, mask in enumerate(masks))
@@ -186,17 +186,18 @@ def _bit_transpose(masks):
 def test_beats_is_the_bit_transpose_of_beaten_by(pool, example):
     for m in pool[:40]:
         for n in (1, 2, 3):
-            seqs = sg.enumerate_sequences(m, n)
             for t in range(m.num_types):
-                beaten_by, beats = sg.preference_masks(m, t, seqs)
+                beaten_by, beats = sg.preference_masks(m, t, n)
                 assert beats == _bit_transpose(beaten_by)
-    assert sg.preference_masks(example, 1, []) == ([], [])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="sequence length must be >= 1"):
+            sg.preference_masks(example, 1, n)
 
 
 def _assert_masks_match_sequence_utility(m, t, n):
     """Every bit of both directions against raw Fraction averages; returns beaten_by."""
     seqs = sg.enumerate_sequences(m, n)
-    beaten_by, beats = sg.preference_masks(m, t, seqs)
+    beaten_by, beats = sg.preference_masks(m, t, n)
     own = [sequence_utility(m, t, x, x) for x in seqs]
     for i, x in enumerate(seqs):
         expected = sum(
@@ -266,6 +267,33 @@ def test_preference_masks_binary_eight_letters():
     for t in range(2):
         beaten_by = _assert_masks_match_sequence_utility(m, t, 8)
         assert len(beaten_by) == 256
+
+
+def test_preference_masks_prices_its_space_before_building_a_lane(example, monkeypatch):
+    # 3^40 sequences are refused at once, as are 3^(2n) pairs past the
+    # budget: the k^n sequences are named first, then the k^(2n) pairs, and
+    # the kernel is never reached.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(sg.model, "_top_bit_masks", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(sg.BudgetExceededError) as info:
+        sg.preference_masks(example, 1, 40)
+    assert time.perf_counter() - start < 1
+    assert (info.value.what, info.value.requested) == ("sequence enumeration", 3**40)
+    for budget, what, requested in (
+        (3**4 - 1, "sequence enumeration", 3**4),
+        (3**4, "preference masks", 3**8),
+        (3**8 - 1, "preference masks", 3**8),
+    ):
+        with pytest.raises(sg.BudgetExceededError) as info:
+            sg.preference_masks(example, 1, 4, enum_budget=budget)
+        assert (info.value.what, info.value.requested, info.value.budget) == (
+            what, requested, budget
+        )
+    with pytest.raises(AssertionError, match="the kernel ran"):
+        sg.preference_masks(example, 1, 4, enum_budget=3**8)
 
 
 def test_format_sequence(example):
@@ -503,7 +531,7 @@ TYPE_ID_CALLS = {
     "build_sender_graph": lambda m, t: sg.build_sender_graph(m, t, 1),
     "truthful_subset": lambda m, t: sg.truthful_subset(m, [(0,), (1,)], t),
     "classify_type": sg.classify_type,
-    "preference_masks": lambda m, t: sg.preference_masks(m, t, [(0,), (1,)]),
+    "preference_masks": lambda m, t: sg.preference_masks(m, t, 1),
     "simulate": lambda m, t: sg.simulate(m, sg.canonical_strategy([(0,)]), t, (0,)),
 }
 
