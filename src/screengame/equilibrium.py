@@ -31,7 +31,7 @@ from .model import (
     classify_type,
     enumerate_sequences,
 )
-from .graph import _mask_to_members, clique_cover_bound
+from .graph import _greedy_independent_set, _mask_to_members, clique_cover_bound
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
@@ -175,6 +175,23 @@ def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_B
     return seqs, scale, beats, score, covers
 
 
+def _greedy_questionnaires(beats: list[int], covers: list):
+    """Greedy independent sets of the scorer's sender graphs, as (members, beaten) pairs.
+
+    One per deceptive type, on its graph in `covers`, then one on the union
+    of their graphs when there are two or more, each from
+    `_greedy_independent_set`; beaten is the OR of beats[y] over the
+    members, the second argument of the scorer's `score`. Each is a
+    nonempty questionnaire, so none scores above the optimum.
+    """
+    graphs = [graph for _, _, graph in covers]
+    if len(graphs) > 1:
+        graphs.append(tuple(reduce(or_, rows) for rows in zip(*graphs)))
+    for graph in graphs:
+        members = _greedy_independent_set(graph)
+        yield members, reduce(or_, (beats[v] for v in _mask_to_members(members)))
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     n: int
@@ -206,19 +223,24 @@ def solve_exact(
     0, 1, ..., N-1 in turn, trying "include" before "exclude", so it meets
     the subsets in lexicographic order. Each node carries I and the OR of
     beats[y] over y in I (see `packed_scorer`), so including a sequence
-    costs one OR. In both modes the incumbent starts at 1, the value of any
-    singleton (every type reports a lone member truthfully), which the first
-    subset examined, {seqs[0]}, reaches.
+    costs one OR. The incumbent starts at 1, the value of any singleton
+    (every type reports a lone member truthfully), which the first subset
+    examined, {seqs[0]}, reaches.
 
-    With pruning on, a node whose undecided sequences are R gets a ceiling
-    on every subset below it, and is cut when that ceiling is strictly below
-    the incumbent (`cover_cuts`). A member that I beats stays beaten in every
-    I | S with S inside R, and a type's truthful members never beat each
-    other, so they are independent in its sender graph and meet each clique
-    of a cover at most once. The ceiling lets an honest type count all of
-    I | R, and a deceptive type a greedy clique cover of the members of
-    I | R that I does not beat (`clique_cover_bound`, on the graphs in the
-    scorer's covers): the independence-number ceiling, inside the subtree.
+    With pruning on, it starts instead at the best score, if higher, of the
+    greedy questionnaires (`_greedy_questionnaires`), with no maximizer
+    listed. A node whose undecided sequences are R gets a ceiling on every
+    subset below it, and is cut when that ceiling is strictly below the
+    incumbent (`cover_cuts`). Each seed is a questionnaire, so it never
+    exceeds the optimum and no node holding a maximizer is cut before the
+    walk meets it: the walk lists and counts the maximizers the walk from a
+    singleton does. A member that I beats stays beaten in every I | S with S
+    inside R, and a type's truthful members never beat each other, so they
+    are independent in its sender graph and meet each clique of a cover at
+    most once. The ceiling lets an honest type count all of I | R, and a
+    deceptive type a greedy clique cover of the members of I | R that I does
+    not beat (`clique_cover_bound`, on the graphs in the scorer's covers):
+    the independence-number ceiling, inside the subtree.
 
     Once max(report_cap, 1) maximizers at the incumbent value are listed,
     nodes whose ceiling equals the incumbent are cut as well (`tie_cuts`);
@@ -238,6 +260,8 @@ def solve_exact(
     listed = max(report_cap, 1)  # maximizers walked before ties are cut
 
     best = scale  # the singleton value 1
+    if prune:
+        best = max([best, *(score(*seed) for seed in _greedy_questionnaires(beats, covers))])
     floor = best  # nodes with a ceiling below it are cut; best + 1 cuts ties
     maximizers: list[int] = []  # the first `listed` member bitmasks at `best`
     found = 0  # maximizers at `best` the walk met
@@ -304,14 +328,17 @@ def solve_heuristic(
     Starts from a seeded random singleton, repeatedly adds the best candidate
     (tolerating `PATIENCE` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
-    not certified optimal, but it is never below its floor, the closure of
-    the full space: the union over types of its truthful subsets, or the full
+    not certified optimal, but it is never below its floor, the best of two
+    kinds of questionnaire anyone can build. The first is the closure of the
+    full space: the union over types of its truthful subsets, or the full
     space when that union is empty. Shrinking a questionnaire can only grow
     each truthful subset, so the union is its own union of truthful subsets,
-    and it never scores below the full space (checked at runtime). The floor
-    is returned instead whenever it scores strictly higher. Nor is it below
-    the best singleton, whose objective is exactly 1, because local search
-    starts from a singleton and never loses value.
+    and it never scores below the full space (checked at runtime). Then come
+    the greedy questionnaires (`_greedy_questionnaires`), each counted as
+    one evaluation; one replaces the floor only when it scores strictly
+    higher, and the floor replaces the local search's result likewise. Nor
+    is the result below the best singleton, whose objective is exactly 1,
+    because local search starts from a singleton and never loses value.
 
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
@@ -375,6 +402,11 @@ def solve_heuristic(
                     "this contradicts the dominance argument"
                 )
             floor, floor_value = kept, kept_value
+    for trial in _greedy_questionnaires(beats, covers):
+        evaluations += 1
+        value = score(*trial)
+        if value > floor_value:
+            floor, floor_value = trial[0], value
     if floor_value > current_value:
         current, current_value = floor, floor_value
     designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(current)])

@@ -165,15 +165,15 @@ def max_independent_set(
     choice and is not certified.
     """
     if mode == "greedy":
-        return _greedy_independent_set(graph)
+        members = _mask_to_members(_greedy_independent_set(graph.adjacency))
+        return IndependentSetResult(members, len(members), False)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if graph.vertex_count > mis_budget:
         raise BudgetExceededError("exact independent set", graph.vertex_count, mis_budget)
 
     adjacency = graph.adjacency
-    greedy = _greedy_independent_set(graph)
-    best_mask = _swap_descent(adjacency, sum(1 << v for v in greedy.members))
+    best_mask = _swap_descent(adjacency, _greedy_independent_set(adjacency))
     best_size = best_mask.bit_count()
     n = graph.n if graph._symmetric else 1
     words = list(product(range(round(graph.vertex_count ** (1 / n))), repeat=n))
@@ -393,14 +393,14 @@ def _improving_move(adjacency: tuple[int, ...], chosen: int, outside: int) -> in
     return 0
 
 
-def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
-    """Repeatedly take the remaining vertex of least remaining degree, ties to the lowest id.
+def _greedy_independent_set(adjacency: tuple[int, ...]) -> int:
+    """The members, as a bitmask, of a maximal independent set of the loop-free rows.
 
-    Only the removed vertices' neighbours are recounted. Vertices of degree 0
-    change no degree, so they are all taken at once.
+    Repeatedly takes the remaining vertex of least remaining degree, ties to
+    the lowest id. Only the removed vertices' neighbours are recounted.
+    Vertices of degree 0 change no degree, so they are all taken at once.
     """
-    adjacency = graph.adjacency
-    count = graph.vertex_count
+    count = len(adjacency)
     degree = [mask.bit_count() for mask in adjacency]
     remaining = (1 << count) - 1
     chosen = 0
@@ -418,13 +418,19 @@ def _greedy_independent_set(graph: SenderGraph) -> IndependentSetResult:
         removed = (adjacency[v] | 1 << v) & remaining
         remaining ^= removed
         touched = 0
-        for v in _mask_to_members(removed):
+        while removed:
+            low = removed & -removed
+            removed ^= low
+            v = low.bit_length() - 1
             degree[v] = count
             touched |= adjacency[v]
-        for v in _mask_to_members(touched & remaining):
+        touched &= remaining
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            v = low.bit_length() - 1
             degree[v] = (adjacency[v] & remaining).bit_count()
-    members = _mask_to_members(chosen)
-    return IndependentSetResult(members, len(members), False)
+    return chosen
 
 
 def _mask_to_members(mask: int) -> tuple[int, ...]:

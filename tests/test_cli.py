@@ -12,7 +12,7 @@ import pytest
 import screengame as sg
 from screengame.cli import main
 
-from conftest import make_random_model
+from conftest import X6, make_random_model
 
 EXAMPLE1_DIGEST = "145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738"
 # Labels the JSON encoder escapes or passes through, and literals spelled off
@@ -366,6 +366,28 @@ def test_solve_search_counters_golden(capsys):
             "tie_cuts=0",
             "maximizers_complete=true",
         } <= set(out.splitlines())
+
+
+def test_solve_greedy_seed_counters_golden(capsys, tmp_path):
+    # X6 at n=4: started from the best greedy questionnaire, the walk examines
+    # 161 subsets with 126 cover cuts and 6 tie cuts; started from a singleton
+    # it would take 231, 164 and 8. Its 16 maximizers fill the default cap.
+    path = tmp_path / "x6.json"
+    path.write_text(sg.serialize_model(X6), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "solve", "--model", str(path), "--n", "4", "--subset-budget", "16",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert {
+        "objective=54/11",
+        "subsets_examined=161",
+        f"subsets_pruned={2**16 - 1 - 161}",
+        "cover_cuts=126",
+        "tie_cuts=6",
+        "maximizer_count=16",
+        "maximizers_complete=false",
+    } <= set(out.splitlines())
 
 
 def test_solve_report_cap_one_cuts_the_second_tie(capsys):
