@@ -6,11 +6,11 @@ resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
 the receiver objective the questionnaire searches score. Every route prices
-reports with one payoff-table builder, `_payoffs`, picks them with one
+reports with one payoff builder, `_payoffs`, picks them with one
 argmax-with-ties, `_best_response`, and keeps robust truths by one rule,
-`_robust`; `recovery_report` is the one scan of a strategy. The cross-check
-prices each type's whole space once per call and counts in integers over
-the model's `prior_weights` scale, as the searches' packed scorer does.
+`_robust`; `recovery_report` is the one scan of a strategy, over every truth.
+The cross-check prices each type's whole space once per call, plays only
+member truths, and counts in integers over the `prior_weights` scale.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -80,18 +80,18 @@ def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrate
     return TableStrategy(n, normalized)
 
 
-def _payoffs(model: Model, type_id: int, truths, reports) -> Iterator[list[int]]:
-    """Per truth, in order, this type's scaled payoff total for every report.
+def _payoffs(model: Model, type_id: int, letters, reports) -> Iterator[tuple[int, ...]]:
+    """Per truth in the product of `letters`, this type's scaled total for every report.
 
-    The total of report r at truth x is the sum over letters p of
-    table[r_p][x_p] on the type's integer table from `model.scaled_utility`.
-    Rows are built lazily, one per truth as it is read.
+    `letters` holds the truth letters per position: `[range(k)] * n` for the
+    whole space, in order, or `zip(truth)` for one truth. Report r's column of
+    totals sums `model.scaled_utility`'s table[r_p][x_p] over the product of
+    its per-position cells; the columns are read back lazily, one row per truth.
     """
     _, table = model.scaled_utility[type_id]
-    columns = list(zip(*table))  # columns[t][r] == table[r][t]
-    for truth in truths:
-        at_truth = [columns[t] for t in truth]  # at_truth[p][r] = table[r][truth[p]]
-        yield [sum(map(getitem, at_truth, report)) for report in reports]
+    # cells[p][a]: report letter a's payoffs at position p, one per truth letter there.
+    cells = [[[row[x] for x in at] for row in table] for at in letters]
+    return zip(*(map(sum, itertools.product(*map(getitem, cells, r))) for r in reports))
 
 
 def _best_response(totals, image) -> tuple[int, list[Seq]]:
@@ -133,10 +133,11 @@ def recovery_report(
         raise BudgetExceededError("played-out scan", payoffs, enum_budget)
     seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
+    space = [range(model.num_symbols)] * len(image[0])
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
     for type_id in range(model.num_types):
-        winners = [_best_response(row, image)[1] for row in _payoffs(model, type_id, seqs, image)]
+        winners = [_best_response(row, image)[1] for row in _payoffs(model, type_id, space, image)]
         robust.append(_robust(seqs, winners))
         multiplicities.append(prod(sum(map(reach.__getitem__, won)) for won in winners))
     scale, weights = model.prior_weights
@@ -185,7 +186,7 @@ def simulate(
     _check_type(model, type_id)
     _check_sequences(model, image, "image")
     scale, _ = model.scaled_utility[type_id]
-    (totals,) = _payoffs(model, type_id, [truth], image)
+    (totals,) = _payoffs(model, type_id, zip(truth), image)
     best_total, options = _best_response(totals, image)
     if policy == ADVERSARIAL:
         lying = [z for z in options if z != truth]
@@ -236,19 +237,19 @@ def cross_check_equivalence(
     For each image set I, the worst-case recovery of the canonical strategy on
     I must equal the receiver objective of I exactly. The objective comes from
     the packed scorer the questionnaire searches run (see `packed_scorer`);
-    the recovery from the naive best-response scan, every truth against every
-    member of I, which never touches the preference kernel. The sequence
-    space, the scorer and each type's payoff table over every (truth, report)
-    pair are built once per call and shared by every image set, which reads
-    its members' columns from the table. The image sets stream: each is drawn
-    as it is scored, and only mismatches are kept. `strategies` is "all"
-    (every nonempty subset, requires a small sequence space) or "random"
-    (`count` >= 1 seeded draws). The exhaustive mode is refused before any
-    sequence is enumerated when the space exceeds `subset_budget` sequences;
-    the random mode does not read it. The payoff table holds k^(2n) totals
-    per type, T * k^(2n) in all, so it is refused past `enum_budget` before
-    it or the scorer is built; so are the `count` * T * k^n truth scans of
-    the random mode.
+    the recovery from the naive best-response scan, each member truth against
+    every member of I (a truth outside I never decodes to itself), which never
+    touches the preference kernel. The sequence space, the scorer and each
+    type's payoff table over every (truth, report) pair are built once per
+    call and shared by every image set, which reads its members' rows and
+    columns from the table. The image sets stream: each is drawn as it is
+    scored, and only mismatches are kept. `strategies` is "all" (every
+    nonempty subset, requires a small sequence space) or "random" (`count`
+    >= 1 seeded draws). The exhaustive mode is refused before any sequence is
+    enumerated when the space exceeds `subset_budget` sequences; the random
+    mode does not read it. The payoff table holds k^(2n) totals per type,
+    T * k^(2n) in all, so it is refused past `enum_budget` before it or the
+    scorer is built; so is the random mode's bound of `count` * T * k^n truths.
     """
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
@@ -292,14 +293,16 @@ def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
     """Yield (members, played, formula) per image set, each over the `prior_weights` scale."""
     _, weights = model.prior_weights
     seqs, _, beats, score, _ = packed_scorer(model, n, enum_budget)
-    tables = [list(_payoffs(model, t, seqs, seqs)) for t in range(model.num_types)]
+    space = [range(model.num_symbols)] * n
+    tables = [list(_payoffs(model, t, space, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
         members = tuple(seqs[v] for v in ids)
-        # Each row, cut down to the members' columns, prices the image at one truth.
+        # Row v, cut down to the members' columns, prices the image at truth v.
         pick = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
-        played = sum(
-            weight * len(_robust(seqs, (_best_response(pick(row), members)[1] for row in table)))
-            for weight, table in zip(weights, tables)
-        )
+        # Every outcome is a member, so only a member truth can be robust.
+        played = 0
+        for weight, table in zip(weights, tables):
+            winners = [_best_response(pick(table[v]), members)[1] for v in ids]
+            played += weight * len(_robust(members, winners))
         mask = sum(1 << v for v in ids)
         yield members, played, score(mask, reduce(or_, (beats[v] for v in ids)))

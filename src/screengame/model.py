@@ -229,16 +229,14 @@ class Model:
     def scaled_utility(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Per type: (scale, integer table) with table[i][j] == utility[i][j] * scale.
 
-        Lets every length-n payoff comparison run on plain integer sums. The
-        entries are scaled on their numerators and denominators as integers.
+        Lets every length-n payoff comparison run on plain integer sums. Each
+        entry is read once as an integer ratio and scaled as integers.
         """
         out = []
         for table in self.utility:
-            scale = math.lcm(*(entry.denominator for row in table for entry in row))
-            int_table = tuple(
-                tuple(entry.numerator * (scale // entry.denominator) for entry in row)
-                for row in table
-            )
+            ratios = [[entry.as_integer_ratio() for entry in row] for row in table]
+            scale = math.lcm(*{den for row in ratios for _, den in row})
+            int_table = tuple(tuple(num * (scale // den) for num, den in row) for row in ratios)
             out.append((scale, int_table))
         return tuple(out)
 

@@ -325,6 +325,73 @@ def test_batched_routes_equal_the_public_functions():
     assert checked == 255 * 2 + 511 + 12 * 9
 
 
+def test_member_truths_alone_give_the_full_scan_value(pool):
+    # The cross-check plays only the member truths of each image set, since a
+    # truth outside it never decodes to itself; recovery_report plays every
+    # truth. Every subset of spaces up to 9 sequences at n = 1 and 2, and 20
+    # random draws per model at n = 3, on the conftest pool.
+    checked = 0
+    for index, m in enumerate(pool):
+        scale, _ = m.prior_weights
+        for n in (1, 2, 3):
+            space = m.num_symbols**n
+            if n < 3 and space > 9:
+                continue
+            mode = "all" if n < 3 else "random"
+            id_sets = sg.gameplay._image_id_sets(space, mode, 20, index)
+            for members, played, _ in sg.gameplay._scored_image_sets(m, n, id_sets, space**2):
+                report = sg.recovery_report(m, sg.canonical_strategy(members))
+                assert played == report.value * scale, (index, members)
+                checked += 1
+    # k = 2, 3, 4 on 68, 66, 66 models: 3 + 15 + 20, 7 + 511 + 20 and 15 + 20 sets.
+    assert checked == 40_402
+
+
+def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
+    # Each broken rule keeps a truth whose optimal outcomes tie: counting it
+    # as robust, or keeping only the first winner so the tie goes unseen.
+    # Neither changes a count at n = 1, so the check runs at n = 2.
+    best_response = sg.gameplay._best_response
+
+    def tied_truth_is_robust(truths, winners):
+        return tuple(truth for truth, won in zip(truths, winners) if truth in won)
+
+    def first_winner_only(totals, image):
+        best_total, winners = best_response(totals, image)
+        return best_total, winners[:1]
+
+    for name, broken in (("_robust", tied_truth_is_robust), ("_best_response", first_winner_only)):
+        with monkeypatch.context() as patch:
+            patch.setattr(sg.gameplay, name, broken)
+            assert sg.cross_check_equivalence(example, 1).agreed
+            assert not sg.cross_check_equivalence(example, 2).agreed
+    assert sg.cross_check_equivalence(example, 2).agreed
+
+
+def test_payoffs_match_the_definition():
+    # Rows over the whole space and over a single truth's letters must equal
+    # sequence_utility times n and the type's scale, report by report, for a
+    # sorted image and for an unsorted report list.
+    rng = random.Random(97)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            m = make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3))
+            seqs = sg.enumerate_sequences(m, n)
+            image = sorted(rng.sample(seqs, rng.randint(1, min(12, len(seqs)))))
+            shuffled = rng.sample(seqs, rng.randint(1, min(12, len(seqs))))
+            space = [range(m.num_symbols)] * n
+            for t in range(m.num_types):
+                scale, _ = m.scaled_utility[t]
+                for reports in (image, shuffled):
+                    rows = list(sg.gameplay._payoffs(m, t, space, reports))
+                    assert len(rows) == len(seqs)
+                    for truth, row in zip(seqs, rows):
+                        expected = [sequence_utility(m, t, r, truth) * n * scale for r in reports]
+                        assert list(row) == expected
+                        (single,) = sg.gameplay._payoffs(m, t, zip(truth), reports)
+                        assert single == row
+
+
 def test_played_routes_match_a_plain_argmax_of_sequence_utility():
     # Every played route prices reports through one table builder, so this
     # test rebuilds the robust sets from the definition: a truth is robust for

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,38 @@ def test_scaled_utility_is_the_exact_table_times_its_scale():
             assert scale == math.lcm(*(e.denominator for row in exact for e in row))
             for int_row, row in zip(table, exact):
                 assert all(type(x) is int and x == e * scale for x, e in zip(int_row, row))
+
+
+def test_scaled_utility_equals_the_fraction_definition_on_the_pools(pool):
+    # The tables read each entry once as an integer ratio; they must equal
+    # the lcm of the denominators times each entry, read through the Fraction
+    # properties, on the benchmark's search pool and the conftest pool. Both
+    # pools have integer payoffs, so 50 draws with rational ones join them.
+    search_pool = Path(__file__).parent.parent / "perfbench" / "pool.json"
+    docs = [entry["doc"] for entry in json.loads(search_pool.read_text())["search"]]
+    assert len(docs) == 87
+    rng = random.Random(17)
+    rational = []
+    for _ in range(50):
+        k, labels = rng.randint(2, 4), list("abc"[: rng.randint(1, 3)])
+        utility = {
+            lab: [[f"{rng.randint(-30, 30)}/{rng.randint(1, 12)}" for _ in range(k)]
+                  for _ in range(k)]
+            for lab in labels
+        }
+        prior = {lab: f"1/{len(labels)}" for lab in labels}
+        rational.append(sg.Model.from_tables([str(i) for i in range(k)], labels, prior, utility))
+    models = [*(sg.parse_model(json.dumps(doc)) for doc in docs), *pool, *rational]
+    assert len({scale for m in rational for scale, _ in m.scaled_utility}) > 10
+    for m in models:
+        expected = []
+        for exact in m.utility:
+            scale = math.lcm(*(e.denominator for row in exact for e in row))
+            table = tuple(
+                tuple(e.numerator * (scale // e.denominator) for e in row) for row in exact
+            )
+            expected.append((scale, table))
+        assert m.scaled_utility == tuple(expected)
 
 
 def test_best_reports_rejects_mismatched_lengths(example):
