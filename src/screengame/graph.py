@@ -136,7 +136,7 @@ class IndependentSetResult:
     members: tuple[int, ...]  # vertex ids, ascending
     size: int
     certified: bool  # True only for the exact search
-    nodes: int = 0  # branch-and-bound nodes visited; 0 in greedy mode
+    nodes: int = 0  # branch-and-bound nodes visited; 0 in greedy mode or when proved by a cover
 
 
 def max_independent_set(
@@ -147,8 +147,12 @@ def max_independent_set(
 ) -> IndependentSetResult:
     """Maximum independent set, certified in exact mode.
 
-    Exact mode is a deterministic branch and reduce on an explicit stack,
-    seeded with the greedy set after a (1,2)-swap descent. Each node first
+    Exact mode first tries two proofs against the first-fit clique cover of
+    the whole graph: an independent set meets each clique at most once, so
+    the first-fit set in id order, or else the greedy set, is maximum when it
+    is as large as the cover (an edgeless graph needs no cover). Only the
+    graphs these leave go to a deterministic branch and reduce on an explicit
+    stack, seeded with the greedy set after a (1,2)-swap descent. Each node first
     takes every candidate of degree 0 or 1, or of degree 2 inside a
     triangle, and drops its neighbours: they are pairwise adjacent, so some
     maximum set takes it. It then cuts when a greedy clique cover of the
@@ -173,7 +177,18 @@ def max_independent_set(
         raise BudgetExceededError("exact independent set", graph.vertex_count, mis_budget)
 
     adjacency = graph.adjacency
-    best_mask = _swap_descent(adjacency, _greedy_independent_set(adjacency))
+    rest = everyone = (1 << graph.vertex_count) - 1
+    chosen = 0
+    while rest:  # the first-fit independent set in id order
+        low = rest & -rest
+        chosen |= low
+        rest &= ~(adjacency[low.bit_length() - 1] | low)
+    ceiling = graph.vertex_count if chosen == everyone else clique_cover_bound(adjacency, everyone)
+    if chosen.bit_count() < ceiling:
+        chosen = _greedy_independent_set(adjacency)
+    if chosen.bit_count() == ceiling:
+        return IndependentSetResult(_mask_to_members(chosen), ceiling, True)
+    best_mask = _swap_descent(adjacency, chosen)
     best_size = best_mask.bit_count()
     n = graph.n if graph._symmetric else 1
     words = list(product(range(round(graph.vertex_count ** (1 / n))), repeat=n))

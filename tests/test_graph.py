@@ -460,8 +460,33 @@ def test_search_node_and_alpha_totals_over_the_pool_are_golden():
                 graphs += types + [sg.union_graph(types)]
     results = [sg.max_independent_set(g) for g in graphs]
     assert len(graphs) == 666
-    assert sum(r.nodes for r in results) == 1470
+    assert sum(r.nodes for r in results) == 867
     assert sum(r.size for r in results) == 2452
+    # A graph settled with no node must carry its proof: an independent set
+    # as large as a clique partition, here the reference first-fit one.
+    settled = [(g, r) for g, r in zip(graphs, results) if not r.nodes]
+    assert len(settled) == 603
+    for g, result in settled:
+        chosen = sum(1 << v for v in result.members)
+        assert all(not g.adjacency[v] & chosen for v in result.members)
+        full = (1 << g.vertex_count) - 1
+        assert result.size == len(result.members) == first_fit_cover(
+            g.adjacency, full, range(g.vertex_count)
+        )
+
+
+def test_edgeless_graphs_are_certified_without_the_search(example, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an edgeless graph needs no greedy set, descent or cover")
+
+    for name in ("_greedy_independent_set", "_swap_descent", "_cover_classes"):
+        monkeypatch.setattr(f"screengame.graph.{name}", unreachable)
+    honest = example.type_index("h")
+    for n in range(1, 9):
+        g = sg.build_sender_graph(example, honest, n, enum_budget=3 ** (2 * n))
+        assert g.edge_count == 0
+        result = sg.max_independent_set(g, mis_budget=3**n)
+        assert result == sg.IndependentSetResult(tuple(range(3**n)), 3**n, True, 0)
 
 
 def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
@@ -520,19 +545,25 @@ def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
 def test_orbital_search_matches_the_search_without_symmetry():
     # Relabelled as one-letter sequences, a graph is searched with the
     # trivial group, so it proves alpha without the position symmetry.
+    # A set as large as a cover settles about half the graphs before either
+    # search starts, so the test counts the graphs both sides searched.
     rng = random.Random(113)
-    graphs = [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(60)]
+    graphs = [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(120)]
     for m in model_pool(80, seed=113):
         for n in (2, 3, 4):
             if m.num_symbols**n <= 81:
                 types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
                 graphs += types + [sg.union_graph(types)]
+    searched = []
     for g in graphs:
         plain = sg.max_independent_set(sg.SenderGraph(1, g.adjacency, "test"))
         result = sg.max_independent_set(g)
         assert result.size == plain.size
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
+        searched.append(result.nodes > 0 and plain.nodes > 0)
+    assert sum(searched[:120]) >= 60  # blow-ups
+    assert sum(searched[120:]) >= 80  # pool graphs
 
 
 def random_sixteen_vertex_adjacencies(count: int) -> list[tuple[int, ...]]:
@@ -651,7 +682,7 @@ def test_perfect_matchings_reduce_without_branching():
     start = time.perf_counter()
     result = sg.max_independent_set(matching(1200), mis_budget=1200)
     assert time.perf_counter() - start < 1.0
-    assert (result.size, result.nodes) == (600, 1)
+    assert (result.size, result.nodes) == (600, 0)
     result = sg.max_independent_set(matching(2400), mis_budget=2400)
     assert result.size == 1200
     assert result.members == tuple(range(0, 2400, 2))
@@ -660,8 +691,10 @@ def test_perfect_matchings_reduce_without_branching():
 def test_exact_engine_matches_networkx_on_boosted_sparse_graphs():
     nx = pytest.importorskip("networkx")  # an oracle only; the package never imports it
     # One type, payoffs in [-3, 3] plus a diagonal boost that sparsifies
-    # the graph; seeds chosen so that networkx settles each in about a second.
-    for seed in (0, 1, 28):
+    # the graph; seeds chosen so that networkx settles each in about a second,
+    # and so that the search, not a set as large as a cover, settles three.
+    nodes = []
+    for seed in (0, 1, 15, 28):
         rng = random.Random(seed)
         k, n = rng.choice([(3, 5), (4, 4), (2, 8)])
         boost = rng.randint(1, 3)
@@ -680,3 +713,5 @@ def test_exact_engine_matches_networkx_on_boosted_sparse_graphs():
         assert result.size == expected
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
+        nodes.append(result.nodes)
+    assert sum(map(bool, nodes)) >= 3 and max(nodes) > 1
