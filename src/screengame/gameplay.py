@@ -6,11 +6,11 @@ resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
 the receiver objective the questionnaire searches score. Every route prices
-reports with one payoff builder, `_payoffs`, picks them with one
-argmax-with-ties, `_best_response`, and keeps robust truths by one rule,
-`_robust`; `recovery_report` is the one scan of a strategy, over every truth.
-The cross-check prices each type's whole space once per call, plays only
-member truths, and counts in integers over the `prior_weights` scale.
+reports with one payoff builder, `_payoffs`, and keeps robust truths by one
+rule, `_robust`, over member truths' whole rows; `_best_response`, the one
+argmax-with-ties, gives `simulate` its options and `recovery_report` its
+multiplicities. The cross-check prices each type's whole space once per call
+and counts each image set's robust members in integers, one pass per type.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import prod
-from operator import getitem, itemgetter, mul, or_
+from operator import and_, eq, getitem, itemgetter, mul, or_
 
 from .model import (
     BudgetExceededError,
@@ -100,9 +100,12 @@ def _best_response(totals, image) -> tuple[int, list[Seq]]:
     return best_total, list(itertools.compress(image, map(best_total.__eq__, totals)))
 
 
-def _robust(truths, winners) -> tuple[Seq, ...]:
-    """The truths whose only optimal outcome is themselves; winners[i] lists truths[i]'s."""
-    return tuple(truth for truth, won in zip(truths, winners) if won == [truth])
+def _robust(image, rows) -> tuple[Seq, ...]:
+    """Members image[i], in order, whose own total rows[i][i] is the only maximum of rows[i]."""
+    best = list(map(max, rows))
+    alone = map(eq, map(tuple.count, rows, best), itertools.repeat(1))
+    own = map(eq, map(getitem, rows, itertools.count()), best)
+    return tuple(itertools.compress(image, map(and_, alone, own)))
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,12 @@ def recovery_report(
 ) -> RecoveryReport:
     """Full worst-case picture: robust sets plus how many best responses exist.
 
-    The one scan: one `_best_response` over the image per type and truth
-    gives both. The multiplicity for a type is the product over true
-    sequences of the number of reports that decode into an optimal outcome,
-    since best responses choose independently at each true sequence. Its k^n
-    sequences, then its T * k^n * |image| payoffs, are refused past `enum_budget` first.
+    The one scan prices every truth over the image, per type. `_robust` reads
+    its member truths' rows, and the robust sets keep sequence order. At each
+    truth, `_best_response` counts the reports that decode into an optimal
+    outcome; their product is the multiplicity, since best responses choose
+    independently at each true sequence. Its k^n sequences, then its T * k^n *
+    |image| payoffs, are refused past `enum_budget` first.
     """
     image = strategy.image
     _check_sequences(model, image, "image")
@@ -134,11 +138,14 @@ def recovery_report(
     seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
     space = [range(model.num_symbols)] * len(image[0])
+    # Member z's row in the scan is z read as a base-k numeral.
+    at = [reduce(lambda row, x: row * model.num_symbols + x, z, 0) for z in image]
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
     for type_id in range(model.num_types):
-        winners = [_best_response(row, image)[1] for row in _payoffs(model, type_id, space, image)]
-        robust.append(_robust(seqs, winners))
+        rows = list(_payoffs(model, type_id, space, image))
+        winners = [_best_response(row, image)[1] for row in rows]
+        robust.append(tuple(sorted(_robust(image, list(map(rows.__getitem__, at))))))
         multiplicities.append(prod(sum(map(reach.__getitem__, won)) for won in winners))
     scale, weights = model.prior_weights
     value = Fraction(sum(map(mul, weights, map(len, robust))), scale)
@@ -237,8 +244,8 @@ def cross_check_equivalence(
     For each image set I, the worst-case recovery of the canonical strategy on
     I must equal the receiver objective of I exactly. The objective comes from
     the packed scorer the questionnaire searches run (see `packed_scorer`);
-    the recovery from the naive best-response scan, each member truth against
-    every member of I (a truth outside I never decodes to itself), which never
+    the recovery from the naive robust rule, `_robust`, on each member truth's
+    totals over I (a truth outside I never decodes to itself), which never
     touches the preference kernel. The sequence space, the scorer and each
     type's payoff table over every (truth, report) pair are built once per
     call and shared by every image set, which reads its members' rows and
@@ -296,13 +303,11 @@ def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
     space = [range(model.num_symbols)] * n
     tables = [list(_payoffs(model, t, space, seqs)) for t in range(model.num_types)]
     for ids in id_sets:
-        members = tuple(seqs[v] for v in ids)
-        # Row v, cut down to the members' columns, prices the image at truth v.
-        pick = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
-        # Every outcome is a member, so only a member truth can be robust.
-        played = 0
-        for weight, table in zip(weights, tables):
-            winners = [_best_response(pick(table[v]), members)[1] for v in ids]
-            played += weight * len(_robust(members, winners))
-        mask = sum(1 << v for v in ids)
-        yield members, played, score(mask, reduce(or_, (beats[v] for v in ids)))
+        # One getter reads the members' entries of any per-sequence list.
+        get = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
+        members = get(seqs)
+        # Every outcome is a member, so only a member truth can be robust; its
+        # row, cut down to the members' columns, prices the image at that truth.
+        played = sum(weight * len(_robust(members, list(map(get, get(table)))))
+                     for weight, table in zip(weights, tables))
+        yield members, played, score(sum(map((1).__lshift__, ids)), reduce(or_, get(beats)))

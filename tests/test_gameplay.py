@@ -348,24 +348,111 @@ def test_member_truths_alone_give_the_full_scan_value(pool):
 
 
 def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
-    # Each broken rule keeps a truth whose optimal outcomes tie: counting it
-    # as robust, or keeping only the first winner so the tie goes unseen.
-    # Neither changes a count at n = 1, so the check runs at n = 2.
-    best_response = sg.gameplay._best_response
+    # Each broken robust rule keeps a truth whose optimal outcomes tie:
+    # counting it as robust when its own total merely reaches the maximum, or
+    # seeing only the first winner of its row so the tie goes unseen. Neither
+    # changes a count at n = 1, so the check runs at n = 2.
+    def tied_truth_is_robust(image, rows):
+        return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row[i] == max(row))
 
-    def tied_truth_is_robust(truths, winners):
-        return tuple(truth for truth, won in zip(truths, winners) if truth in won)
+    def first_winner_only(image, rows):
+        return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row.index(max(row)) == i)
 
-    def first_winner_only(totals, image):
-        best_total, winners = best_response(totals, image)
-        return best_total, winners[:1]
-
-    for name, broken in (("_robust", tied_truth_is_robust), ("_best_response", first_winner_only)):
+    for broken in (tied_truth_is_robust, first_winner_only):
         with monkeypatch.context() as patch:
-            patch.setattr(sg.gameplay, name, broken)
+            patch.setattr(sg.gameplay, "_robust", broken)
             assert sg.cross_check_equivalence(example, 1).agreed
             assert not sg.cross_check_equivalence(example, 2).agreed
     assert sg.cross_check_equivalence(example, 2).agreed
+
+    # The cross-check no longer plays `_best_response`; simulate's options
+    # and the multiplicities still do. An argmax that sees only the first
+    # winner hides the deceptive type's tie at truth 2 from both.
+    best_response = sg.gameplay._best_response
+
+    def first_best_only(totals, image):
+        best_total, winners = best_response(totals, image)
+        return best_total, winners[:1]
+
+    naive = naive_strategy(example)
+    d = example.type_index("d")
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "_best_response", first_best_only)
+        assert sg.simulate(example, naive, d, (2,)).options == ((0,),)
+        assert sg.recovery_report(example, naive).multiplicities == (1, 1)
+        assert sg.cross_check_equivalence(example, 2).agreed
+    assert sg.simulate(example, naive, d, (2,)).options == ((0,), (1,))
+    assert sg.recovery_report(example, naive).multiplicities == (1, 2)
+
+
+def test_robust_rule_matches_the_definition(pool):
+    # A member truth is robust when its optimal outcomes over the image are
+    # itself alone: the rule written here lists each member truth's winners
+    # and keeps it when they are [truth]. _robust must keep the same members
+    # in the same order. Every image set of spaces up to 9 sequences at
+    # n = 1 and 2, and 5 seeded draws per model at n = 3, on the conftest
+    # pool, with rows cut from each type's payoff table.
+    checked = 0
+    ties = {1: 0, 2: 0, 3: 0}  # member truths whose winners hold itself and another
+    for index, m in enumerate(pool):
+        for n in (1, 2, 3):
+            space = m.num_symbols**n
+            if n < 3 and space > 9:
+                continue
+            seqs = sg.enumerate_sequences(m, n)
+            letters = [range(m.num_symbols)] * n
+            tables = [list(sg.gameplay._payoffs(m, t, letters, seqs)) for t in range(m.num_types)]
+            mode = "all" if n < 3 else "random"
+            for ids in sg.gameplay._image_id_sets(space, mode, 5, index):
+                image = tuple(seqs[v] for v in ids)
+                for table in tables:
+                    rows = [tuple(table[v][w] for w in ids) for v in ids]
+                    robust = []
+                    for truth, row in zip(image, rows):
+                        winners = [z for z, total in zip(image, row) if total == max(row)]
+                        if winners == [truth]:
+                            robust.append(truth)
+                        ties[n] += len(winners) > 1 and truth in winners
+                    assert sg.gameplay._robust(image, rows) == tuple(robust), (index, image)
+                    checked += 1
+    # k = 2, 3, 4: 3 + 15 + 5, 7 + 511 + 5 and 15 + 5 sets, each once per type,
+    # on models with 135, 132 and 132 types in all.
+    assert checked == 74_781
+    assert min(ties.values()) > 0
+
+
+def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
+    # A hand-written strategy may list its image in any order. Its robust
+    # tuples must follow the sequence space, as the definition written here
+    # lists them, and equal those of the same image sorted.
+    class HandWritten:
+        def __init__(self, image):
+            self.image = tuple(image)
+            self.decode = sg.canonical_strategy(image).decode
+
+    gtilde = sg.recovery_report(example, HandWritten([(2,), (0,)]))
+    assert gtilde.robust == (((0,), (2,)), ((0,),))
+    assert gtilde.value == Fraction(4, 3)
+    rng = random.Random(101)
+    longest = 0
+    for k, n in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
+        m = make_random_model(rng, k, rng.randint(1, 3))
+        seqs = sg.enumerate_sequences(m, n)
+        members = rng.sample(seqs, rng.randint(3, 8))
+        if members == sorted(members):
+            members.reverse()
+        report = sg.recovery_report(m, HandWritten(members))
+        for t in range(m.num_types):
+            robust = []
+            for truth in seqs:
+                payoffs = [sequence_utility(m, t, z, truth) for z in members]
+                winners = [z for z, u in zip(members, payoffs) if u == max(payoffs)]
+                if winners == [truth]:
+                    robust.append(truth)
+            assert report.robust[t] == tuple(robust)
+            longest = max(longest, len(robust))
+        assert report == sg.recovery_report(m, sg.canonical_strategy(members))
+    assert longest >= 3
 
 
 def test_payoffs_match_the_definition():
@@ -559,15 +646,14 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert "agreed: false" in out and "0;2: played 4/3" in out
 
-    best_response = sg.gameplay._best_response
+    robust = sg.gameplay._robust
 
-    def dropping_truth(totals, image):
-        # Drop the truth 0 from the winners on the target, so no type recovers it.
-        best_total, winners = best_response(totals, image)
-        return best_total, [w for w in winners if image != target or w != (0,)]
+    def dropping_truth(image, rows):
+        # Drop the truth 0 from the robust members of the target, so no type recovers it.
+        return tuple(z for z in robust(image, rows) if image != target or z != (0,))
 
     with monkeypatch.context() as patch:
-        patch.setattr(sg.gameplay, "_best_response", dropping_truth)
+        patch.setattr(sg.gameplay, "_robust", dropping_truth)
         result = sg.cross_check_equivalence(example, 1)
         assert result.agreed is False
         assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
