@@ -7,10 +7,10 @@ every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
 the receiver objective the questionnaire searches score. Every route prices
 reports with one payoff builder, `_payoffs`, and keeps robust truths by one
-rule, `_robust`, over member truths' whole rows; `_best_response`, the one
+rule, own total strictly above every other member's: `_robust` over whole
+rows, `_join` as members join an image set; `_best_response`, the one
 argmax-with-ties, gives `simulate` its options and `recovery_report` its
-multiplicities. The cross-check prices each type's whole space once per call
-and counts each image set's robust members in integers, one pass per type.
+multiplicities. The cross-check counts robust members in integers.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -85,13 +85,15 @@ def _payoffs(model: Model, type_id: int, letters, reports) -> Iterator[tuple[int
 
     `letters` holds the truth letters per position: `[range(k)] * n` for the
     whole space, in order, or `zip(truth)` for one truth. Report r's column of
-    totals sums `model.scaled_utility`'s table[r_p][x_p] over the product of
-    its per-position cells; the columns are read back lazily, one row per truth.
+    totals sums `model.scaled_utility`'s table[r_p][x_p] by prefix sums over
+    the positions, the last varying fastest as in the product; the columns
+    are read back lazily, one row per truth.
     """
     _, table = model.scaled_utility[type_id]
     # cells[p][a]: report letter a's payoffs at position p, one per truth letter there.
     cells = [[[row[x] for x in at] for row in table] for at in letters]
-    return zip(*(map(sum, itertools.product(*map(getitem, cells, r))) for r in reports))
+    extend = lambda col, at: [c + x for c in col for x in at]  # one position more
+    return zip(*(reduce(extend, map(getitem, cells, r), [0]) for r in reports))
 
 
 def _best_response(totals, image) -> tuple[int, list[Seq]]:
@@ -244,20 +246,20 @@ def cross_check_equivalence(
     For each image set I, the worst-case recovery of the canonical strategy on
     I must equal the receiver objective of I exactly. The objective comes from
     the packed scorer the questionnaire searches run (see `packed_scorer`);
-    the recovery from the naive robust rule, `_robust`, on each member truth's
-    totals over I (a truth outside I never decodes to itself), which never
-    touches the preference kernel. The sequence space, the scorer and each
-    type's payoff table over every (truth, report) pair are built once per
-    call and shared by every image set, which reads its members' rows and
-    columns from the table. The image sets stream: each is drawn as it is
-    scored, and only mismatches are kept. `strategies` is "all" (every
-    nonempty subset, requires a small sequence space) or "random" (`count`
-    >= 1 seeded draws). The exhaustive mode is refused before any sequence is
-    enumerated when the space exceeds `subset_budget` sequences; the random
-    mode does not read it. The payoff table holds k^(2n) totals per type,
-    T * k^(2n) in all, so it is refused past `enum_budget` before it or the
+    the recovery from each member truth's totals over I (a truth outside I
+    never decodes to itself), never from the preference kernel. The sequence
+    space, the scorer and each type's payoff table over every (truth, report)
+    pair are built once per call and shared by every image set. The image
+    sets stream and only mismatches are kept. `strategies` is "random"
+    (`count` >= 1 seeded draws, each scored by `_robust` as it is drawn) or
+    "all" (every nonempty subset, walked depth first, mismatches listed by
+    size, then in combination order; refused before any sequence is built
+    past `subset_budget` sequences). The payoff table holds k^(2n) totals per
+    type, T * k^(2n) in all, refused past `enum_budget` before it or the
     scorer is built; so is the random mode's bound of `count` * T * k^n truths.
     """
+    if strategies not in ("all", "random"):
+        raise ValueError(f"unknown strategies mode {strategies!r}")
     if strategies == "random" and count < 1:
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
@@ -271,29 +273,25 @@ def cross_check_equivalence(
     scans = count * model.num_types * space
     if strategies == "random" and scans > enum_budget:
         raise BudgetExceededError("random cross-check", scans, enum_budget)
-    id_sets = _image_id_sets(space, strategies, count, seed)
+    scored = (_walked_image_sets(model, n, enum_budget) if strategies == "all" else
+              _scored_image_sets(model, n, _image_id_sets(space, count, seed), enum_budget))
     scale, _ = model.prior_weights
     checked = 0
     mismatches = []
-    for members, played, formula in _scored_image_sets(model, n, id_sets, enum_budget):
+    for members, played, formula in scored:
         checked += 1
         if played != formula:
             mismatches.append((members, Fraction(played, scale), Fraction(formula, scale)))
+    if strategies == "all":  # from depth-first order to size, then combination order
+        mismatches.sort(key=lambda mismatch: (len(mismatch[0]), mismatch[0]))
     return CrossCheckResult(n, checked, not mismatches, tuple(mismatches))
 
 
-def _image_id_sets(
-    space: int, strategies: str, count: int, seed: int
-) -> Iterator[tuple[int, ...]]:
-    """The image sets to check, as ascending positions in the sequence space, drawn lazily."""
-    ids = range(space)
-    if strategies == "all":
-        return (c for k in range(1, space + 1) for c in itertools.combinations(ids, k))
-    if strategies == "random":
-        rng = random.Random(seed)
-        # randint draws each size before sample draws its members; a seed's sets rest on that.
-        return (tuple(sorted(rng.sample(ids, rng.randint(1, space)))) for _ in range(count))
-    raise ValueError(f"unknown strategies mode {strategies!r}")
+def _image_id_sets(space: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """`count` random image sets, as ascending positions in the sequence space, drawn lazily."""
+    rng = random.Random(seed)
+    # randint draws each size before sample draws its members; a seed's sets rest on that.
+    return (tuple(sorted(rng.sample(range(space), rng.randint(1, space)))) for _ in range(count))
 
 
 def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
@@ -311,3 +309,43 @@ def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
         played = sum(weight * len(_robust(members, list(map(get, get(table)))))
                      for weight, table in zip(weights, tables))
         yield members, played, score(sum(map((1).__lshift__, ids)), reduce(or_, get(beats)))
+
+
+def _walked_image_sets(model: Model, n: int, enum_budget: int):
+    """Yield (members, played, formula) for every nonempty image set, depth first.
+
+    Each set on the explicit stack is its parent plus one sequence j past the
+    parent's last member; it carries the parent's mask, beats OR and, per
+    type, recovered members, which `_join` updates in one pass.
+    """
+    _, weights = model.prior_weights
+    seqs, _, beats, score, _ = packed_scorer(model, n, enum_budget)
+    space = [range(model.num_symbols)] * n
+    tables = [list(_payoffs(model, t, space, seqs)) for t in range(model.num_types)]
+    columns = [list(zip(*table)) for table in tables]
+    owns = [[row[v] for v, row in enumerate(table)] for table in tables]
+    # types[j][t]: type t's row of truth j, column of report j, and every truth's own total.
+    types = [list(zip(rows, cols, owns)) for rows, cols in zip(zip(*tables), zip(*columns))]
+    root = ((), (), 0, 0, [()] * len(tables))
+    stack = list(zip(itertools.repeat(root), range(len(seqs) - 1, -1, -1)))
+    while stack:
+        (ids, members, mask, beaten, recovered), j = stack.pop()
+        recovered = list(_join(recovered, types[j], ids, j))
+        node = (ids + (j,), members + (seqs[j],), mask | 1 << j, beaten | beats[j], recovered)
+        yield node[1], sum(map(mul, weights, map(len, recovered))), score(node[2], node[3])
+        stack.extend(zip(itertools.repeat(node), range(len(seqs) - 1, j, -1)))
+
+
+def _join(recovered, types, ids, j):
+    """j joins the set at positions `ids`: per type, yield the members recovered after.
+
+    `_robust`'s rule: a recovered member stays so while its own total is
+    strictly above report j's at its truth, and j is when its own is strictly
+    above every earlier member's at truth j; rivals only grow, so a loss is final.
+    """
+    get = itemgetter(*ids) if len(ids) > 1 else lambda row: tuple(map(row.__getitem__, ids))
+    for live, (row, column, own) in zip(recovered, types):
+        live = [v for v in live if column[v] < own[v]]
+        if not ids or row[j] > max(get(row)):
+            live.append(j)
+        yield live

@@ -28,7 +28,7 @@ def test_truthful_subset_ignores_order_and_duplicates(example):
     assert sg.truthful_subset(example, [(2,), (0,), (2,)], d) == ((0,),)
 
 
-def test_receiver_objective_known_values(example):
+def test_evaluate_questionnaire_known_values(example):
     assert sg.evaluate_questionnaire(example, [(0,), (1,), (2,)]).objective == 1
     assert sg.evaluate_questionnaire(example, [(0,), (2,)]).objective == Fraction(4, 3)
     assert sg.evaluate_questionnaire(example, [(1,), (2,)]).objective == Fraction(4, 3)

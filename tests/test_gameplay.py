@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 import pytest
 
@@ -20,7 +22,15 @@ def two_member_strategy():
     return sg.canonical_strategy([(0,), (2,)])
 
 
-def test_best_reports_known_cases(example):
+def image_id_sets(space, mode, count, seed):
+    """Image sets as ascending positions: every nonempty one by size, then in
+    combination order, for "all"; the cross-check's seeded draws for "random"."""
+    if mode == "all":
+        return (c for k in range(1, space + 1) for c in itertools.combinations(range(space), k))
+    return sg.gameplay._image_id_sets(space, count, seed)
+
+
+def test_simulate_known_cases(example):
     h = example.type_index("h")
     d = example.type_index("d")
     naive = naive_strategy(example)
@@ -38,7 +48,7 @@ def test_best_reports_known_cases(example):
     assert out.utility == 0
 
 
-def test_best_reports_validates_the_truth(example):
+def test_simulate_validates_the_truth(example):
     strategy = sg.canonical_strategy([(0, 0), (2, 2)])
     # a truth shorter than the reports used to be scored on a truncated zip
     with pytest.raises(ValueError, match="truth length 1 differs"):
@@ -55,7 +65,7 @@ def test_best_reports_validates_the_truth(example):
     assert sg.simulate(example, strategy, 1, (2, 2)).options == ((0, 0),)
 
 
-def test_robust_recovery_sets(example):
+def test_recovery_report_robust_sets(example):
     h = example.type_index("h")
     d = example.type_index("d")
     naive = sg.recovery_report(example, naive_strategy(example)).robust
@@ -67,7 +77,7 @@ def test_robust_recovery_sets(example):
     assert gtilde[d] == ((0,),)
 
 
-def test_worst_case_recovery_known_values(example):
+def test_recovery_report_known_values(example):
     assert sg.recovery_report(example, naive_strategy(example)).value == 1
     assert sg.recovery_report(example, two_member_strategy()).value == Fraction(4, 3)
     assert sg.recovery_report(example, sg.canonical_strategy([(0,)])).value == 1
@@ -313,7 +323,7 @@ def test_batched_routes_equal_the_public_functions():
         scale, _ = m.prior_weights
         seqs = sg.enumerate_sequences(m, n)
         for mode in ("all", "random") if len(seqs) <= 9 else ("random",):
-            id_sets = sg.gameplay._image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
+            id_sets = image_id_sets(len(seqs), mode, 12, rng.randrange(1000))
             # A budget of exactly the k^(2n) pairs the scorer prices.
             scored = sg.gameplay._scored_image_sets(m, n, id_sets, len(seqs) ** 2)
             for members, played, formula in scored:
@@ -338,7 +348,7 @@ def test_member_truths_alone_give_the_full_scan_value(pool):
             if n < 3 and space > 9:
                 continue
             mode = "all" if n < 3 else "random"
-            id_sets = sg.gameplay._image_id_sets(space, mode, 20, index)
+            id_sets = image_id_sets(space, mode, 20, index)
             for members, played, _ in sg.gameplay._scored_image_sets(m, n, id_sets, space**2):
                 report = sg.recovery_report(m, sg.canonical_strategy(members))
                 assert played == report.value * scale, (index, members)
@@ -347,23 +357,60 @@ def test_member_truths_alone_give_the_full_scan_value(pool):
     assert checked == 40_402
 
 
+def walk_join(stays, joins):
+    """A `_join` for the exhaustive walk: an earlier member stays recovered
+    when stays(report j's total at its truth, its own total), and j is
+    recovered when joins(its own total, the best earlier member's total)."""
+
+    def join(recovered, types, ids, j):
+        for live, (row, column, own) in zip(recovered, types):
+            live = [v for v in live if stays(column[v], own[v])]
+            if not ids or joins(row[j], max(row[w] for w in ids)):
+                live.append(j)
+            yield live
+
+    return join
+
+
 def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
-    # Each broken robust rule keeps a truth whose optimal outcomes tie:
-    # counting it as robust when its own total merely reaches the maximum, or
-    # seeing only the first winner of its row so the tie goes unseen. Neither
+    # Exhaustive mode keeps recovered members by `_join` as the walk adds
+    # them; random mode keeps robust truths by `_robust`. Each broken rule
+    # keeps a truth whose optimal outcomes tie: counting it as recovered when
+    # its own total merely reaches the best rival's, or seeing only the first
+    # winner of its row so a tie with a later member goes unseen. Neither
     # changes a count at n = 1, so the check runs at n = 2.
+    for stays, joins in ((le, ge), (le, gt)):
+        with monkeypatch.context() as patch:
+            patch.setattr(sg.gameplay, "_join", walk_join(stays, joins))
+            assert sg.cross_check_equivalence(example, 1).agreed
+            assert not sg.cross_check_equivalence(example, 2).agreed
+    # A walk that skips the earlier members when j joins keeps them
+    # recovered whatever j's report pays them; example1 shows it at n = 1.
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "_join", walk_join(lambda paid, own: True, gt))
+        assert not sg.cross_check_equivalence(example, 1).agreed
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "_join", walk_join(lt, gt))
+        assert sg.cross_check_equivalence(example, 2).agreed
+
     def tied_truth_is_robust(image, rows):
         return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row[i] == max(row))
 
     def first_winner_only(image, rows):
         return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row.index(max(row)) == i)
 
+    # Random draws and recovery_report: at truth 00 of the image {00, 12}
+    # the deceptive type is indifferent between the two members.
+    random_mode = {"strategies": "random", "count": 20}
+    tied = sg.canonical_strategy([(0, 0), (1, 2)])
     for broken in (tied_truth_is_robust, first_winner_only):
         with monkeypatch.context() as patch:
             patch.setattr(sg.gameplay, "_robust", broken)
-            assert sg.cross_check_equivalence(example, 1).agreed
-            assert not sg.cross_check_equivalence(example, 2).agreed
-    assert sg.cross_check_equivalence(example, 2).agreed
+            assert sg.cross_check_equivalence(example, 1, **random_mode).agreed
+            assert not sg.cross_check_equivalence(example, 2, **random_mode).agreed
+            assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ((0, 0),))
+    assert sg.cross_check_equivalence(example, 2, **random_mode).agreed
+    assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ())
 
     # The cross-check no longer plays `_best_response`; simulate's options
     # and the multiplicities still do. An argmax that sees only the first
@@ -403,7 +450,7 @@ def test_robust_rule_matches_the_definition(pool):
             letters = [range(m.num_symbols)] * n
             tables = [list(sg.gameplay._payoffs(m, t, letters, seqs)) for t in range(m.num_types)]
             mode = "all" if n < 3 else "random"
-            for ids in sg.gameplay._image_id_sets(space, mode, 5, index):
+            for ids in image_id_sets(space, mode, 5, index):
                 image = tuple(seqs[v] for v in ids)
                 for table in tables:
                     rows = [tuple(table[v][w] for w in ids) for v in ids]
@@ -419,6 +466,79 @@ def test_robust_rule_matches_the_definition(pool):
     # on models with 135, 132 and 132 types in all.
     assert checked == 74_781
     assert min(ties.values()) > 0
+
+
+def test_walk_matches_the_definition(pool):
+    # The exhaustive walk carries each set's recovered members to its
+    # children. Its played count must equal the naive rule written here from
+    # sequence_utility: a member truth is recovered when its winners over the
+    # image are [truth], counted with the type's prior weight. Every image set
+    # of spaces up to 9 sequences at n = 1 and 2 on the conftest pool, each
+    # once, in lexicographic order of its positions.
+    checked = 0
+    for index, m in enumerate(pool):
+        _, weights = m.prior_weights
+        for n in (1, 2):
+            seqs = sg.enumerate_sequences(m, n)
+            if len(seqs) > 9:
+                continue
+            utility = [[[sequence_utility(m, t, z, truth) for z in seqs] for truth in seqs]
+                       for t in range(m.num_types)]
+            walked = list(sg.gameplay._walked_image_sets(m, n, len(seqs) ** 2))
+            assert [members for members, _, _ in walked] == sorted(
+                tuple(seqs[v] for v in ids) for ids in image_id_sets(len(seqs), "all", 0, 0)
+            )
+            for members, played, _ in walked:
+                ids = [seqs.index(z) for z in members]
+                expected = 0
+                for weight, rows in zip(weights, utility):
+                    for v in ids:
+                        best = max(rows[v][w] for w in ids)
+                        winners = [seqs[w] for w in ids if rows[v][w] == best]
+                        expected += weight * (winners == [seqs[v]])
+                assert played == expected, (index, members)
+                checked += 1
+    # k = 2, 3, 4 on 68, 66, 66 models: 3 + 15, 7 + 511 and 15 sets.
+    assert checked == 36_402
+
+
+def test_walk_matches_the_per_set_route_on_larger_spaces():
+    # On spaces of 12-16 sequences, where sets reach 16 members and the walk
+    # carries state down 16 levels, every set's (played, formula) must equal
+    # what the per-set route computes from its rows.
+    rng = random.Random(107)
+    for k, n, types in ((12, 1, 3), (14, 1, 2), (4, 2, 1)):
+        m = make_random_model(rng, k, types)
+        space = k**n
+        walked = sg.gameplay._walked_image_sets(m, n, space**2)
+        scored = sg.gameplay._scored_image_sets(m, n, image_id_sets(space, "all", 0, 0), space**2)
+        by_set = {members: (played, formula) for members, played, formula in scored}
+        assert len(by_set) == 2**space - 1
+        for members, played, formula in walked:
+            assert by_set.pop(members) == (played, formula), (k, n, members)
+        assert not by_set
+
+
+def test_exhaustive_mismatches_come_in_combination_order(example, monkeypatch):
+    # The walk meets image sets depth first, and the cross-check lists its
+    # mismatches by size, then in combination order. A scorer skewed on every
+    # mask whose positions sum to a multiple of 3 gives 175 of example1's 511
+    # sets at n = 2.
+    packed = sg.gameplay.packed_scorer
+
+    def skewed_scorer(model, n, enum_budget):
+        seqs, scale, beats, score, covers = packed(model, n, enum_budget)
+        skewed = lambda mask, beaten: score(mask, beaten) + (sum(
+            v for v in range(len(seqs)) if mask >> v & 1) % 3 == 0)
+        return seqs, scale, beats, skewed, covers
+
+    seqs = sg.enumerate_sequences(example, 2)
+    expected = [tuple(seqs[v] for v in ids) for ids in image_id_sets(9, "all", 0, 0)
+                if sum(ids) % 3 == 0]
+    monkeypatch.setattr(sg.gameplay, "packed_scorer", skewed_scorer)
+    result = sg.cross_check_equivalence(example, 2)
+    assert [members for members, _, _ in result.mismatches] == expected
+    assert len(expected) == 175 and result.image_sets_checked == 511
 
 
 def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
@@ -458,25 +578,41 @@ def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
 def test_payoffs_match_the_definition():
     # Rows over the whole space and over a single truth's letters must equal
     # sequence_utility times n and the type's scale, report by report, for a
-    # sorted image and for an unsorted report list.
+    # sorted image and for an unsorted report list. Integer payoffs at
+    # n = 1-6, and rational ones, whose types' scales exceed 1, at n = 1-6.
     rng = random.Random(97)
+
+    def check(m, n):
+        seqs = sg.enumerate_sequences(m, n)
+        image = sorted(rng.sample(seqs, rng.randint(1, min(12, len(seqs)))))
+        shuffled = rng.sample(seqs, rng.randint(1, min(12, len(seqs))))
+        space = [range(m.num_symbols)] * n
+        for t in range(m.num_types):
+            scale, _ = m.scaled_utility[t]
+            for reports in (image, shuffled):
+                rows = list(sg.gameplay._payoffs(m, t, space, reports))
+                assert len(rows) == len(seqs)
+                for truth, row in zip(seqs, rows):
+                    expected = [sequence_utility(m, t, r, truth) * n * scale for r in reports]
+                    assert list(row) == expected
+                    (single,) = sg.gameplay._payoffs(m, t, zip(truth), reports)
+                    assert single == row
+
     for n in (1, 2, 3, 4):
         for _ in range(6):
-            m = make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3))
-            seqs = sg.enumerate_sequences(m, n)
-            image = sorted(rng.sample(seqs, rng.randint(1, min(12, len(seqs)))))
-            shuffled = rng.sample(seqs, rng.randint(1, min(12, len(seqs))))
-            space = [range(m.num_symbols)] * n
-            for t in range(m.num_types):
-                scale, _ = m.scaled_utility[t]
-                for reports in (image, shuffled):
-                    rows = list(sg.gameplay._payoffs(m, t, space, reports))
-                    assert len(rows) == len(seqs)
-                    for truth, row in zip(seqs, rows):
-                        expected = [sequence_utility(m, t, r, truth) * n * scale for r in reports]
-                        assert list(row) == expected
-                        (single,) = sg.gameplay._payoffs(m, t, zip(truth), reports)
-                        assert single == row
+            check(make_random_model(rng, rng.randint(2, 4), rng.randint(1, 3)), n)
+    for n in (5, 6):
+        for _ in range(3):
+            check(make_random_model(rng, rng.randint(2, 3), rng.randint(1, 3)), n)
+    scales = []
+    for n in (1, 2, 3, 4, 5, 6):
+        k, types = rng.randint(2, 3), ["a", "b"]
+        utility = [[[f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(k)]
+                    for _ in range(k)] for _ in types]
+        m = sg.Model.from_tables([str(a) for a in range(k)], types, ["1/3", "2/3"], utility)
+        scales.extend(scale for scale, _ in m.scaled_utility)
+        check(m, n)
+    assert min(scales) > 1
 
 
 def test_played_routes_match_a_plain_argmax_of_sequence_utility():
@@ -491,7 +627,7 @@ def test_played_routes_match_a_plain_argmax_of_sequence_utility():
         m = make_random_model(rng, k, rng.randint(1, 3))
         seqs = sg.enumerate_sequences(m, n)
         id_sets = [
-            *sg.gameplay._image_id_sets(len(seqs), "random", 3, rng.randrange(1000)),
+            *sg.gameplay._image_id_sets(len(seqs), 3, rng.randrange(1000)),
             (rng.randrange(len(seqs)),),
             tuple(range(len(seqs))),
         ]
@@ -646,18 +782,35 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert "agreed: false" in out and "0;2: played 4/3" in out
 
+    join = sg.gameplay._join
+
+    def dropping_recovered_truth(recovered, types, ids, j):
+        # Drop the truth 0 from the recovered members of the target, so no type recovers it.
+        for live in join(recovered, types, ids, j):
+            yield [v for v in live if (*ids, j) != (0, 2) or v != 0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sg.gameplay, "_join", dropping_recovered_truth)
+        result = sg.cross_check_equivalence(example, 1)
+        assert result.agreed is False
+        assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
+    assert sg.cross_check_equivalence(example, 1).agreed
+
+    # Random mode keeps robust truths by `_robust`; seed 0 draws the target
+    # fourth of six sets.
     robust = sg.gameplay._robust
 
     def dropping_truth(image, rows):
         # Drop the truth 0 from the robust members of the target, so no type recovers it.
         return tuple(z for z in robust(image, rows) if image != target or z != (0,))
 
+    random_mode = {"strategies": "random", "count": 6, "seed": 0}
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_robust", dropping_truth)
-        result = sg.cross_check_equivalence(example, 1)
+        result = sg.cross_check_equivalence(example, 1, **random_mode)
         assert result.agreed is False
         assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
-    assert sg.cross_check_equivalence(example, 1).agreed
+    assert sg.cross_check_equivalence(example, 1, **random_mode).agreed
 
 
 def test_cross_check_random_mode(example):

@@ -141,7 +141,7 @@ def test_scaled_utility_equals_the_fraction_definition_on_the_pools(pool):
         assert m.scaled_utility == tuple(expected)
 
 
-def test_best_reports_rejects_mismatched_lengths(example):
+def test_simulate_rejects_mismatched_lengths(example):
     with pytest.raises(ValueError, match="truth length 2 differs from the strategy's 1"):
         sg.simulate(example, sg.canonical_strategy([(0,)]), 0, (0, 1))
 
