@@ -6,11 +6,10 @@ resolved against the receiver: a true sequence counts as recovered only when
 every optimal report decodes to it. These semantics are deliberately computed
 by direct scan, never through the preference kernel, so they can cross-check
 the receiver objective the questionnaire searches score. Every route prices
-reports with one payoff builder, `_payoffs`, and keeps robust truths by one
-rule, own total strictly above every other member's: `_robust` over whole
-rows, `_join` as members join an image set; `_best_response`, the one
+reports with one payoff builder, `_payoffs`. `_best_response`, the one
 argmax-with-ties, gives `simulate` its options and `recovery_report` its
-multiplicities. The cross-check counts robust members in integers.
+multiplicities and robust sets; the cross-check applies the same rule by
+`_join` as members join an image set, and counts robust members in integers.
 
 A strategy is any object with an `image` tuple and a `decode` method;
 `ReceiverStrategy` and `TableStrategy` both qualify.
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import prod
-from operator import and_, eq, getitem, itemgetter, mul, or_
+from operator import getitem, itemgetter, mul
 
 from .model import (
     BudgetExceededError,
@@ -102,12 +101,14 @@ def _best_response(totals, image) -> tuple[int, list[Seq]]:
     return best_total, list(itertools.compress(image, map(best_total.__eq__, totals)))
 
 
-def _robust(image, rows) -> tuple[Seq, ...]:
-    """Members image[i], in order, whose own total rows[i][i] is the only maximum of rows[i]."""
-    best = list(map(max, rows))
-    alone = map(eq, map(tuple.count, rows, best), itertools.repeat(1))
-    own = map(eq, map(getitem, rows, itertools.count()), best)
-    return tuple(itertools.compress(image, map(and_, alone, own)))
+def _image_length(image) -> int:
+    """The one length of a strategy's image members, refused if there are none or two."""
+    if not image:
+        raise ValueError("strategy image is empty")
+    for z in image:
+        if len(z) != len(image[0]):
+            raise ValueError(f"image member {z} has length {len(z)}, not {len(image[0])}")
+    return len(image[0])
 
 
 @dataclass(frozen=True)
@@ -125,29 +126,28 @@ def recovery_report(
 ) -> RecoveryReport:
     """Full worst-case picture: robust sets plus how many best responses exist.
 
-    The one scan prices every truth over the image, per type. `_robust` reads
-    its member truths' rows, and the robust sets keep sequence order. At each
-    truth, `_best_response` counts the reports that decode into an optimal
-    outcome; their product is the multiplicity, since best responses choose
-    independently at each true sequence. Its k^n sequences, then its T * k^n *
-    |image| payoffs, are refused past `enum_budget` first.
+    The one scan prices every truth over the image, per type; `_best_response`
+    lists each truth's winners. A truth is robust when they are itself alone,
+    so robust sets follow sequence order. A truth's best responses are the
+    reports decoding to its winners; the product of their counts over truths
+    is the multiplicity, since best responses choose independently. An
+    empty or mixed-length image is refused first, then its k^n sequences and
+    T * k^n * |image| payoffs past `enum_budget`.
     """
     image = strategy.image
+    n = _image_length(image)
     _check_sequences(model, image, "image")
-    payoffs = model.num_types * _count_sequences(model, len(image[0]), enum_budget) * len(image)
+    payoffs = model.num_types * _count_sequences(model, n, enum_budget) * len(image)
     if payoffs > enum_budget:
         raise BudgetExceededError("played-out scan", payoffs, enum_budget)
-    seqs = enumerate_sequences(model, len(image[0]), enum_budget=enum_budget)
+    seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
-    space = [range(model.num_symbols)] * len(image[0])
-    # Member z's row in the scan is z read as a base-k numeral.
-    at = [reduce(lambda row, x: row * model.num_symbols + x, z, 0) for z in image]
+    space = [range(model.num_symbols)] * n
     robust: list[tuple[Seq, ...]] = []
     multiplicities: list[int] = []
     for type_id in range(model.num_types):
-        rows = list(_payoffs(model, type_id, space, image))
-        winners = [_best_response(row, image)[1] for row in rows]
-        robust.append(tuple(sorted(_robust(image, list(map(rows.__getitem__, at))))))
+        winners = [_best_response(row, image)[1] for row in _payoffs(model, type_id, space, image)]
+        robust.append(tuple(z for z, won in zip(seqs, winners) if won == [z]))
         multiplicities.append(prod(sum(map(reach.__getitem__, won)) for won in winners))
     scale, weights = model.prior_weights
     value = Fraction(sum(map(mul, weights, map(len, robust))), scale)
@@ -178,7 +178,8 @@ def simulate(
     """Play one round: the sender reports optimally, ties broken per policy.
 
     The options, the outcomes optimal reports decode to, are found by a scan
-    of the image: every decoded outcome is reachable by some report.
+    of the image: every decoded outcome is reachable by some report; an empty
+    or mixed-length image is refused before it.
     Policies: adversarial picks an option differing from the truth whenever
     one exists (least such), lexicographic picks the least option, random
     draws from a generator seeded per (seed, type, truth) so concurrent calls
@@ -189,7 +190,7 @@ def simulate(
     # The report is located by scanning the whole sequence space.
     check_space(model, n, enum_budget, "report search")
     image = strategy.image
-    if n != len(image[0]):
+    if n != _image_length(image):
         raise ValueError(f"truth length {n} differs from the strategy's {len(image[0])}")
     _check_sequences(model, [truth], "truth")
     _check_type(model, type_id)
@@ -251,12 +252,13 @@ def cross_check_equivalence(
     space, the scorer and each type's payoff table over every (truth, report)
     pair are built once per call and shared by every image set. The image
     sets stream and only mismatches are kept. `strategies` is "random"
-    (`count` >= 1 seeded draws, each scored by `_robust` as it is drawn) or
-    "all" (every nonempty subset, walked depth first, mismatches listed by
-    size, then in combination order; refused before any sequence is built
-    past `subset_budget` sequences). The payoff table holds k^(2n) totals per
-    type, T * k^(2n) in all, refused past `enum_budget` before it or the
-    scorer is built; so is the random mode's bound of `count` * T * k^n truths.
+    (`count` >= 1 seeded draws, each folded from the empty set and scored as
+    it is drawn) or "all" (every nonempty subset, walked depth first,
+    mismatches listed by size, then in combination order; refused before any
+    sequence is built past `subset_budget` sequences). The payoff table holds
+    k^(2n) totals per type, T * k^(2n) in all, refused past `enum_budget`
+    before it or the scorer is built; so is the random mode's bound of
+    `count` * T * k^n truths.
     """
     if strategies not in ("all", "random"):
         raise ValueError(f"unknown strategies mode {strategies!r}")
@@ -273,8 +275,8 @@ def cross_check_equivalence(
     scans = count * model.num_types * space
     if strategies == "random" and scans > enum_budget:
         raise BudgetExceededError("random cross-check", scans, enum_budget)
-    scored = (_walked_image_sets(model, n, enum_budget) if strategies == "all" else
-              _scored_image_sets(model, n, _image_id_sets(space, count, seed), enum_budget))
+    id_sets = None if strategies == "all" else _image_id_sets(space, count, seed)
+    scored = _scored_image_sets(model, n, id_sets, enum_budget)
     scale, _ = model.prior_weights
     checked = 0
     mismatches = []
@@ -295,28 +297,12 @@ def _image_id_sets(space: int, count: int, seed: int) -> Iterator[tuple[int, ...
 
 
 def _scored_image_sets(model: Model, n: int, id_sets, enum_budget: int):
-    """Yield (members, played, formula) per image set, each over the `prior_weights` scale."""
-    _, weights = model.prior_weights
-    seqs, _, beats, score, _ = packed_scorer(model, n, enum_budget)
-    space = [range(model.num_symbols)] * n
-    tables = [list(_payoffs(model, t, space, seqs)) for t in range(model.num_types)]
-    for ids in id_sets:
-        # One getter reads the members' entries of any per-sequence list.
-        get = itemgetter(*ids) if len(ids) > 1 else lambda row, v=ids[0]: (row[v],)
-        members = get(seqs)
-        # Every outcome is a member, so only a member truth can be robust; its
-        # row, cut down to the members' columns, prices the image at that truth.
-        played = sum(weight * len(_robust(members, list(map(get, get(table)))))
-                     for weight, table in zip(weights, tables))
-        yield members, played, score(sum(map((1).__lshift__, ids)), reduce(or_, get(beats)))
+    """Yield (members, played, formula) per image set, each over the `prior_weights` scale.
 
-
-def _walked_image_sets(model: Model, n: int, enum_budget: int):
-    """Yield (members, played, formula) for every nonempty image set, depth first.
-
-    Each set on the explicit stack is its parent plus one sequence j past the
-    parent's last member; it carries the parent's mask, beats OR and, per
-    type, recovered members, which `_join` updates in one pass.
+    `id_sets` gives sets as ascending sequence positions, or is None for
+    every nonempty set. A set grows by one position j at a time, carrying its
+    mask, beats OR and per-type recovered members (see `_join`): a given set
+    is folded from the empty root, the walk grows each child from its parent.
     """
     _, weights = model.prior_weights
     seqs, _, beats, score, _ = packed_scorer(model, n, enum_budget)
@@ -326,26 +312,38 @@ def _walked_image_sets(model: Model, n: int, enum_budget: int):
     owns = [[row[v] for v, row in enumerate(table)] for table in tables]
     # types[j][t]: type t's row of truth j, column of report j, and every truth's own total.
     types = [list(zip(rows, cols, owns)) for rows, cols in zip(zip(*tables), zip(*columns))]
-    root = ((), (), 0, 0, [()] * len(tables))
-    stack = list(zip(itertools.repeat(root), range(len(seqs) - 1, -1, -1)))
-    while stack:
-        (ids, members, mask, beaten, recovered), j = stack.pop()
-        recovered = list(_join(recovered, types[j], ids, j))
-        node = (ids + (j,), members + (seqs[j],), mask | 1 << j, beaten | beats[j], recovered)
-        yield node[1], sum(map(mul, weights, map(len, recovered))), score(node[2], node[3])
-        stack.extend(zip(itertools.repeat(node), range(len(seqs) - 1, j, -1)))
+
+    def grow(node, j):
+        ids, mask, beaten, recovered = node
+        return ids + (j,), mask | 1 << j, beaten | beats[j], _join(recovered, types[j], ids, j)
+
+    def walk():  # depth first, each child adding a j past its parent's last member
+        stack = list(zip(itertools.repeat(root), range(len(seqs) - 1, -1, -1)))
+        while stack:
+            node = grow(*stack.pop())
+            yield node
+            stack.extend(zip(itertools.repeat(node), range(len(seqs) - 1, node[0][-1], -1)))
+
+    root = ((), 0, 0, [()] * len(tables))
+    nodes = walk() if id_sets is None else (reduce(grow, ids, root) for ids in id_sets)
+    for ids, mask, beaten, recovered in nodes:
+        members = tuple(map(seqs.__getitem__, ids))
+        yield members, sum(map(mul, weights, map(len, recovered))), score(mask, beaten)
 
 
-def _join(recovered, types, ids, j):
-    """j joins the set at positions `ids`: per type, yield the members recovered after.
+def _join(recovered, types, ids, j) -> list[list[int]]:
+    """j joins the set at positions `ids`: per type, the members recovered after.
 
-    `_robust`'s rule: a recovered member stays so while its own total is
-    strictly above report j's at its truth, and j is when its own is strictly
-    above every earlier member's at truth j; rivals only grow, so a loss is final.
+    A recovered member stays so while its own total is strictly above report
+    j's at its truth, and j is when its own is strictly above every earlier
+    member's at truth j. Rivals only grow, so a loss is final and the join
+    order does not matter.
     """
     get = itemgetter(*ids) if len(ids) > 1 else lambda row: tuple(map(row.__getitem__, ids))
+    joined = []
     for live, (row, column, own) in zip(recovered, types):
         live = [v for v in live if column[v] < own[v]]
         if not ids or row[j] > max(get(row)):
             live.append(j)
-        yield live
+        joined.append(live)
+    return joined

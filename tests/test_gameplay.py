@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -358,63 +359,53 @@ def test_member_truths_alone_give_the_full_scan_value(pool):
 
 
 def walk_join(stays, joins):
-    """A `_join` for the exhaustive walk: an earlier member stays recovered
+    """A `_join` for both cross-check modes: an earlier member stays recovered
     when stays(report j's total at its truth, its own total), and j is
     recovered when joins(its own total, the best earlier member's total)."""
 
     def join(recovered, types, ids, j):
+        joined = []
         for live, (row, column, own) in zip(recovered, types):
             live = [v for v in live if stays(column[v], own[v])]
             if not ids or joins(row[j], max(row[w] for w in ids)):
                 live.append(j)
-            yield live
+            joined.append(live)
+        return joined
 
     return join
 
 
 def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
-    # Exhaustive mode keeps recovered members by `_join` as the walk adds
-    # them; random mode keeps robust truths by `_robust`. Each broken rule
-    # keeps a truth whose optimal outcomes tie: counting it as recovered when
-    # its own total merely reaches the best rival's, or seeing only the first
-    # winner of its row so a tie with a later member goes unseen. Neither
-    # changes a count at n = 1, so the check runs at n = 2.
+    # Both cross-check modes keep recovered members by `_join` as each image
+    # set grows, the walk from a parent, a random draw folded from the empty
+    # set. Each broken rule keeps a truth whose optimal outcomes tie:
+    # counting it as recovered when its own total merely reaches the best
+    # rival's, or seeing only the first winner of its row so a tie with a
+    # later member goes unseen. Neither changes a count at n = 1, so the
+    # check runs at n = 2.
+    random_mode = {"strategies": "random", "count": 20}
     for stays, joins in ((le, ge), (le, gt)):
         with monkeypatch.context() as patch:
             patch.setattr(sg.gameplay, "_join", walk_join(stays, joins))
-            assert sg.cross_check_equivalence(example, 1).agreed
-            assert not sg.cross_check_equivalence(example, 2).agreed
-    # A walk that skips the earlier members when j joins keeps them
+            for mode in ({}, random_mode):
+                assert sg.cross_check_equivalence(example, 1, **mode).agreed
+                assert not sg.cross_check_equivalence(example, 2, **mode).agreed
+    # A join that skips the earlier members when j joins keeps them
     # recovered whatever j's report pays them; example1 shows it at n = 1.
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_join", walk_join(lambda paid, own: True, gt))
-        assert not sg.cross_check_equivalence(example, 1).agreed
+        for mode in ({}, random_mode):
+            assert not sg.cross_check_equivalence(example, 1, **mode).agreed
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_join", walk_join(lt, gt))
-        assert sg.cross_check_equivalence(example, 2).agreed
+        for mode in ({}, random_mode):
+            assert sg.cross_check_equivalence(example, 2, **mode).agreed
 
-    def tied_truth_is_robust(image, rows):
-        return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row[i] == max(row))
-
-    def first_winner_only(image, rows):
-        return tuple(z for i, (z, row) in enumerate(zip(image, rows)) if row.index(max(row)) == i)
-
-    # Random draws and recovery_report: at truth 00 of the image {00, 12}
-    # the deceptive type is indifferent between the two members.
-    random_mode = {"strategies": "random", "count": 20}
-    tied = sg.canonical_strategy([(0, 0), (1, 2)])
-    for broken in (tied_truth_is_robust, first_winner_only):
-        with monkeypatch.context() as patch:
-            patch.setattr(sg.gameplay, "_robust", broken)
-            assert sg.cross_check_equivalence(example, 1, **random_mode).agreed
-            assert not sg.cross_check_equivalence(example, 2, **random_mode).agreed
-            assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ((0, 0),))
-    assert sg.cross_check_equivalence(example, 2, **random_mode).agreed
-    assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ())
-
-    # The cross-check no longer plays `_best_response`; simulate's options
-    # and the multiplicities still do. An argmax that sees only the first
-    # winner hides the deceptive type's tie at truth 2 from both.
+    # The cross-check never plays `_best_response`; simulate's options, the
+    # multiplicities and recovery_report's robust sets do. An argmax that
+    # sees only the first winner hides the deceptive type's tie at truth 2
+    # of the naive image, and at truth 00 of the image {00, 12}, where it is
+    # indifferent between the two members.
     best_response = sg.gameplay._best_response
 
     def first_best_only(totals, image):
@@ -422,97 +413,82 @@ def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
         return best_total, winners[:1]
 
     naive = naive_strategy(example)
+    tied = sg.canonical_strategy([(0, 0), (1, 2)])
     d = example.type_index("d")
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_best_response", first_best_only)
         assert sg.simulate(example, naive, d, (2,)).options == ((0,),)
         assert sg.recovery_report(example, naive).multiplicities == (1, 1)
+        assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ((0, 0),))
         assert sg.cross_check_equivalence(example, 2).agreed
+        assert sg.cross_check_equivalence(example, 2, **random_mode).agreed
     assert sg.simulate(example, naive, d, (2,)).options == ((0,), (1,))
     assert sg.recovery_report(example, naive).multiplicities == (1, 2)
-
-
-def test_robust_rule_matches_the_definition(pool):
-    # A member truth is robust when its optimal outcomes over the image are
-    # itself alone: the rule written here lists each member truth's winners
-    # and keeps it when they are [truth]. _robust must keep the same members
-    # in the same order. Every image set of spaces up to 9 sequences at
-    # n = 1 and 2, and 5 seeded draws per model at n = 3, on the conftest
-    # pool, with rows cut from each type's payoff table.
-    checked = 0
-    ties = {1: 0, 2: 0, 3: 0}  # member truths whose winners hold itself and another
-    for index, m in enumerate(pool):
-        for n in (1, 2, 3):
-            space = m.num_symbols**n
-            if n < 3 and space > 9:
-                continue
-            seqs = sg.enumerate_sequences(m, n)
-            letters = [range(m.num_symbols)] * n
-            tables = [list(sg.gameplay._payoffs(m, t, letters, seqs)) for t in range(m.num_types)]
-            mode = "all" if n < 3 else "random"
-            for ids in image_id_sets(space, mode, 5, index):
-                image = tuple(seqs[v] for v in ids)
-                for table in tables:
-                    rows = [tuple(table[v][w] for w in ids) for v in ids]
-                    robust = []
-                    for truth, row in zip(image, rows):
-                        winners = [z for z, total in zip(image, row) if total == max(row)]
-                        if winners == [truth]:
-                            robust.append(truth)
-                        ties[n] += len(winners) > 1 and truth in winners
-                    assert sg.gameplay._robust(image, rows) == tuple(robust), (index, image)
-                    checked += 1
-    # k = 2, 3, 4: 3 + 15 + 5, 7 + 511 + 5 and 15 + 5 sets, each once per type,
-    # on models with 135, 132 and 132 types in all.
-    assert checked == 74_781
-    assert min(ties.values()) > 0
+    assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ())
 
 
 def test_walk_matches_the_definition(pool):
-    # The exhaustive walk carries each set's recovered members to its
-    # children. Its played count must equal the naive rule written here from
-    # sequence_utility: a member truth is recovered when its winners over the
-    # image are [truth], counted with the type's prior weight. Every image set
-    # of spaces up to 9 sequences at n = 1 and 2 on the conftest pool, each
-    # once, in lexicographic order of its positions.
+    # The cross-check grows each image set member by member, carrying its
+    # recovered members. Its played count must equal the naive rule written
+    # here from sequence_utility: a member truth is recovered when its
+    # winners over the image are [truth], counted with the type's prior
+    # weight. Every image set of spaces up to 9 sequences at n = 1 and 2,
+    # walked, each once, in lexicographic order of its positions; and 5
+    # seeded draws per model at n = 3, folded; on the conftest pool.
     checked = 0
+    ties = {1: 0, 2: 0, 3: 0}  # member truths whose winners hold itself and another
     for index, m in enumerate(pool):
         _, weights = m.prior_weights
-        for n in (1, 2):
+        for n in (1, 2, 3):
             seqs = sg.enumerate_sequences(m, n)
-            if len(seqs) > 9:
+            if n < 3 and len(seqs) > 9:
                 continue
-            utility = [[[sequence_utility(m, t, z, truth) for z in seqs] for truth in seqs]
-                       for t in range(m.num_types)]
-            walked = list(sg.gameplay._walked_image_sets(m, n, len(seqs) ** 2))
-            assert [members for members, _, _ in walked] == sorted(
-                tuple(seqs[v] for v in ids) for ids in image_id_sets(len(seqs), "all", 0, 0)
-            )
-            for members, played, _ in walked:
+            # (type, truth, report) -> sequence_utility, as the sets need it, over
+            # one positive integer scale so that comparing them is cheap.
+            utility = {}
+            scale = n * math.lcm(*(u.denominator for table in m.utility for row in table
+                                   for u in row))
+            if n < 3:
+                scored = list(sg.gameplay._scored_image_sets(m, n, None, len(seqs) ** 2))
+                assert [members for members, _, _ in scored] == sorted(
+                    tuple(seqs[v] for v in ids) for ids in image_id_sets(len(seqs), "all", 0, 0)
+                )
+            else:
+                id_sets = image_id_sets(len(seqs), "random", 5, index)
+                scored = sg.gameplay._scored_image_sets(m, n, id_sets, len(seqs) ** 2)
+            for members, played, _ in scored:
                 ids = [seqs.index(z) for z in members]
                 expected = 0
-                for weight, rows in zip(weights, utility):
+                for t, weight in enumerate(weights):
                     for v in ids:
-                        best = max(rows[v][w] for w in ids)
-                        winners = [seqs[w] for w in ids if rows[v][w] == best]
+                        for w in ids:
+                            if (t, v, w) not in utility:
+                                scaled = sequence_utility(m, t, seqs[w], seqs[v]) * scale
+                                assert scaled.denominator == 1
+                                utility[t, v, w] = scaled.numerator
+                        best = max(utility[t, v, w] for w in ids)
+                        winners = [seqs[w] for w in ids if utility[t, v, w] == best]
                         expected += weight * (winners == [seqs[v]])
+                        ties[n] += len(winners) > 1 and seqs[v] in winners
                 assert played == expected, (index, members)
                 checked += 1
-    # k = 2, 3, 4 on 68, 66, 66 models: 3 + 15, 7 + 511 and 15 sets.
-    assert checked == 36_402
+    # k = 2, 3, 4 on 68, 66, 66 models: 3 + 15 + 5, 7 + 511 + 5 and 15 + 5 sets.
+    assert checked == 37_402
+    assert min(ties.values()) > 0
 
 
 def test_walk_matches_the_per_set_route_on_larger_spaces():
     # On spaces of 12-16 sequences, where sets reach 16 members and the walk
     # carries state down 16 levels, every set's (played, formula) must equal
-    # what the per-set route computes from its rows.
+    # what folding the same set from the empty set computes.
     rng = random.Random(107)
     for k, n, types in ((12, 1, 3), (14, 1, 2), (4, 2, 1)):
         m = make_random_model(rng, k, types)
         space = k**n
-        walked = sg.gameplay._walked_image_sets(m, n, space**2)
-        scored = sg.gameplay._scored_image_sets(m, n, image_id_sets(space, "all", 0, 0), space**2)
-        by_set = {members: (played, formula) for members, played, formula in scored}
+        walked = sg.gameplay._scored_image_sets(m, n, None, space**2)
+        id_sets = image_id_sets(space, "all", 0, 0)
+        folded = sg.gameplay._scored_image_sets(m, n, id_sets, space**2)
+        by_set = {members: (played, formula) for members, played, formula in folded}
         assert len(by_set) == 2**space - 1
         for members, played, formula in walked:
             assert by_set.pop(members) == (played, formula), (k, n, members)
@@ -782,35 +758,23 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert "agreed: false" in out and "0;2: played 4/3" in out
 
+    # Both modes keep recovered members by `_join`; seed 0 draws the target
+    # fourth of six sets, folded from (0,) as the walk grows it.
     join = sg.gameplay._join
 
     def dropping_recovered_truth(recovered, types, ids, j):
         # Drop the truth 0 from the recovered members of the target, so no type recovers it.
-        for live in join(recovered, types, ids, j):
-            yield [v for v in live if (*ids, j) != (0, 2) or v != 0]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sg.gameplay, "_join", dropping_recovered_truth)
-        result = sg.cross_check_equivalence(example, 1)
-        assert result.agreed is False
-        assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
-    assert sg.cross_check_equivalence(example, 1).agreed
-
-    # Random mode keeps robust truths by `_robust`; seed 0 draws the target
-    # fourth of six sets.
-    robust = sg.gameplay._robust
-
-    def dropping_truth(image, rows):
-        # Drop the truth 0 from the robust members of the target, so no type recovers it.
-        return tuple(z for z in robust(image, rows) if image != target or z != (0,))
+        return [[v for v in live if (*ids, j) != (0, 2) or v != 0]
+                for live in join(recovered, types, ids, j)]
 
     random_mode = {"strategies": "random", "count": 6, "seed": 0}
-    with monkeypatch.context() as patch:
-        patch.setattr(sg.gameplay, "_robust", dropping_truth)
-        result = sg.cross_check_equivalence(example, 1, **random_mode)
-        assert result.agreed is False
-        assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
-    assert sg.cross_check_equivalence(example, 1, **random_mode).agreed
+    for mode in ({}, random_mode):
+        with monkeypatch.context() as patch:
+            patch.setattr(sg.gameplay, "_join", dropping_recovered_truth)
+            result = sg.cross_check_equivalence(example, 1, **mode)
+            assert result.agreed is False
+            assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
+        assert sg.cross_check_equivalence(example, 1, **mode).agreed
 
 
 def test_cross_check_random_mode(example):
@@ -854,15 +818,32 @@ def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
             drawn.append(None)
             return super().sample(*args, **kwargs)
 
-    at_first_score = []
-    robust = sg.gameplay._robust
+    at_each_join = []
+    join = sg.gameplay._join
 
     def spy(*args):
-        at_first_score.append(len(drawn))
-        return robust(*args)
+        at_each_join.append(len(drawn))
+        return join(*args)
 
     monkeypatch.setattr(sg.gameplay.random, "Random", CountingRandom)
-    monkeypatch.setattr(sg.gameplay, "_robust", spy)
+    monkeypatch.setattr(sg.gameplay, "_join", spy)
     result = sg.cross_check_equivalence(example, 2, strategies="random", count=5)
     assert result.image_sets_checked == 5 and result.agreed
-    assert at_first_score[0] == 1 and len(drawn) == 5
+    # Each draw is folded before the next is drawn.
+    assert at_each_join[0] == 1 and len(drawn) == 5
+    assert at_each_join == sorted(at_each_join) and set(at_each_join) == {1, 2, 3, 4, 5}
+
+
+def test_readers_refuse_empty_and_mixed_length_images(example):
+    # A hand-built table strategy may decode to sequences of another length
+    # than its reports, or to nothing. Both readers refuse such an image
+    # before any scan, rather than price a longer member on a truncated
+    # report or index an empty image.
+    mixed = sg.TableStrategy(1, {(0,): (0,), (1,): (1, 1), (2,): (2,)})
+    empty = sg.TableStrategy(1, {})
+    for strategy, message in ((mixed, r"image member \(1, 1\) has length 2, not 1"),
+                              (empty, "strategy image is empty")):
+        with pytest.raises(ValueError, match=message):
+            sg.simulate(example, strategy, 1, (1,))
+        with pytest.raises(ValueError, match=message):
+            sg.recovery_report(example, strategy)
