@@ -32,8 +32,6 @@ from .graph import (
 from .equilibrium import (
     EquilibriumResult,
     Questionnaire,
-    ReceiverStrategy,
-    canonical_strategy,
     evaluate_questionnaire,
     solve_exact,
     solve_heuristic,
@@ -41,10 +39,11 @@ from .equilibrium import (
 )
 from .gameplay import (
     CrossCheckResult,
+    ReceiverStrategy,
     RecoveryReport,
     SimulationOutcome,
     TIE_POLICIES,
-    TableStrategy,
+    canonical_strategy,
     cross_check_equivalence,
     recovery_report,
     simulate,
@@ -81,7 +80,6 @@ __all__ = [
     "SenderGraph",
     "SimulationOutcome",
     "TIE_POLICIES",
-    "TableStrategy",
     "asymptotic_bounds",
     "build_sender_graph",
     "canonical_strategy",

@@ -42,12 +42,12 @@ from .graph import (
 )
 from .equilibrium import (
     DEFAULT_REPORT_CAP,
-    canonical_strategy,
     solve_exact,
     solve_heuristic,
 )
 from .gameplay import (
     TIE_POLICIES,
+    canonical_strategy,
     cross_check_equivalence,
     recovery_report,
     simulate,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import and_, mul, or_
 
@@ -24,8 +24,8 @@ from .model import (
     Seq,
     _BEATS,
     _EITHER,
+    _check_pairs,
     _check_sequences,
-    _count_sequences,
     _top_bit_masks,
     check_space,
     classify_type,
@@ -91,43 +91,6 @@ def evaluate_questionnaire(model: Model, members) -> Questionnaire:
     return Questionnaire(len(mem[0]), mem, parts, objective)
 
 
-@dataclass(frozen=True)
-class ReceiverStrategy:
-    """Decode reports inside `members` as themselves, everything else to `fallback`."""
-
-    n: int
-    members: tuple[Seq, ...]  # ascending; the image of the decoding map
-    fallback: Seq
-
-    def decode(self, reported: Seq) -> Seq:
-        reported = tuple(reported)
-        return reported if reported in self._member_set else self.fallback
-
-    @property
-    def image(self) -> tuple[Seq, ...]:
-        return self.members
-
-    @cached_property
-    def _member_set(self) -> frozenset[Seq]:
-        return frozenset(self.members)
-
-
-def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy:
-    """Identity on `members`, constant `fallback` elsewhere.
-
-    The fallback defaults to the lexicographically smallest member; any member
-    works, the worst-case recovery value does not depend on the choice.
-    """
-    mem = _normalize_members(members)
-    if fallback is None:
-        fallback = mem[0]
-    else:
-        fallback = tuple(fallback)
-        if fallback not in mem:
-            raise ValueError("fallback must be a questionnaire member")
-    return ReceiverStrategy(len(mem[0]), mem, fallback)
-
-
 def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The receiver objective on member bitmasks: (seqs, scale, beats, score, covers).
 
@@ -145,8 +108,7 @@ def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_B
     kernel walk per deceptive type extracts both. Its k^n sequences, then
     its k^(2n) pairs, are refused past `enum_budget` first.
     """
-    _count_sequences(model, n, enum_budget)
-    check_space(model, 2 * n, enum_budget, "packed scorer")
+    _check_pairs(model, n, enum_budget, "packed scorer")
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     count = len(seqs)
     scale, weights = model.prior_weights

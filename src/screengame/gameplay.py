@@ -11,8 +11,10 @@ argmax-with-ties, gives `simulate` its options and `recovery_report` its
 multiplicities and robust sets; the cross-check applies the same rule by
 `_join` as members join an image set, and counts robust members in integers.
 
-A strategy is any object with an `image` tuple and a `decode` method;
-`ReceiverStrategy` and `TableStrategy` both qualify.
+A strategy is any object with an `image` tuple and a `decode` method. The
+package's one such type is `ReceiverStrategy`, a validated decoding map that
+`canonical_strategy` and `table_strategy` build; the readers still refuse an
+empty or mixed-length image from any other object.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
+    _check_pairs,
     _check_sequences,
     _check_type,
     _count_sequences,
@@ -40,6 +43,7 @@ from .model import (
 )
 from .equilibrium import (
     DEFAULT_SUBSET_BUDGET,
+    _normalize_members,
     packed_scorer,
 )
 
@@ -50,21 +54,47 @@ TIE_POLICIES = (ADVERSARIAL, LEXICOGRAPHIC, RANDOM)
 
 
 @dataclass(frozen=True)
-class TableStrategy:
-    """Arbitrary decoding map, given explicitly as report -> decoded sequence."""
+class ReceiverStrategy:
+    """A committed decoding map: reports in `mapping` decode to its value, others to `fallback`.
+
+    Every decoded sequence has length `n`, and `fallback` is one of them, so
+    the image is never empty and holds exactly what `decode` can return.
+    """
 
     n: int
-    mapping: dict[Seq, Seq]  # must be total over all length-n sequences
+    mapping: dict[Seq, Seq]
+    fallback: Seq
+
+    def __post_init__(self):
+        for decoded in self.mapping.values():
+            if len(decoded) != self.n:
+                raise ValueError(
+                    f"decoded sequence {decoded} has length {len(decoded)}, not {self.n}"
+                )
+        if self.fallback not in self.image:
+            raise ValueError("fallback must be a questionnaire member")
 
     @cached_property
     def image(self) -> tuple[Seq, ...]:
         return tuple(sorted(set(self.mapping.values())))
 
     def decode(self, reported: Seq) -> Seq:
-        return self.mapping[tuple(reported)]
+        return self.mapping.get(tuple(reported), self.fallback)
 
 
-def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrategy:
+def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy:
+    """Identity on `members`, constant `fallback` elsewhere.
+
+    The fallback defaults to the lexicographically smallest member; any member
+    works, the worst-case recovery value does not depend on the choice.
+    """
+    mem = _normalize_members(members)
+    fallback = mem[0] if fallback is None else tuple(fallback)
+    return ReceiverStrategy(len(mem[0]), dict(zip(mem, mem)), fallback)
+
+
+def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> ReceiverStrategy:
+    """An arbitrary decoding map, total over the length-n sequences; no report falls back."""
     seqs = enumerate_sequences(model, n)
     normalized = {tuple(k): tuple(v) for k, v in mapping.items()}
     missing = [s for s in seqs if s not in normalized]
@@ -72,11 +102,9 @@ def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> TableStrate
         raise ValueError(f"decoding map is not total: no entry for {missing[0]}")
     if len(normalized) != len(seqs):
         raise ValueError("decoding map has entries outside the sequence space")
-    for decoded in normalized.values():
-        if len(decoded) != n:
-            raise ValueError(f"decoded sequence {decoded} has length {len(decoded)}, not {n}")
-        _check_sequences(model, [decoded], "decoded sequence")
-    return TableStrategy(n, normalized)
+    strategy = ReceiverStrategy(n, normalized, min(normalized.values()))
+    _check_sequences(model, normalized.values(), "decoded sequence")
+    return strategy
 
 
 def _payoffs(model: Model, type_id: int, letters, reports) -> Iterator[tuple[int, ...]]:
@@ -266,12 +294,12 @@ def cross_check_equivalence(
         raise ValueError(f"random cross-check needs a count >= 1, got {count}")
     if strategies == "all":
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
-    space = _count_sequences(model, n, enum_budget)
     # One type's k^(2n) first, so a huge horizon is refused before k^(2n) is built.
-    totals = model.num_types * check_space(model, 2 * n, enum_budget, "cross-check payoff table")
+    space = _check_pairs(model, n, enum_budget, "cross-check payoff table")
+    totals = model.num_types * space * space
     if totals > enum_budget:
         raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
-    # Each random draw scans every truth of every type.
+    # A draw plays only its member truths, so count * T * k^n bounds its scans.
     scans = count * model.num_types * space
     if strategies == "random" and scans > enum_budget:
         raise BudgetExceededError("random cross-check", scans, enum_budget)

@@ -23,7 +23,7 @@ from .model import (
     HONEST,
     Model,
     _EITHER,
-    _count_sequences,
+    _check_pairs,
     _top_bit_masks,
     check_space,
     classify_type,
@@ -91,7 +91,7 @@ def build_sender_graph(
     kernel extracts once from the OR of its two direction sums.
     Its k^n sequences, then its k^(2n) pairs, are refused past `enum_budget` first.
     """
-    _check_graph_space(model, (n,), enum_budget)
+    _check_pairs(model, n, enum_budget, "sender graph")
     if classify_type(model, type_id) == HONEST:  # strict wins stay strict under sums
         adjacency = (0,) * model.num_symbols**n
     else:
@@ -99,13 +99,6 @@ def build_sender_graph(
     graph = SenderGraph(n, adjacency, model.types[type_id])
     object.__setattr__(graph, "_symmetric", True)
     return graph
-
-
-def _check_graph_space(model: Model, horizons, enum_budget: int) -> None:
-    """`build_sender_graph`'s refusals, horizon by horizon: k^h sequences, then k^(2h) pairs."""
-    for h in horizons:
-        _count_sequences(model, h, enum_budget)
-        check_space(model, 2 * h, enum_budget, "sender graph")
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:

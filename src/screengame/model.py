@@ -254,12 +254,7 @@ class Model:
 def parse_model(text: str) -> Model:
     """Parse a model document. Raises ModelSyntaxError / ModelError on defects."""
     try:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:  # an integer literal past the decimal conversion limit
-            doc = json.loads(text, parse_int=_json_int)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):
@@ -354,6 +349,13 @@ def _count_sequences(model: Model, n: int, enum_budget: int) -> int:
     return check_space(model, n, enum_budget, "sequence enumeration")
 
 
+def _check_pairs(model: Model, n: int, enum_budget: int, what: str) -> int:
+    """k^n, after its k^n sequences, then its k^(2n) pairs named `what`, are priced."""
+    count = _count_sequences(model, n, enum_budget)
+    check_space(model, 2 * n, enum_budget, what)
+    return count
+
+
 def check_space(model: Model, n: int, budget: int, what: str) -> int:
     """The number k^n of length-n sequences; BudgetExceededError when it is over `budget`.
 
@@ -414,8 +416,7 @@ def preference_masks(
     refused past `enum_budget` before any lane is built.
     """
     _check_type(model, type_id)
-    _count_sequences(model, n, enum_budget)
-    check_space(model, 2 * n, enum_budget, "preference masks")
+    _check_pairs(model, n, enum_budget, "preference masks")
     return _top_bit_masks(model, type_id, n, (_BEATEN_BY, _BEATS))
 
 

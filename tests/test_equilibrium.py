@@ -55,12 +55,12 @@ def test_evaluate_questionnaire(example):
 
 def test_canonical_strategy_decodes(example):
     strat = sg.canonical_strategy([(2,), (0,)])
-    assert strat.members == ((0,), (2,))
+    assert strat.image == ((0,), (2,))
     assert strat.fallback == (0,)  # lexicographically least member by default
     assert strat.decode((0,)) == (0,)
     assert strat.decode((2,)) == (2,)
     assert strat.decode((1,)) == (0,)
-    assert strat.image == strat.members
+    assert strat.mapping == {(0,): (0,), (2,): (2,)}
     named = sg.canonical_strategy([(0,), (2,)], fallback=(2,))
     assert named.decode((1,)) == (2,)
 

@@ -835,15 +835,50 @@ def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
 
 
 def test_readers_refuse_empty_and_mixed_length_images(example):
-    # A hand-built table strategy may decode to sequences of another length
-    # than its reports, or to nothing. Both readers refuse such an image
-    # before any scan, rather than price a longer member on a truncated
-    # report or index an empty image.
-    mixed = sg.TableStrategy(1, {(0,): (0,), (1,): (1, 1), (2,): (2,)})
-    empty = sg.TableStrategy(1, {})
-    for strategy, message in ((mixed, r"image member \(1, 1\) has length 2, not 1"),
-                              (empty, "strategy image is empty")):
+    # A duck-typed strategy may decode to sequences of another length than
+    # its reports, or to nothing. Both readers refuse such an image before
+    # any scan, rather than price a longer member on a truncated report or
+    # index an empty image. ReceiverStrategy refuses the same maps when built.
+    class HandWritten:
+        def __init__(self, mapping):
+            self.image = tuple(sorted(set(mapping.values())))
+            self.decode = lambda y: mapping.get(tuple(y), (0,))
+
+    mixed = {(0,): (0,), (1,): (1, 1), (2,): (2,)}
+    for mapping, message in ((mixed, r"image member \(1, 1\) has length 2, not 1"),
+                             ({}, "strategy image is empty")):
+        strategy = HandWritten(mapping)
         with pytest.raises(ValueError, match=message):
             sg.simulate(example, strategy, 1, (1,))
         with pytest.raises(ValueError, match=message):
             sg.recovery_report(example, strategy)
+    with pytest.raises(ValueError, match=r"decoded sequence \(1, 1\) has length 2, not 1"):
+        sg.ReceiverStrategy(1, mixed, (0,))
+    with pytest.raises(ValueError, match="fallback must be a questionnaire member"):
+        sg.ReceiverStrategy(1, {}, (0,))
+
+
+def test_maps_decoding_to_another_length_are_refused_when_built(example):
+    # Every decoded sequence had length 2 against reports of length 1, so
+    # both readers used to decode a report of length 2 and raise KeyError.
+    mapping = {(0,): (0, 0), (1,): (1, 1), (2,): (2, 2)}
+    with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
+        sg.ReceiverStrategy(1, mapping, (0, 0))
+    with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
+        sg.table_strategy(example, 1, mapping)
+
+
+def test_canonical_strategy_is_identity_on_members_and_fallback_elsewhere(pool):
+    # By definition, over the whole space of each model at n = 1, 2, for
+    # random member sets and every member as the fallback.
+    rng = random.Random(131)
+    for m in pool[:24]:
+        for n in (1, 2):
+            seqs = sg.enumerate_sequences(m, n)
+            members = rng.sample(seqs, rng.randint(1, len(seqs)))
+            for fallback in members:
+                strategy = sg.canonical_strategy(members, fallback)
+                assert strategy.image == tuple(sorted(members))
+                for y in seqs:
+                    assert strategy.decode(y) == (y if y in members else fallback)
+            assert sg.canonical_strategy(members).fallback == min(members)

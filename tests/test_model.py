@@ -632,7 +632,7 @@ REFUSALS = {
         "utility['t']: expected a 2x2 matrix",
     ),
     "empty sequence": (
-        lambda: sg.simulate(EXAMPLE, sg.TableStrategy(0, {(): ()}), 0, ()),
+        lambda: sg.simulate(EXAMPLE, sg.ReceiverStrategy(0, {(): ()}, ()), 0, ()),
         "truth: sequences must have length >= 1",
     ),
     # A negative symbol id would otherwise index the last symbol, and one past
@@ -671,6 +671,16 @@ REFUSALS = {
     "syntax error after a long number": (
         lambda: sg.parse_model("[" + "1" * 5001 + ", "),
         "not valid JSON: Expecting value (line 1, column 5005)",
+    ),
+    # Literals past the limit are read in the one parse, so a defect after
+    # one is placed where it is.
+    "syntax error a line after a long number": (
+        lambda: sg.parse_model('{"alphabet":\n [' + "9" * 5000 + ", 1"),
+        "not valid JSON: Expecting ',' delimiter (line 2, column 5006)",
+    ),
+    "trailing comma after a long negative number": (
+        lambda: sg.parse_model('{"alphabet": [-' + "9" * 5000 + ",]}"),
+        "not valid JSON: Expecting value (line 1, column 5017)",
     ),
     "long prior list": (
         lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2", "5"], [TABLE] * 3),
