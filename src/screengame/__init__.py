@@ -47,7 +47,6 @@ from .gameplay import (
     cross_check_equivalence,
     recovery_report,
     simulate,
-    table_strategy,
 )
 from .rate import (
     AsymptoticReport,
@@ -99,7 +98,6 @@ __all__ = [
     "simulate",
     "solve_exact",
     "solve_heuristic",
-    "table_strategy",
     "truthful_subset",
     "union_graph",
 ]

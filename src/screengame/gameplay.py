@@ -11,10 +11,8 @@ argmax-with-ties, gives `simulate` its options and `recovery_report` its
 multiplicities and robust sets; the cross-check applies the same rule by
 `_join` as members join an image set, and counts robust members in integers.
 
-A strategy is any object with an `image` tuple and a `decode` method. The
-package's one such type is `ReceiverStrategy`, a validated decoding map that
-`canonical_strategy` and `table_strategy` build; the readers still refuse an
-empty or mixed-length image from any other object.
+A strategy is a `ReceiverStrategy`, the one validated decoding map; an
+arbitrary map is built directly, a questionnaire's by `canonical_strategy`.
 """
 
 from __future__ import annotations
@@ -93,20 +91,6 @@ def canonical_strategy(members, fallback: Seq | None = None) -> ReceiverStrategy
     return ReceiverStrategy(len(mem[0]), dict(zip(mem, mem)), fallback)
 
 
-def table_strategy(model: Model, n: int, mapping: dict[Seq, Seq]) -> ReceiverStrategy:
-    """An arbitrary decoding map, total over the length-n sequences; no report falls back."""
-    seqs = enumerate_sequences(model, n)
-    normalized = {tuple(k): tuple(v) for k, v in mapping.items()}
-    missing = [s for s in seqs if s not in normalized]
-    if missing:
-        raise ValueError(f"decoding map is not total: no entry for {missing[0]}")
-    if len(normalized) != len(seqs):
-        raise ValueError("decoding map has entries outside the sequence space")
-    strategy = ReceiverStrategy(n, normalized, min(normalized.values()))
-    _check_sequences(model, normalized.values(), "decoded sequence")
-    return strategy
-
-
 def _payoffs(model: Model, type_id: int, letters, reports) -> Iterator[tuple[int, ...]]:
     """Per truth in the product of `letters`, this type's scaled total for every report.
 
@@ -129,16 +113,6 @@ def _best_response(totals, image) -> tuple[int, list[Seq]]:
     return best_total, list(itertools.compress(image, map(best_total.__eq__, totals)))
 
 
-def _image_length(image) -> int:
-    """The one length of a strategy's image members, refused if there are none or two."""
-    if not image:
-        raise ValueError("strategy image is empty")
-    for z in image:
-        if len(z) != len(image[0]):
-            raise ValueError(f"image member {z} has length {len(z)}, not {len(image[0])}")
-    return len(image[0])
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     value: Fraction  # prior-weighted worst-case recovery count
@@ -148,7 +122,7 @@ class RecoveryReport:
 
 def recovery_report(
     model: Model,
-    strategy,
+    strategy: ReceiverStrategy,
     *,
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> RecoveryReport:
@@ -158,12 +132,11 @@ def recovery_report(
     lists each truth's winners. A truth is robust when they are itself alone,
     so robust sets follow sequence order. A truth's best responses are the
     reports decoding to its winners; the product of their counts over truths
-    is the multiplicity, since best responses choose independently. An
-    empty or mixed-length image is refused first, then its k^n sequences and
-    T * k^n * |image| payoffs past `enum_budget`.
+    is the multiplicity, since best responses choose independently. Its k^n
+    sequences and T * k^n * |image| payoffs are refused past `enum_budget`.
     """
     image = strategy.image
-    n = _image_length(image)
+    n = strategy.n
     _check_sequences(model, image, "image")
     payoffs = model.num_types * _count_sequences(model, n, enum_budget) * len(image)
     if payoffs > enum_budget:
@@ -195,7 +168,7 @@ class SimulationOutcome:
 
 def simulate(
     model: Model,
-    strategy,
+    strategy: ReceiverStrategy,
     type_id: int,
     truth: Seq,
     *,
@@ -206,8 +179,7 @@ def simulate(
     """Play one round: the sender reports optimally, ties broken per policy.
 
     The options, the outcomes optimal reports decode to, are found by a scan
-    of the image: every decoded outcome is reachable by some report; an empty
-    or mixed-length image is refused before it.
+    of the image: every decoded outcome is reachable by some report.
     Policies: adversarial picks an option differing from the truth whenever
     one exists (least such), lexicographic picks the least option, random
     draws from a generator seeded per (seed, type, truth) so concurrent calls
@@ -217,9 +189,9 @@ def simulate(
     n = len(truth)
     # The report is located by scanning the whole sequence space.
     check_space(model, n, enum_budget, "report search")
+    if n != strategy.n:
+        raise ValueError(f"truth length {n} differs from the strategy's {strategy.n}")
     image = strategy.image
-    if n != _image_length(image):
-        raise ValueError(f"truth length {n} differs from the strategy's {len(image[0])}")
     _check_sequences(model, [truth], "truth")
     _check_type(model, type_id)
     _check_sequences(model, image, "image")

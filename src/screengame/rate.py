@@ -141,7 +141,7 @@ class AsymptoticReport:
 
     n_max: int
     alpha_per_type: tuple[int, ...]  # one-letter independence numbers
-    best_type: int  # argmax of those, ties to the lowest id
+    best_type: int  # argmax of those over types of positive prior, ties to the lowest id
     union_floor: int  # one-letter union independence number
     alphas: tuple[int, ...]  # best type's numbers at horizons 1..n_max
     capacity_estimates: tuple[float, ...]  # n-th roots of those, display only
@@ -163,7 +163,9 @@ def asymptotic_bounds(
     (products of one-letter independent sets stay independent), while the
     per-letter growth of the best single type's independence numbers is a
     ceiling target; its n-th roots are reported for n = 1..n_max together
-    with supermultiplicativity witnesses.
+    with supermultiplicativity witnesses. The best type is chosen among the
+    types of positive prior: one of prior 0 recovers nothing in the value,
+    so its roots would be no floor.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -173,7 +175,8 @@ def asymptotic_bounds(
     # Horizon 1 is within the budget, so these numbers are certified.
     one_letter = finite_bounds(model, 1, mis_budget=mis_budget, enum_budget=enum_budget)
     alpha1 = one_letter.alpha_per_type
-    best_type = max(range(model.num_types), key=lambda t: (alpha1[t], -t))
+    played = [t for t in range(model.num_types) if model.prior[t] > 0]
+    best_type = max(played, key=lambda t: (alpha1[t], -t))
     alphas = [alpha1[best_type]] + [
         max_independent_set(
             build_sender_graph(model, best_type, h, enum_budget=enum_budget),

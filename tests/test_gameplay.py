@@ -96,13 +96,14 @@ def test_multiplicities_match_the_definition():
     # A best response picks, at each truth, any report whose decoded outcome
     # pays the most, so a type's multiplicity is the product over truths of
     # the number of such reports, counted here report by report. Canonical
-    # and table strategies on random models with 8-81 sequences.
+    # strategies and arbitrary maps on random models with 8-81 sequences.
     rng = random.Random(71)
     for k, n in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (9, 2)):
         m = make_random_model(rng, k, rng.randint(1, 3))
         seqs = sg.enumerate_sequences(m, n)
         image = rng.sample(seqs, rng.randint(1, 8))
-        table = sg.table_strategy(m, n, {y: rng.choice(image) for y in seqs})
+        mapping = {y: rng.choice(image) for y in seqs}
+        table = sg.ReceiverStrategy(n, mapping, min(mapping.values()))
         for strategy in (sg.canonical_strategy(image), table):
             report = sg.recovery_report(m, strategy)
             for t in range(m.num_types):
@@ -153,12 +154,11 @@ def test_oracle_never_uses_the_formula(monkeypatch):
 
 
 def test_only_the_image_matters(example):
-    # A table strategy with the same image as the canonical one must behave
+    # A map with the same image as the canonical strategy must behave
     # identically everywhere, whatever the off-image reports map to.
     gtilde = two_member_strategy()
-    table = sg.table_strategy(
-        example, 1, {(0,): (0,), (1,): (2,), (2,): (2,)}
-    )
+    mapping = {(0,): (0,), (1,): (2,), (2,): (2,)}
+    table = sg.ReceiverStrategy(1, mapping, min(mapping.values()))
     assert table.image == gtilde.image
     assert sg.recovery_report(example, table).robust == sg.recovery_report(example, gtilde).robust
     for t in range(example.num_types):
@@ -175,26 +175,24 @@ def test_fallback_choice_does_not_change_recovery(example):
     assert sg.recovery_report(example, a).value == sg.recovery_report(example, b).value
 
 
-def test_table_strategy_must_be_total(example):
-    with pytest.raises(ValueError, match="not total"):
-        sg.table_strategy(example, 1, {(0,): (0,)})
-    with pytest.raises(ValueError, match="outside"):
-        sg.table_strategy(
-            example, 1, {(0,): (0,), (1,): (0,), (2,): (0,), (7,): (0,)}
-        )
-
-
 def test_table_strategy_checks_decoded_sequences(example):
     # A decoded sequence of another length used to be scored on a truncated
     # sum, and a symbol id past the alphabet raised IndexError during play.
+    # The first is refused when the map is built, the others by both readers.
     with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
-        sg.table_strategy(example, 1, {(0,): (0, 0), (1,): (0,), (2,): (0,)})
-    with pytest.raises(ValueError, match="decoded sequence: symbol id 7 out of range"):
-        sg.table_strategy(example, 1, {(0,): (0,), (1,): (7,), (2,): (0,)})
+        sg.ReceiverStrategy(1, {(0,): (0, 0), (1,): (0,), (2,): (0,)}, (0,))
     seqs = sg.enumerate_sequences(example, 2)
-    with pytest.raises(ValueError, match="symbol id -1 out of range"):
-        sg.table_strategy(example, 2, {y: (0, -1) if y == (2, 2) else y for y in seqs})
-    table = sg.table_strategy(example, 2, {y: (2, 1) for y in seqs})
+    for strategy, truth, symbol in (
+        (sg.ReceiverStrategy(1, {(0,): (0,), (1,): (7,), (2,): (0,)}, (0,)), (0,), 7),
+        (sg.ReceiverStrategy(2, {y: (0, -1) if y == (2, 2) else y for y in seqs}, (0, 0)),
+         (0, 0), -1),
+    ):
+        message = f"image: symbol id {symbol} out of range"
+        with pytest.raises(ValueError, match=message):
+            sg.recovery_report(example, strategy)
+        with pytest.raises(ValueError, match=message):
+            sg.simulate(example, strategy, 1, truth)
+    table = sg.ReceiverStrategy(2, {y: (2, 1) for y in seqs}, (2, 1))
     assert table.image == ((2, 1),)
 
 
@@ -518,15 +516,10 @@ def test_exhaustive_mismatches_come_in_combination_order(example, monkeypatch):
 
 
 def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
-    # A hand-written strategy may list its image in any order. Its robust
-    # tuples must follow the sequence space, as the definition written here
-    # lists them, and equal those of the same image sorted.
-    class HandWritten:
-        def __init__(self, image):
-            self.image = tuple(image)
-            self.decode = sg.canonical_strategy(image).decode
-
-    gtilde = sg.recovery_report(example, HandWritten([(2,), (0,)]))
+    # A questionnaire may list its members in any order. The robust tuples
+    # must follow the sequence space, as the definition written here lists
+    # them over the members in their given order.
+    gtilde = sg.recovery_report(example, sg.canonical_strategy([(2,), (0,)]))
     assert gtilde.robust == (((0,), (2,)), ((0,),))
     assert gtilde.value == Fraction(4, 3)
     rng = random.Random(101)
@@ -537,7 +530,7 @@ def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
         members = rng.sample(seqs, rng.randint(3, 8))
         if members == sorted(members):
             members.reverse()
-        report = sg.recovery_report(m, HandWritten(members))
+        report = sg.recovery_report(m, sg.canonical_strategy(members))
         for t in range(m.num_types):
             robust = []
             for truth in seqs:
@@ -547,7 +540,6 @@ def test_recovery_report_keeps_robust_truths_in_sequence_order(example):
                     robust.append(truth)
             assert report.robust[t] == tuple(robust)
             longest = max(longest, len(robust))
-        assert report == sg.recovery_report(m, sg.canonical_strategy(members))
     assert longest >= 3
 
 
@@ -834,38 +826,23 @@ def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
     assert at_each_join == sorted(at_each_join) and set(at_each_join) == {1, 2, 3, 4, 5}
 
 
-def test_readers_refuse_empty_and_mixed_length_images(example):
-    # A duck-typed strategy may decode to sequences of another length than
-    # its reports, or to nothing. Both readers refuse such an image before
-    # any scan, rather than price a longer member on a truncated report or
-    # index an empty image. ReceiverStrategy refuses the same maps when built.
-    class HandWritten:
-        def __init__(self, mapping):
-            self.image = tuple(sorted(set(mapping.values())))
-            self.decode = lambda y: mapping.get(tuple(y), (0,))
-
+def test_readers_refuse_empty_and_mixed_length_images():
+    # A map decoding to sequences of two lengths, or to nothing, is refused
+    # when built, so the readers never price a longer member on a truncated
+    # report or index an empty image.
     mixed = {(0,): (0,), (1,): (1, 1), (2,): (2,)}
-    for mapping, message in ((mixed, r"image member \(1, 1\) has length 2, not 1"),
-                             ({}, "strategy image is empty")):
-        strategy = HandWritten(mapping)
-        with pytest.raises(ValueError, match=message):
-            sg.simulate(example, strategy, 1, (1,))
-        with pytest.raises(ValueError, match=message):
-            sg.recovery_report(example, strategy)
     with pytest.raises(ValueError, match=r"decoded sequence \(1, 1\) has length 2, not 1"):
         sg.ReceiverStrategy(1, mixed, (0,))
     with pytest.raises(ValueError, match="fallback must be a questionnaire member"):
         sg.ReceiverStrategy(1, {}, (0,))
 
 
-def test_maps_decoding_to_another_length_are_refused_when_built(example):
+def test_maps_decoding_to_another_length_are_refused_when_built():
     # Every decoded sequence had length 2 against reports of length 1, so
     # both readers used to decode a report of length 2 and raise KeyError.
     mapping = {(0,): (0, 0), (1,): (1, 1), (2,): (2, 2)}
     with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
         sg.ReceiverStrategy(1, mapping, (0, 0))
-    with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
-        sg.table_strategy(example, 1, mapping)
 
 
 def test_canonical_strategy_is_identity_on_members_and_fallback_elsewhere(pool):

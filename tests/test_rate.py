@@ -185,6 +185,23 @@ def test_asymptotic_best_type_tie_goes_to_lowest_id():
     assert report.best_type == 0
 
 
+def test_asymptotic_best_type_has_positive_prior():
+    # Type b has prior 0, so the value never counts its truthful reports;
+    # following its larger numbers claimed a floor of 2 over a rate of 1.
+    m = sg.Model.from_tables(
+        ["0", "1"],
+        ["a", "b"],
+        {"a": 1, "b": 0},
+        {"a": [[0, 1], [1, 0]], "b": [[1, 0], [0, 1]]},
+    )
+    report = sg.asymptotic_bounds(m, 3)
+    assert report.alpha_per_type == (1, 2)
+    assert (report.best_type, report.alphas, report.certified_floor) == (0, (1, 1, 1), 1.0)
+    assert report.union_floor == 1
+    achieved = sg.finite_bounds(m, 3, solve=True).achieved
+    assert achieved == 1 and report.certified_floor <= sg.extraction_rate(achieved, 3)
+
+
 def test_asymptotic_floor_moves_to_the_horizon_with_the_largest_root():
     # One letter recovers a single sequence, but the numbers then grow fast
     # enough that the largest root is at the last horizon: 6^(1/4), 20^(1/6).
