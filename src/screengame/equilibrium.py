@@ -31,7 +31,7 @@ from .model import (
     classify_type,
     enumerate_sequences,
 )
-from .graph import _greedy_independent_set, _mask_to_members, clique_cover_bound
+from .graph import _cover_classes, _greedy_independent_set, _mask_to_members
 
 DEFAULT_SUBSET_BUDGET = 20  # max base sequences for exhaustive search (2^20 subsets)
 DEFAULT_REPORT_CAP = 16  # maximizers listed in a result
@@ -201,8 +201,11 @@ def solve_exact(
     are independent in its sender graph and meet each clique of a cover at
     most once. The ceiling lets an honest type count all of I | R, and a
     deceptive type a greedy clique cover of the members of I | R that I does
-    not beat (`clique_cover_bound`, on the graphs in the scorer's covers):
-    the independence-number ceiling, inside the subtree.
+    not beat (`graph._cover_classes` in id order, on the scorer's covers):
+    the independence-number ceiling, inside the subtree. A node regrows only
+    the covers of types whose candidates differ from its parent's: an
+    "include k" child keeps the span, and an "exclude k" child the
+    candidates of each type that already beat k.
 
     Once max(report_cap, 1) maximizers at the incumbent value are listed,
     nodes whose ceiling equals the incumbent are cut as well (`tie_cuts`);
@@ -230,14 +233,19 @@ def solve_exact(
     ties_cut = False  # a node with ceiling `best` was cut
     examined = cover_cuts = tie_cuts = 0
 
-    stack = [(0, 0, 0)]  # (members, beaten, first undecided sequence)
+    stack = [(0, 0, 0, [(-1, 0)] * len(covers))]  # (members, beaten, next k, parent's covers)
     while stack:
-        members, beaten, k = stack.pop()
+        members, beaten, k, sized = stack.pop()
         if prune:
             span = members | low >> k << k
             ceiling = honest * span.bit_count()
-            for weight, shift, graph in covers:
-                ceiling += weight * clique_cover_bound(graph, span & ~(beaten >> shift))
+            parent, sized = sized, []
+            for (weight, shift, graph), (before, size) in zip(covers, parent):
+                cand = span & ~(beaten >> shift)
+                if cand != before:  # same candidates, same first-fit cover; -1 at the root
+                    size = len(_cover_classes(graph, cand, False))
+                ceiling += weight * size
+                sized.append((cand, size))
             if ceiling < floor:
                 cover_cuts += ceiling < best
                 if ceiling == best:
@@ -255,8 +263,8 @@ def solve_exact(
                 maximizers.append(grown)
             floor = best + (found >= listed)
         if k + 1 < count:
-            stack.append((members, beaten, k + 1))  # exclude k
-            stack.append((grown, grown_beaten, k + 1))  # include k, walked first
+            stack.append((members, beaten, k + 1, sized))  # exclude k
+            stack.append((grown, grown_beaten, k + 1, sized))  # include k, walked first
 
     member_sets = tuple(
         tuple(seqs[v] for v in _mask_to_members(m)) for m in maximizers[:report_cap]

@@ -176,7 +176,9 @@ def max_independent_set(
         low = rest & -rest
         chosen |= low
         rest &= ~(adjacency[low.bit_length() - 1] | low)
-    ceiling = graph.vertex_count if chosen == everyone else clique_cover_bound(adjacency, everyone)
+    ceiling = graph.vertex_count  # an edgeless graph needs no cover
+    if chosen != everyone:
+        ceiling = len(_cover_classes(adjacency, everyone, False))
     if chosen.bit_count() < ceiling:
         chosen = _greedy_independent_set(adjacency)
     if chosen.bit_count() == ceiling:
@@ -283,30 +285,16 @@ def _refine(blocks: tuple, word: tuple) -> tuple:
     return tuple(sorted(parts))
 
 
-def clique_cover_bound(adjacency: tuple[int, ...], cand: int) -> int:
-    """Size of a greedy clique cover of the vertices in `cand`.
-
-    Each clique starts at the lowest uncovered vertex and takes, in id order,
-    every uncovered vertex adjacent to all its members (one AND per member):
-    the first-fit partition in id order. An independent set meets each clique
-    at most once, so this bounds the induced independence number from above.
-    The rows must be loop-free, as the `SenderGraph` constructor checks.
-    """
-    count = 0
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        joinable = adjacency[bit.bit_length() - 1] & cand
-        while joinable:
-            bit = joinable & -joinable
-            cand ^= bit
-            joinable &= adjacency[bit.bit_length() - 1]
-        count += 1
-    return count
-
-
 def _cover_classes(adjacency: tuple[int, ...], cand: int, descending: bool) -> list[int]:
-    """The cliques, as masks in the order grown, of the first-fit cover in id order or reversed."""
+    """The cliques, as masks in the order grown, of the first-fit cover in id order or reversed.
+
+    The package's one clique cover. Each clique starts at the lowest (highest)
+    uncovered vertex and takes, in that order, every uncovered vertex adjacent
+    to all its members; the rows must be loop-free. An independent set meets
+    each clique at most once, so the count caps its size. Read by
+    `max_independent_set` (the proof and the cuts), the past-budget ceilings
+    of `rate.finite_bounds` and the walk of `equilibrium.solve_exact`.
+    """
     classes = []
     while cand:
         start = cand

@@ -16,9 +16,9 @@ from operator import mul
 from .model import DEFAULT_ENUMERATION_BUDGET, Model, _check_pairs
 from .graph import (
     DEFAULT_EXACT_MIS_BUDGET,
+    _cover_classes,
     build_sender_graph,
     check_mis_budget,
-    clique_cover_bound,
     max_independent_set,
     union_graph,
 )
@@ -78,8 +78,8 @@ def finite_bounds(
     """Bound the optimal recovery value at horizon n by independence numbers.
 
     Past the exact-search budget both flags are false, but each value stays
-    on its side of the true number: a per-type ceiling is the greedy clique
-    cover, which never understates an independence number, and the union
+    on its side of the true number: a per-type ceiling is the first-fit
+    clique cover, which never understates an independence number, and the union
     floor is a greedy independent set, which never overstates it. With
     `solve`, the achieved value comes from the exhaustive search, or from
     the heuristic (uncertified) when the space is over the subset budget.
@@ -96,7 +96,8 @@ def finite_bounds(
         same = [size for g, size in zip(graphs, per_type) if g.adjacency == union.adjacency]
         union_alpha = same[0] if same else max_independent_set(union, mis_budget=mis_budget).size
     else:
-        per_type = [clique_cover_bound(g.adjacency, (1 << g.vertex_count) - 1) for g in graphs]
+        everyone = (1 << union.vertex_count) - 1
+        per_type = [len(_cover_classes(g.adjacency, everyone, False)) for g in graphs]
         union_alpha = max_independent_set(union, mode="greedy").size
     scale, weights = model.prior_weights
     weighted = Fraction(sum(map(mul, weights, per_type)), scale)

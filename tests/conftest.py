@@ -79,6 +79,21 @@ def brute_alpha(graph: sg.SenderGraph) -> int:
     return best
 
 
+def first_fit_cover(adjacency, cand: int, order) -> int:
+    """Reference: each vertex of `cand`, in `order`, joins the first clique it can."""
+    classes: list[int] = []
+    for v in order:
+        if not cand >> v & 1:
+            continue
+        for i, cls in enumerate(classes):
+            if adjacency[v] & cls == cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
 def sequence_utility(model: sg.Model, type_id: int, reported, truth) -> Fraction:
     """Average per-letter payoff of `reported` under `truth`, in raw Fractions."""
     payoffs = model.utility[type_id]

@@ -14,9 +14,16 @@ from operator import or_
 import pytest
 
 import screengame as sg
-from screengame.graph import _cover_classes, _cover_conflicts, _swap_descent, clique_cover_bound
+from screengame.graph import _cover_classes, _cover_conflicts, _swap_descent
 
-from conftest import X6, brute_alpha, make_random_model, model_pool, sequence_utility
+from conftest import (
+    X6,
+    brute_alpha,
+    first_fit_cover,
+    make_random_model,
+    model_pool,
+    sequence_utility,
+)
 
 
 def graph_from_edges(count: int, edges) -> sg.SenderGraph:
@@ -55,21 +62,6 @@ def structured_graph(rng: random.Random) -> sg.SenderGraph:
     order = list(range(count))
     rng.shuffle(order)
     return graph_from_edges(count, [(order[u], order[v]) for u, v in edges])
-
-
-def first_fit_cover(adjacency, cand: int, order) -> int:
-    """Reference: each vertex of `cand`, in `order`, joins the first clique it can."""
-    classes: list[int] = []
-    for v in order:
-        if not cand >> v & 1:
-            continue
-        for i, cls in enumerate(classes):
-            if adjacency[v] & cls == cls:
-                classes[i] = cls | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
 
 
 def matching(count: int) -> sg.SenderGraph:
@@ -417,14 +409,14 @@ def test_clique_cover_bounds_are_first_fit_partitions():
                 up = range(g.vertex_count)
                 full = (1 << g.vertex_count) - 1
                 for cand in (full, rng.getrandbits(g.vertex_count), 0):
-                    assert clique_cover_bound(g.adjacency, cand) == first_fit_cover(
+                    assert len(_cover_classes(g.adjacency, cand, False)) == first_fit_cover(
                         g.adjacency, cand, up
                     )
                     assert len(_cover_classes(g.adjacency, cand, True)) == first_fit_cover(
                         g.adjacency, cand, reversed(up)
                     )
                 alpha = sg.max_independent_set(g).size
-                assert clique_cover_bound(g.adjacency, full) >= alpha
+                assert len(_cover_classes(g.adjacency, full, False)) >= alpha
                 assert len(_cover_classes(g.adjacency, full, True)) >= alpha
 
 
@@ -639,7 +631,7 @@ def test_propagation_conflicts_lower_the_cover_ceiling():
         for descending in (False, True):
             classes = _cover_classes(g.adjacency, cand, descending)
             if not descending:
-                assert len(classes) == clique_cover_bound(g.adjacency, cand)
+                assert len(classes) == first_fit_cover(g.adjacency, cand, range(g.vertex_count))
             assert sum(classes) == cand  # disjoint, and covering every candidate
             for clique in classes:
                 for v in range(g.vertex_count):

@@ -7,7 +7,7 @@ import pytest
 
 import screengame as sg
 
-from conftest import X6, make_random_model, model_pool
+from conftest import X6, first_fit_cover, make_random_model, model_pool
 
 
 def only_deceptive_model():
@@ -93,6 +93,26 @@ def test_ceiling_past_mis_budget_never_understates_alpha():
     assert all(a >= b for a, b in zip(past.alpha_per_type, exact.alpha_per_type))
     assert past.weighted_alpha >= exact.weighted_alpha
     assert past.alpha_union <= exact.alpha_union  # the floor stays greedy
+
+
+def test_past_budget_ceiling_is_the_first_fit_cover():
+    # One vertex past --mis-budget, each type's ceiling is the first-fit
+    # clique cover of its whole graph in id order, here the reference one.
+    loose = 0
+    for m in model_pool(18):
+        for n in (1, 2, 3):
+            count = m.num_symbols**n
+            if count > 81:
+                continue
+            past = sg.finite_bounds(m, n, mis_budget=count - 1)
+            assert not past.upper_certified
+            graphs = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+            full = (1 << count) - 1
+            covers = tuple(first_fit_cover(g.adjacency, full, range(count)) for g in graphs)
+            assert past.alpha_per_type == covers
+            exact = sg.finite_bounds(m, n).alpha_per_type
+            loose += sum(c > a for c, a in zip(covers, exact))
+    assert loose  # some cover is strictly above the independence number
 
 
 def test_small_subset_budget_degrades_achieved(example):
