@@ -158,8 +158,14 @@ def max_independent_set(
     within blocks, one block at the root. "Exclude", first, drops the
     pivot's orbit; "include" splits the blocks by the pivot's letters and is
     skipped when a neighbour u outside the orbit has N[u] inside N[pivot].
-    Greedy mode grows a maximal independent set by repeated minimum-degree
-    choice and is not certified.
+    Each node searches under the group it was pushed with, so its reductions
+    must leave a union of that group's orbits; a new reduction must keep
+    this. These do. Two reducible vertices either stay reducible after each
+    other's step, or are adjacent and share their closed neighbourhood, so
+    by Newman's lemma every order of steps reaches one fixpoint. A group
+    element keeps the graph and the node's candidates, so it maps each order
+    onto another and keeps that fixpoint. Greedy mode grows a maximal
+    independent set by repeated minimum-degree choice and is not certified.
     """
     if mode == "greedy":
         members = _mask_to_members(_greedy_independent_set(graph.adjacency))
@@ -189,11 +195,10 @@ def max_independent_set(
     words = list(product(range(round(graph.vertex_count ** (1 / n))), repeat=n))
     letters: dict[tuple, list[int]] = {}
     nodes = 0
-    stack = [(0, 0, (1 << graph.vertex_count) - 1, (tuple(range(n)),))]
+    stack = [(0, 0, everyone, (tuple(range(n)),))]
     while stack:
         current, size, cand, blocks = stack.pop()
         nodes += 1
-        start, before = cand, current
         reduced = True
         while reduced:
             reduced = False
@@ -235,16 +240,6 @@ def max_independent_set(
         # cliques takes one more off its ceiling.
         if excess <= _PROPAGATION_GAP and _cover_conflicts(adjacency, classes, excess) >= excess:
             continue
-        # The group keeps `start` invariant. If the reductions cut an orbit,
-        # the permutations fixing each vertex they took keep what is left.
-        rest = start & ~cand if len(blocks) < n else 0
-        while rest:
-            orbit = _orbit(letters, words, blocks, (rest & -rest).bit_length() - 1)
-            if orbit & cand:
-                for v in _mask_to_members(current ^ before):
-                    blocks = _refine(blocks, words[v])
-                break
-            rest &= ~orbit
         bit = 1 << pivot
         orbit = _orbit(letters, words, blocks, pivot)
         closed = (adjacency[pivot] | bit) & cand
@@ -281,8 +276,7 @@ def _orbit(letters: dict, words: list, blocks: tuple, v: int) -> int:
 
 def _refine(blocks: tuple, word: tuple) -> tuple:
     """The blocks split by the letters of `word`, so that only permutations fixing it remain."""
-    parts = (tuple(i for i in b if word[i] == a) for b in blocks for a in {word[i] for i in b})
-    return tuple(sorted(parts))
+    return tuple(tuple(i for i in b if word[i] == a) for b in blocks for a in {word[i] for i in b})
 
 
 def _cover_classes(adjacency: tuple[int, ...], cand: int, descending: bool) -> list[int]:

@@ -47,10 +47,8 @@ class ModelError(ValueError):
 class ModelSyntaxError(ModelError):
     """Malformed document; carries the 1-based position of the defect."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 

@@ -120,6 +120,18 @@ def test_graph_report_and_alpha(capsys):
     assert "edges: 3" in out
     assert "alpha: 1" in out
 
+    # --alpha skip reports the graph alone, with no alpha line.
+    for pick, provenance in ((("--type", "d"), "d"), (("--union",), "union")):
+        code, out, _ = run(
+            capsys, "graph", "--model", "example1", *pick, "--n", "2", "--alpha", "skip",
+            "--format", "machine",
+        )
+        assert code == 0
+        assert stable_lines(out) == [
+            "command=graph", "model=example1", f"digest={EXAMPLE1_DIGEST}",
+            f"provenance={provenance}", "n=2", "vertices=9", "edges=36",
+        ]
+
 
 def test_graph_export_dot(capsys):
     code, out, _ = run(

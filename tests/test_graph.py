@@ -558,6 +558,76 @@ def test_orbital_search_matches_the_search_without_symmetry():
     assert sum(searched[120:]) >= 80  # pool graphs
 
 
+def reducible(adjacency, cand: int) -> list[int]:
+    """The search's reduction rule: candidates whose candidate neighbours are a clique of <= 2."""
+    out = []
+    for v in range(len(adjacency)):
+        near = adjacency[v] & cand
+        if cand >> v & 1 and (
+            near.bit_count() <= 1
+            or near.bit_count() == 2 and adjacency[near.bit_length() - 1] & near
+        ):
+            out.append(v)
+    return out
+
+
+def test_reductions_reach_one_fixpoint_in_any_order():
+    # The exact search keeps each node's group only because the reductions
+    # leave a union of its orbits. That holds since they are confluent: every
+    # order of steps ends at one fixpoint, which each group element, mapping
+    # orders onto orders, keeps. Small random graphs explore every order.
+    rng = random.Random(127)
+    forked = 0  # graphs where two steps from one set lead to different sets
+    for _ in range(2000):
+        count = rng.randint(3, 9)
+        p = rng.choice((0.2, 0.4, 0.6))
+        g = graph_from_edges(
+            count, [e for e in itertools.combinations(range(count), 2) if rng.random() < p]
+        )
+        seen, todo, ends, fork = set(), [(1 << count) - 1], set(), False
+        while todo:
+            cand = todo.pop()
+            if cand in seen:
+                continue
+            seen.add(cand)
+            # each step drops the closed neighbourhood of the vertex it takes
+            children = {cand & ~(g.adjacency[v] | 1 << v) for v in reducible(g.adjacency, cand)}
+            if not children:
+                ends.add(cand)
+            todo += children
+            fork |= len(children) > 1
+        assert len(ends) == 1
+        forked += fork
+    assert forked == 1548
+    # Sender graphs and unions take 10 seeded random orders at the root, and
+    # the one fixpoint is a union of position orbits.
+    graphs = reduced = 0
+    for m in model_pool():
+        for n in (2, 3, 4):
+            if m.num_symbols**n > 81:
+                continue
+            words = list(itertools.product(range(m.num_symbols), repeat=n))
+            index = {w: v for v, w in enumerate(words)}
+            types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+            for g in types + [sg.union_graph(types)]:
+                ends = set()
+                for seed in range(10):
+                    order = random.Random(seed)
+                    cand = (1 << g.vertex_count) - 1
+                    while steps := reducible(g.adjacency, cand):
+                        v = order.choice(steps)
+                        cand &= ~(g.adjacency[v] | 1 << v)
+                    ends.add(cand)
+                assert len(ends) == 1
+                (end,) = ends
+                for perm in itertools.permutations(range(n)):
+                    image = [index[tuple(w[i] for i in perm)] for w in words]
+                    assert sum(1 << image[v] for v in range(len(words)) if end >> v & 1) == end
+                graphs += 1
+                reduced += end.bit_count() < g.vertex_count
+    assert (graphs, reduced) == (1599, 189)
+
+
 def random_sixteen_vertex_adjacencies(count: int) -> list[tuple[int, ...]]:
     """`count` random 16-vertex graphs from Random(5), each edge present with probability 0.3."""
     rng = random.Random(5)
