@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring
-from operator import sub
+from operator import methodcaller, sub
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -103,6 +103,8 @@ def _parse_rational(value: object) -> Fraction:
 
 def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list:
     """`table` in type order: a list must have one entry per type, a map name each type exactly."""
+    if isinstance(table, str):  # list() would read its characters as entries
+        raise ModelError(f"{field}: expected a list or a map, got str")
     if not isinstance(table, dict):
         table = list(table)
         if len(table) != len(types):
@@ -167,11 +169,34 @@ class Model:
         """Build a model from plain tables, coercing entries to exact rationals.
 
         `prior` and `utility` may be keyed by type label or given as lists in
-        type order.
+        type order. Each distinct literal is parsed once, and every entry
+        spelled by it shares its one Fraction. A document with a defect is
+        read again entry by entry, so the error names the first defective
+        entry in document order.
         """
         types_t = tuple(types)
         prior_seq = _by_type(prior, types_t, "prior", "entry")
         utility_seq = _by_type(utility, types_t, "utility", "table")
+        k = len(alphabet)
+
+        def has_k(value) -> bool:
+            return isinstance(value, (list, tuple)) and len(value) == k
+
+        if all(map(has_k, utility_seq)) and all(has_k(row) for t in utility_seq for row in t):
+            flat = [*prior_seq, *itertools.chain.from_iterable(itertools.chain(*utility_seq))]
+            # Keyed by value only if every entry is exactly a str or an int: True == 1.0 == 1,
+            # yet only the int parses.
+            if set(map(type, flat)) <= {str, int}:
+                try:
+                    literals = {value: _parse_rational(value) for value in set(flat)}
+                except ModelError:
+                    pass
+                else:
+                    parsed = literals.__getitem__
+                    tables = (tuple(tuple(map(parsed, row)) for row in t) for t in utility_seq)
+                    prior_t = tuple(map(parsed, prior_seq))
+                    return cls(tuple(alphabet), types_t, prior_t, tuple(tables))
+        # A defect: read entry by entry, in document order, to name the first one.
         memo: dict[tuple[type, object], Fraction] = {}  # typed: true and 1.0 never reuse an equal 1
 
         def rationals(values, where) -> tuple[Fraction, ...]:
@@ -187,14 +212,13 @@ class Model:
             return tuple(map(memo.__getitem__, keys))
 
         prior_t = rationals(prior_seq, lambda j: f"prior[{types_t[j]!r}]")
-        k = len(alphabet)
         tables = []
         for label, table in zip(types_t, utility_seq):
-            if not isinstance(table, (list, tuple)) or len(table) != k:
+            if not has_k(table):
                 raise ModelError(f"utility[{label!r}]: expected {k} rows")
             rows = []
             for i, row in enumerate(table):
-                if not isinstance(row, (list, tuple)) or len(row) != k:
+                if not has_k(row):
                     raise ModelError(f"utility[{label!r}] row {i}: expected {k} entries")
                 rows.append(rationals(row, lambda j: f"utility[{label!r}][{i}][{j}]"))
             tables.append(tuple(rows))
@@ -224,18 +248,35 @@ class Model:
             raise ModelError(f"unknown type label {label!r}") from None
 
     @cached_property
+    def _entries(self) -> tuple[list[int], dict[int, Fraction]]:
+        """The id of every utility entry, type by type in row-major order, and each distinct one.
+
+        A parsed model shares one Fraction per literal, so what is derived per
+        entry is derived once per distinct object here and looked up by id.
+        """
+        flat = list(itertools.chain(*itertools.chain(*self.utility)))
+        ids = list(map(id, flat))
+        return ids, dict(zip(ids, flat))
+
+    @cached_property
     def scaled_utility(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Per type: (scale, integer table) with table[i][j] == utility[i][j] * scale.
 
         Lets every length-n payoff comparison run on plain integer sums. Each
-        entry is read once as an integer ratio and scaled as integers.
+        distinct entry object (one per literal when parsed) is read once as
+        an integer ratio and scaled as integers.
         """
+        ids, objects = self._entries
+        ratios = dict(zip(objects, map(methodcaller("as_integer_ratio"), objects.values())))
+        k = self.num_symbols
         out = []
-        for table in self.utility:
-            ratios = [[entry.as_integer_ratio() for entry in row] for row in table]
-            scale = math.lcm(*{den for row in ratios for _, den in row})
-            int_table = tuple(tuple(num * (scale // den) for num, den in row) for row in ratios)
-            out.append((scale, int_table))
+        for start in range(0, len(ids), k * k):
+            table_ids = ids[start : start + k * k]
+            own = {key: ratios[key] for key in set(table_ids)}
+            scale = math.lcm(*{den for _, den in own.values()})
+            scaled = {key: num * (scale // den) for key, (num, den) in own.items()}
+            values = list(map(scaled.__getitem__, table_ids))
+            out.append((scale, tuple(tuple(values[i : i + k]) for i in range(0, k * k, k))))
         return tuple(out)
 
     @cached_property
@@ -286,16 +327,18 @@ def serialize_model(model: Model) -> str:
 
     The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\\n", doc holding
     the four fields with each rational as its str(), is written directly: with
-    `indent` set, json.dumps runs its pure-Python encoder.
+    `indent` set, json.dumps runs its pure-Python encoder. Each distinct entry
+    object (one per literal when parsed) is written with str() once.
     """
     types = list(map(encode_basestring, model.types))
     entries = '",\n        "'  # no entry needs escaping: each is an integer or p/q
-    tables = (
-        _json_block(
-            "[]", [f'[\n        "{entries.join(map(str, row))}"\n      ]' for row in table], "    "
-        )
-        for table in model.utility
-    )
+    ids, objects = model._entries
+    written = dict(zip(objects, map(str, objects.values())))
+    words = list(map(written.__getitem__, ids))
+    k = model.num_symbols
+    starts = range(0, len(ids), k)
+    rows = [f'[\n        "{entries.join(words[i : i + k])}"\n      ]' for i in starts]
+    tables = (_json_block("[]", rows[i : i + k], "    ") for i in range(0, len(rows), k))
     fields = {
         "alphabet": _json_block("[]", map(encode_basestring, model.alphabet), "  "),
         "types": _json_block("[]", types, "  "),

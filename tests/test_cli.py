@@ -29,6 +29,8 @@ ODD_DOC = {
     },
 }
 ODD_DIGEST = "376cb2a67d2c60ac9e8a21e467e88d951d4bdf5a7800c500ae1819792b519e84"
+# make_random_model(random.Random(16), 16, 3): 768 entries over 7 literals.
+BIG_DIGEST = "5f5be84ba3bfa03dfd67acaf954a5da734225026aba73ece75132aa010431d6c"
 
 D_GRAPH_DOT = """\
 graph sender_d_n1 {
@@ -783,6 +785,23 @@ def test_models_that_parse_alike_share_one_digest(capsys, tmp_path):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert f"digest={ODD_DIGEST}" in out.splitlines()
+
+
+def test_a_sixteen_letter_model_keeps_its_digest(capsys, tmp_path):
+    model = make_random_model(random.Random(16), 16, 3)
+    doc = {
+        "alphabet": list(model.alphabet),
+        "types": list(model.types),
+        "prior": {t: str(p) for t, p in zip(model.types, model.prior)},
+        "utility": {t: [list(map(int, r)) for r in u] for t, u in zip(model.types, model.utility)},
+    }
+    canonical = sg.serialize_model(model)
+    for name, text in (("ints.json", json.dumps(doc)), ("canonical.json", canonical)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ("validate", "--model", str(tmp_path / name), "--format", "machine")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"digest={BIG_DIGEST}" in out.splitlines()
 
 
 def test_model_file_round_trips_through_the_cli(capsys, tmp_path, example):

@@ -384,10 +384,11 @@ def test_serialization_is_the_stdlib_json_layout_byte_for_byte():
 
 def test_each_literal_is_parsed_by_its_own_type_and_position():
     def utility_error(entries) -> str:
+        """The refusal of example1 with table d set to `entries`; "N" is a 5,001-digit number."""
         doc = json.loads(sg.EXAMPLE1_TEXT)
         doc["utility"]["d"] = [entries[:3], entries[3:6], entries[6:]]
         with pytest.raises(sg.ModelError) as info:
-            sg.parse_model(json.dumps(doc))
+            sg.parse_model(json.dumps(doc).replace('"N"', "1" + "0" * 5000))
         return str(info.value)
 
     # An equal int before them is no licence for a boolean or a float.
@@ -404,6 +405,20 @@ def test_each_literal_is_parsed_by_its_own_type_and_position():
     assert utility_error(["1", "2", "1/0", "0", "1/0", "0", "1/0", "0", "0"]) == (
         "utility['d'][0][2]: zero denominator in '1/0'"
     )
+    # Last in the document, after every string literal has appeared, each
+    # non-literal is still named where it stands.
+    for last, message in (
+        (True, "expected a rational, got a boolean"),
+        (1.0, "expected an integer or p/q string, got float"),
+        ([1], "expected an integer or p/q string, got list"),
+        ("N", "5001-digit integer is past the decimal conversion limit"),
+    ):
+        strings = ["1", "2", "1", "2", "1", "1", "0", "0"]
+        assert utility_error([*strings, last]) == f"utility['d'][2][2]: {message}"
+    # A repeated bad literal first met in a later table is named there.
+    assert utility_error(["1/0", "2", "1", "2", "1", "1", "0", "0", "1/0"]) == (
+        "utility['d'][0][0]: zero denominator in '1/0'"
+    )
     doc = json.loads(sg.EXAMPLE1_TEXT)
     doc["prior"] = {"h": "x", "d": "x"}
     with pytest.raises(sg.ModelError) as info:
@@ -419,6 +434,45 @@ def test_each_literal_is_parsed_by_its_own_type_and_position():
     assert len(models) == 1
     (m,) = models
     assert m.utility[1][0] == (3, 3, 3) and m.utility[1][1][0] == 3
+
+
+def _unshared(m: sg.Model) -> sg.Model:
+    """`m` rebuilt from fresh Fractions, so that no two entries are one object."""
+
+    def fresh(values):
+        return tuple(Fraction(q.numerator, q.denominator) for q in values)
+
+    utility = tuple(tuple(map(fresh, table)) for table in m.utility)
+    return sg.Model(m.alphabet, m.types, fresh(m.prior), utility)
+
+
+def test_derived_facts_do_not_depend_on_shared_entries():
+    # A parsed model shares one Fraction per literal, and the digest text and
+    # the integer tables read each distinct object once. A copy whose every
+    # entry is its own object must agree on them, as on the prior weights and
+    # each type's honesty.
+    rng = random.Random(40)
+    big = [make_random_model(rng, k, 3) for k in (12, 14, 16)]
+    seen = set()
+    for m in [*model_pool(), *big]:
+        copy = _unshared(m)
+        entries = [e for t in copy.utility for row in t for e in row]
+        assert copy == m and len(set(map(id, entries))) == len(entries)
+        assert sg.serialize_model(copy) == sg.serialize_model(m)
+        assert copy.scaled_utility == m.scaled_utility
+        assert copy.prior_weights == m.prior_weights
+        k = m.num_symbols
+        for t, table in enumerate(m.utility):
+            honest = all(
+                table[r][x] < table[x][x] for x in range(k) for r in range(k) if r != x
+            )
+            expected = sg.HONEST if honest else sg.OTHER
+            assert sg.classify_type(m, t) == sg.classify_type(copy, t) == expected
+            seen.add(expected)
+    assert seen == {sg.HONEST, sg.OTHER}
+    for m in big:
+        entries = [e for t in m.utility for row in t for e in row]
+        assert len(set(map(id, entries))) <= 7  # one object per literal in [-3, 3]
 
 
 def test_parse_reports_syntax_position():
@@ -697,6 +751,22 @@ REFUSALS = {
     "short utility list": (
         lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], ["1/2", "1/2"], [TABLE]),
         "utility: expected 2 entries, got 1",
+    ),
+    # list() would read a string's characters as the entries: prior (1, 0).
+    "prior given as a string": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], "10", [TABLE] * 2),
+        "prior: expected a list or a map, got str",
+    ),
+    # The first two have k items of k characters, so a check of lengths
+    # alone would read each as the table [[1, 2], [3, 4]].
+    "table given as a map": (
+        _parse_tiny(utility={"t": {"12": "x", "34": "y"}}), "utility['t']: expected 2 rows"
+    ),
+    "rows given as digit strings": (
+        _parse_tiny(utility={"t": ["12", "34"]}), "utility['t'] row 0: expected 2 entries"
+    ),
+    "table given as a string": (
+        _parse_tiny(utility={"t": "1234"}), "utility['t']: expected 2 rows"
     ),
 }
 
