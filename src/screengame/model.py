@@ -38,6 +38,7 @@ _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 _MODEL_FIELDS = ("alphabet", "types", "prior", "utility")
 
 _RESERVED = ",;=\n\r"  # separators of the CLI's sequences, member lists and machine reports
+_RESERVED_CHARS = frozenset(_RESERVED)
 
 
 class ModelError(ValueError):
@@ -138,14 +139,17 @@ class Model:
             for label in labels:
                 if not isinstance(label, str) or not label:
                     raise ModelError(f"{name}: labels must be nonempty strings")
-                if any(c in _RESERVED for c in label):
+                if not _RESERVED_CHARS.isdisjoint(label):
                     raise ModelError(f"{name}: label {label!r} contains one of {_RESERVED!r}")
                 if label in seen:
                     raise ModelError(f"{name}: duplicate label {label!r}")
                 seen.add(label)
         if len(self.prior) != len(self.types):
             raise ModelError("prior must assign a probability to every type")
+        exact = "expected a Fraction or an int, got"  # a float or a bool would not parse back
         for label, p in zip(self.types, self.prior):
+            if type(p) is not int and not isinstance(p, Fraction):
+                raise ModelError(f"prior[{label!r}]: {exact} {type(p).__name__}")
             if p < 0:
                 raise ModelError(f"prior[{label!r}] is negative")
         total = sum(self.prior, Fraction(0))
@@ -157,6 +161,9 @@ class Model:
         for label, table in zip(self.types, self.utility):
             if len(table) != k or any(len(row) != k for row in table):
                 raise ModelError(f"utility[{label!r}]: expected a {k}x{k} matrix")
+        for entry in self._entries[1].values():  # each distinct entry object once
+            if type(entry) is not int and not isinstance(entry, Fraction):
+                raise ModelError(f"utility: {exact} {type(entry).__name__}")
 
     @classmethod
     def from_tables(
@@ -169,10 +176,10 @@ class Model:
         """Build a model from plain tables, coercing entries to exact rationals.
 
         `prior` and `utility` may be keyed by type label or given as lists in
-        type order. Each distinct literal is parsed once, and every entry
-        spelled by it shares its one Fraction. A document with a defect is
-        read again entry by entry, so the error names the first defective
-        entry in document order.
+        type order. There is one build: each distinct literal is parsed once,
+        and every entry spelled by it shares its one Fraction. Only a refused
+        document is scanned again, in document order, so that the error names
+        its first defective entry.
         """
         types_t = tuple(types)
         prior_seq = _by_type(prior, types_t, "prior", "entry")
@@ -184,9 +191,9 @@ class Model:
 
         if all(map(has_k, utility_seq)) and all(has_k(row) for t in utility_seq for row in t):
             flat = [*prior_seq, *itertools.chain.from_iterable(itertools.chain(*utility_seq))]
-            # Keyed by value only if every entry is exactly a str or an int: True == 1.0 == 1,
-            # yet only the int parses.
-            if set(map(type, flat)) <= {str, int}:
+            kinds = set(map(type, flat))
+            # Keyed by value, so no boolean may come in: True == 1, yet only the int parses.
+            if bool not in kinds and all(issubclass(t, (str, int)) for t in kinds):
                 try:
                     literals = {value: _parse_rational(value) for value in set(flat)}
                 except ModelError:
@@ -196,33 +203,24 @@ class Model:
                     tables = (tuple(tuple(map(parsed, row)) for row in t) for t in utility_seq)
                     prior_t = tuple(map(parsed, prior_seq))
                     return cls(tuple(alphabet), types_t, prior_t, tuple(tables))
-        # A defect: read entry by entry, in document order, to name the first one.
-        memo: dict[tuple[type, object], Fraction] = {}  # typed: true and 1.0 never reuse an equal 1
 
-        def rationals(values, where) -> tuple[Fraction, ...]:
-            """`values` as Fractions; only new literals are parsed, and `where(j)` names entry j."""
-            keys = list(zip(map(type, values), values))
-            for j, key in enumerate(keys):
-                # Only str and int literals parse; a list or a map cannot be a key.
-                if key[0] not in (str, int) or key not in memo:
-                    try:
-                        memo[key] = _parse_rational(key[1])
-                    except ModelError as exc:
-                        raise ModelError(f"{where(j)}: {exc}") from None
-            return tuple(map(memo.__getitem__, keys))
+        def scan(values, where) -> None:
+            """Raise the first refusal among `values`, with `where(j)` naming entry j."""
+            for j, value in enumerate(values):
+                try:
+                    _parse_rational(value)
+                except ModelError as exc:
+                    raise ModelError(f"{where(j)}: {exc}") from None
 
-        prior_t = rationals(prior_seq, lambda j: f"prior[{types_t[j]!r}]")
-        tables = []
+        scan(prior_seq, lambda j: f"prior[{types_t[j]!r}]")
         for label, table in zip(types_t, utility_seq):
             if not has_k(table):
                 raise ModelError(f"utility[{label!r}]: expected {k} rows")
-            rows = []
             for i, row in enumerate(table):
                 if not has_k(row):
                     raise ModelError(f"utility[{label!r}] row {i}: expected {k} entries")
-                rows.append(rationals(row, lambda j: f"utility[{label!r}][{i}][{j}]"))
-            tables.append(tuple(rows))
-        return cls(tuple(alphabet), types_t, prior_t, tuple(tables))
+                scan(row, lambda j: f"utility[{label!r}][{i}][{j}]")
+        raise AssertionError("unreachable: the build above accepts every document that parses")
 
     # ------------------------------------------------------------------
     # lookups

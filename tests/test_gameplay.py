@@ -175,7 +175,7 @@ def test_fallback_choice_does_not_change_recovery(example):
     assert sg.recovery_report(example, a).value == sg.recovery_report(example, b).value
 
 
-def test_table_strategy_checks_decoded_sequences(example):
+def test_strategies_refuse_bad_decoded_sequences(example):
     # A decoded sequence of another length used to be scored on a truncated
     # sum, and a symbol id past the alphabet raised IndexError during play.
     # The first is refused when the map is built, the others by both readers.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import math
@@ -435,6 +436,29 @@ def test_each_literal_is_parsed_by_its_own_type_and_position():
     (m,) = models
     assert m.utility[1][0] == (3, 3, 3) and m.utility[1][1][0] == 3
 
+    # Entries of a str or an int subclass are read as the literals they spell.
+    class Text(str):
+        pass
+
+    Level = enum.IntEnum("Level", {"ZERO": 0, "ONE": 1, "TWO": 2})
+    doc = json.loads(sg.EXAMPLE1_TEXT)
+
+    def build(spell) -> sg.Model:
+        tables = doc["utility"].items()
+        utility = {t: [[spell(x) for x in row] for row in table] for t, table in tables}
+        prior = {t: Text(p) for t, p in doc["prior"].items()}
+        return sg.Model.from_tables(doc["alphabet"], doc["types"], prior, utility)
+
+    plain = sg.parse_model(sg.EXAMPLE1_TEXT)
+    mixed = itertools.cycle((Text, int, lambda x: Level(int(x)), str))
+    for spell in (Text, lambda x: Level(int(x)), lambda x: next(mixed)(x)):
+        m = build(spell)
+        assert m == plain and sg.serialize_model(m) == sg.serialize_model(plain)
+    doc["utility"]["d"][1][2] = Text("q")
+    with pytest.raises(sg.ModelError) as info:
+        build(lambda x: x)
+    assert str(info.value) == "utility['d'][1][2]: 'q' is not an integer or p/q rational"
+
 
 def _unshared(m: sg.Model) -> sg.Model:
     """`m` rebuilt from fresh Fractions, so that no two entries are one object."""
@@ -603,6 +627,9 @@ def test_from_tables_accepts_plain_ints():
     m = sg.Model.from_tables(["x", "y"], ["t"], [1], [[[2, -1], [0, 3]]])
     assert m.utility[0][0][1] == -1
     assert m.prior == (Fraction(1),)
+    # A model built directly may hold plain ints, and it parses back from its text.
+    direct = sg.Model(("x", "y"), ("t",), (1,), (((2, -1), (0, 3)),))
+    assert direct == m and sg.parse_model(sg.serialize_model(direct)) == m
 
 
 def test_symbol_and_type_lookup(example):
@@ -680,6 +707,19 @@ REFUSALS = {
     "short utility": (
         lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), ()),
         "utility must provide a table for every type",
+    ),
+    # Only exact entries: a float would be written as "0.5", which no parse reads back.
+    "float prior in a direct build": (
+        lambda: sg.Model(("0", "1"), ("a", "b"), (0.5, 0.5), (IDENTITY, IDENTITY)),
+        "prior['a']: expected a Fraction or an int, got float",
+    ),
+    "boolean prior in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), (True,), (IDENTITY,)),
+        "prior['t']: expected a Fraction or an int, got bool",
+    ),
+    "float utility entry in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), (((1.5, 0), (0, 1)),)),
+        "utility: expected a Fraction or an int, got float",
     ),
     "non-square table": (
         lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), (IDENTITY[:1],)),
