@@ -10,6 +10,8 @@ A model file is a UTF-8 JSON document with exactly these fields:
                [i][j] is the one-letter payoff for reporting symbol i when
                the true symbol is j
 
+A JSON integer is read as its text, by the same rule as a string literal.
+
 All arithmetic is exact: priors and payoffs are `fractions.Fraction`, never
 floats. Length-n payoffs average the per-letter payoffs; comparisons are done
 on common-denominator integer sums so no precision is ever lost.
@@ -64,19 +66,8 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class _LongLiteral:
-    """A JSON integer literal past the decimal conversion limit, kept as its digit count."""
-
-    digits: int
-
-
-def _json_int(literal: str) -> int | _LongLiteral:
-    """A JSON integer literal as an int, or as a _LongLiteral past the decimal limit."""
-    try:
-        return int(literal)
-    except ValueError:
-        return _LongLiteral(len(literal.lstrip("-")))
+class _JsonInt(str):
+    """A JSON integer literal, kept as its text so that it is read as a string literal is."""
 
 
 def _parse_rational(value: object) -> Fraction:
@@ -93,8 +84,6 @@ def _parse_rational(value: object) -> Fraction:
         if not den:
             raise ModelError(f"zero denominator in {value!r}")
         return Fraction(num, den)
-    if isinstance(value, _LongLiteral):
-        raise ModelError(f"{value.digits}-digit integer is past the decimal conversion limit")
     if isinstance(value, bool):
         raise ModelError("expected a rational, got a boolean")
     if isinstance(value, int):
@@ -102,12 +91,11 @@ def _parse_rational(value: object) -> Fraction:
     raise ModelError(f"expected an integer or p/q string, got {type(value).__name__}")
 
 
-def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list:
+def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list | tuple:
     """`table` in type order: a list must have one entry per type, a map name each type exactly."""
-    if isinstance(table, str):  # list() would read its characters as entries
-        raise ModelError(f"{field}: expected a list or a map, got str")
     if not isinstance(table, dict):
-        table = list(table)
+        if not isinstance(table, (list, tuple)):  # a set has no order, a str or bytes no entries
+            raise ModelError(f"{field}: expected a list or a map, got {type(table).__name__}")
         if len(table) != len(types):
             raise ModelError(f"{field}: expected {len(types)} entries, got {len(table)}")
         return table
@@ -176,10 +164,12 @@ class Model:
         """Build a model from plain tables, coercing entries to exact rationals.
 
         `prior` and `utility` may be keyed by type label or given as lists in
-        type order. There is one build: each distinct literal is parsed once,
-        and every entry spelled by it shares its one Fraction. Only a refused
-        document is scanned again, in document order, so that the error names
-        its first defective entry.
+        type order. A JSON integer comes from `parse_model` as its text and is
+        read by the same rule as a string. There is one build: each distinct
+        literal is parsed once, and every entry spelled by it shares its one
+        Fraction. Only a refused document is scanned again, in document order
+        and once per distinct string literal, so that the error names its
+        first defective entry.
         """
         types_t = tuple(types)
         prior_seq = _by_type(prior, types_t, "prior", "entry")
@@ -204,9 +194,15 @@ class Model:
                     prior_t = tuple(map(parsed, prior_seq))
                     return cls(tuple(alphabet), types_t, prior_t, tuple(tables))
 
+        read: set[str] = set()  # string literals met: the first refused one ends the scan
+
         def scan(values, where) -> None:
             """Raise the first refusal among `values`, with `where(j)` naming entry j."""
             for j, value in enumerate(values):
+                if isinstance(value, str):
+                    if value in read:  # it parsed where it was first met
+                        continue
+                    read.add(value)
                 try:
                     _parse_rational(value)
                 except ModelError as exc:
@@ -291,7 +287,7 @@ class Model:
 def parse_model(text: str) -> Model:
     """Parse a model document. Raises ModelSyntaxError / ModelError on defects."""
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        doc = json.loads(text, parse_int=_JsonInt)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):
@@ -304,9 +300,9 @@ def parse_model(text: str) -> Model:
         raise ModelError(f"unknown field {unknown[0]!r}")
     alphabet = doc["alphabet"]
     types = doc["types"]
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+    if not isinstance(alphabet, list) or not all(type(s) is str for s in alphabet):
         raise ModelError("alphabet must be a list of strings")
-    if not isinstance(types, list) or not all(isinstance(s, str) for s in types):
+    if not isinstance(types, list) or not all(type(s) is str for s in types):
         raise ModelError("types must be a list of strings")
     if not isinstance(doc["prior"], dict):
         raise ModelError("prior must be a map from type label to rational")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import json
@@ -383,13 +384,13 @@ def test_serialization_is_the_stdlib_json_layout_byte_for_byte():
         assert sg.parse_model(sg.serialize_model(m)) == m
 
 
-def test_each_literal_is_parsed_by_its_own_type_and_position():
-    def utility_error(entries) -> str:
-        """The refusal of example1 with table d set to `entries`; "N" is a 5,001-digit number."""
+def test_each_literal_is_parsed_by_its_own_type_and_position(monkeypatch):
+    def utility_error(entries, number="1" + "0" * 5000) -> str:
+        """The refusal of example1 with table d set to `entries`, each "N" a bare JSON `number`."""
         doc = json.loads(sg.EXAMPLE1_TEXT)
         doc["utility"]["d"] = [entries[:3], entries[3:6], entries[6:]]
         with pytest.raises(sg.ModelError) as info:
-            sg.parse_model(json.dumps(doc).replace('"N"', "1" + "0" * 5000))
+            sg.parse_model(json.dumps(doc).replace('"N"', number))
         return str(info.value)
 
     # An equal int before them is no licence for a boolean or a float.
@@ -435,6 +436,36 @@ def test_each_literal_is_parsed_by_its_own_type_and_position():
     assert len(models) == 1
     (m,) = models
     assert m.utility[1][0] == (3, 3, 3) and m.utility[1][1][0] == 3
+    # A JSON integer is read as its text: up to the 4,300-digit limit, with
+    # either sign, it gives the model and canonical text of its string spelling.
+    for number in ("9" * 4300, "-" + "9" * 4300, "-7", "-0"):
+        doc = json.loads(sg.EXAMPLE1_TEXT)
+        doc["utility"]["d"][2][0] = "N"
+        bare = sg.parse_model(json.dumps(doc).replace('"N"', number))
+        doc["utility"]["d"][2][0] = number
+        quoted = sg.parse_model(json.dumps(doc))
+        assert bare == quoted and sg.serialize_model(bare) == sg.serialize_model(quoted)
+    assert bare.utility[1][2][0] == 0
+    assert utility_error(["1", "2", "1", "2", "N", "1", "0", "0", "0"], "9" * 4301) == (
+        "utility['d'][1][1]: 4301-digit integer is past the decimal conversion limit"
+    )
+    # A refused document reads each distinct literal at most twice: once in
+    # the build, and once in the scan that names its defect.
+    calls = collections.Counter()
+    parse_rational = sg.model._parse_rational
+
+    def counted(value):
+        calls[value] += 1
+        return parse_rational(value)
+
+    monkeypatch.setattr(sg.model, "_parse_rational", counted)
+    for literal in ('"7/3"', "9" * 4000):
+        calls.clear()
+        entries = ["N"] * 8 + ["q"]
+        assert utility_error(entries, literal) == (
+            "utility['d'][2][2]: 'q' is not an integer or p/q rational"
+        )
+        assert max(calls.values()) <= 2 and calls[literal.strip('"')] >= 1
 
     # Entries of a str or an int subclass are read as the literals they spell.
     class Text(str):
@@ -692,6 +723,7 @@ REFUSALS = {
     ),
     "non-object document": (lambda: sg.parse_model("[]"), "model document must be a JSON object"),
     "alphabet not strings": (_parse_tiny(alphabet=[0, 1]), "alphabet must be a list of strings"),
+    "number type label": (_parse_tiny(types=[7]), "types must be a list of strings"),
     "types not a list": (_parse_tiny(types="t"), "types must be a list of strings"),
     "prior not a map": (
         _parse_tiny(prior=["1"]), "prior must be a map from type label to rational"
@@ -796,6 +828,19 @@ REFUSALS = {
     "prior given as a string": (
         lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], "10", [TABLE] * 2),
         "prior: expected a list or a map, got str",
+    ),
+    # A set has no order to read types by, and bytes would be read as byte values.
+    "prior given as a set": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], {"1/3", "2/3"}, [TABLE] * 2),
+        "prior: expected a list or a map, got set",
+    ),
+    "prior given as bytes": (
+        lambda: sg.Model.from_tables(["0", "1"], ["a", "b"], b"\x01\x00", [TABLE] * 2),
+        "prior: expected a list or a map, got bytes",
+    ),
+    "utility given as a frozenset": (
+        lambda: sg.Model.from_tables(["0", "1"], ["t"], ["1"], frozenset([((1, 0), (0, 1))])),
+        "utility: expected a list or a map, got frozenset",
     ),
     # The first two have k items of k characters, so a check of lengths
     # alone would read each as the table [[1, 2], [3, 4]].
