@@ -477,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         if fields is not None:
             header = {"command": args.command, "model": args.model, "digest": digest}
             _emit(header | fields, args.format, started)
-    except (ModelError, BudgetExceededError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, BudgetExceededError) as exc:  # a ModelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

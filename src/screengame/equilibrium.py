@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import and_, mul, or_
+from operator import and_, itemgetter, mul, or_
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -137,21 +137,38 @@ def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_B
     return seqs, scale, beats, score, covers
 
 
-def _greedy_questionnaires(beats: list[int], covers: list):
-    """Greedy independent sets of the scorer's sender graphs, as (members, beaten) pairs.
+def _floor_questionnaires(model: Model, beats: list[int], score, covers: list):
+    """Questionnaires anyone can build, as (members, scaled value) pairs from `packed_scorer`.
 
-    One per deceptive type, on its graph in `covers`, then one on the union
-    of their graphs when there are two or more, each from
-    `_greedy_independent_set`; beaten is the OR of beats[y] over the
-    members, the second argument of the scorer's `score`. Each is a
-    nonempty questionnaire, so none scores above the optimum.
+    First the closure of the full space: the union over types of its
+    truthful subsets, or the full space when a type is honest or the union
+    is empty. Shrinking a questionnaire can only grow each truthful subset,
+    so the union never scores below the full space (checked here). Then the
+    greedy independent set of each deceptive type's sender graph in
+    `covers`, and of their union when there are two or more.
     """
+    full = (1 << len(beats)) - 1
+    full_beaten = reduce(or_, beats)
+    floor, floor_value = full, score(full, full_beaten)
+    if len(covers) == model.num_types:  # an honest type keeps every member
+        # A member is truthful for a type when that type's slot of full_beaten misses it.
+        kept = full & ~reduce(and_, (full_beaten >> shift for _, shift, _ in covers))
+        if kept not in (0, full):
+            kept_value = score(kept, reduce(or_, (beats[v] for v in _mask_to_members(kept))))
+            if kept_value < floor_value:
+                scale, _ = model.prior_weights
+                raise RuntimeError(
+                    "closure reduction decreased the objective "
+                    f"({Fraction(floor_value, scale)} -> {Fraction(kept_value, scale)}); "
+                    "this contradicts the dominance argument"
+                )
+            floor, floor_value = kept, kept_value
+    yield floor, floor_value
     graphs = [graph for _, _, graph in covers]
     if len(graphs) > 1:
         graphs.append(tuple(reduce(or_, rows) for rows in zip(*graphs)))
-    for graph in graphs:
-        members = _greedy_independent_set(graph)
-        yield members, reduce(or_, (beats[v] for v in _mask_to_members(members)))
+    for members in map(_greedy_independent_set, graphs):
+        yield members, score(members, reduce(or_, (beats[v] for v in _mask_to_members(members))))
 
 
 @dataclass(frozen=True)
@@ -190,10 +207,11 @@ def solve_exact(
     examined, {seqs[0]}, reaches.
 
     With pruning on, it starts instead at the best score, if higher, of the
-    greedy questionnaires (`_greedy_questionnaires`), with no maximizer
-    listed. A node whose undecided sequences are R gets a ceiling on every
-    subset below it, and is cut when that ceiling is strictly below the
-    incumbent (`cover_cuts`). Each seed is a questionnaire, so it never
+    floor questionnaires (`_floor_questionnaires`: the closure of the full
+    space and the greedy questionnaires), with no maximizer listed. A node
+    whose undecided sequences are R gets a ceiling on every subset below
+    it, and is cut when that ceiling is strictly below the incumbent
+    (`cover_cuts`). Each seed is a questionnaire, so it never
     exceeds the optimum and no node holding a maximizer is cut before the
     walk meets it: the walk lists and counts the maximizers the walk from a
     singleton does. A member that I beats stays beaten in every I | S with S
@@ -226,7 +244,7 @@ def solve_exact(
 
     best = scale  # the singleton value 1
     if prune:
-        best = max([best, *(score(*seed) for seed in _greedy_questionnaires(beats, covers))])
+        best = max(best, *map(itemgetter(1), _floor_questionnaires(model, beats, score, covers)))
     floor = best  # nodes with a ceiling below it are cut; best + 1 cuts ties
     maximizers: list[int] = []  # the first `listed` member bitmasks at `best`
     found = 0  # maximizers at `best` the walk met
@@ -298,17 +316,13 @@ def solve_heuristic(
     Starts from a seeded random singleton, repeatedly adds the best candidate
     (tolerating `PATIENCE` zero-gain additions), then improves by single drops
     and swaps until none helps. Deterministic for a fixed seed. The result is
-    not certified optimal, but it is never below its floor, the best of two
-    kinds of questionnaire anyone can build. The first is the closure of the
-    full space: the union over types of its truthful subsets, or the full
-    space when that union is empty. Shrinking a questionnaire can only grow
-    each truthful subset, so the union is its own union of truthful subsets,
-    and it never scores below the full space (checked at runtime). Then come
-    the greedy questionnaires (`_greedy_questionnaires`), each counted as
-    one evaluation; one replaces the floor only when it scores strictly
-    higher, and the floor replaces the local search's result likewise. Nor
-    is the result below the best singleton, whose objective is exactly 1,
-    because local search starts from a singleton and never loses value.
+    not certified optimal, but it is never below its floor, the first best
+    of the questionnaires anyone can build (`_floor_questionnaires`: the
+    closure of the full space, then the greedy questionnaires), each counted
+    as one evaluation. The floor replaces the local search's result only
+    when it scores strictly higher. Nor is the result below the best
+    singleton, whose objective is exactly 1, because local search starts
+    from a singleton and never loses value.
 
     Trials are scored like the exact search's subsets (see `packed_scorer`):
     the walk keeps the OR of beats[y] over its members, so adding a member
@@ -357,26 +371,9 @@ def solve_heuristic(
             break
         (current, beaten), current_value = best_next, best_value
 
-    # A member is truthful for a type when that type's slot of full_beaten misses it.
-    full_beaten = reduce(or_, beats)
-    floor, floor_value = full, score(full, full_beaten)
-    evaluations += 1
-    if len(covers) == model.num_types:  # an honest type keeps every member
-        kept = full & ~reduce(and_, (full_beaten >> shift for _, shift, _ in covers))
-        if kept not in (0, full):
-            kept_value = score(kept, reduce(or_, (beats[v] for v in _mask_to_members(kept))))
-            if kept_value < floor_value:
-                raise RuntimeError(
-                    "closure reduction decreased the objective "
-                    f"({Fraction(floor_value, scale)} -> {Fraction(kept_value, scale)}); "
-                    "this contradicts the dominance argument"
-                )
-            floor, floor_value = kept, kept_value
-    for trial in _greedy_questionnaires(beats, covers):
-        evaluations += 1
-        value = score(*trial)
-        if value > floor_value:
-            floor, floor_value = trial[0], value
+    floors = list(_floor_questionnaires(model, beats, score, covers))
+    evaluations += len(floors)
+    floor, floor_value = max(floors, key=itemgetter(1))  # the first of equal values
     if floor_value > current_value:
         current, current_value = floor, floor_value
     designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(current)])

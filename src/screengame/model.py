@@ -10,7 +10,8 @@ A model file is a UTF-8 JSON document with exactly these fields:
                [i][j] is the one-letter payoff for reporting symbol i when
                the true symbol is j
 
-A JSON integer is read as its text, by the same rule as a string literal.
+Each key appears once in its object. A JSON integer is read as its text, by the
+same rule as a string literal.
 
 All arithmetic is exact: priors and payoffs are `fractions.Fraction`, never
 floats. Length-n payoffs average the per-letter payoffs; comparisons are done
@@ -284,12 +285,24 @@ class Model:
 # parsing and serialization
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object as a dict, refusing its first repeated key."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ModelError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def parse_model(text: str) -> Model:
     """Parse a model document. Raises ModelSyntaxError / ModelError on defects."""
     try:
-        doc = json.loads(text, parse_int=_JsonInt)
+        doc = json.loads(text, parse_int=_JsonInt, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ModelError("model document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     missing = [f for f in _MODEL_FIELDS if f not in doc]

@@ -273,6 +273,24 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_a_deeply_nested_document_is_a_domain_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"alphabet": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    code, _, err = run(capsys, "validate", "--model", str(deep))
+    assert (code, err) == (1, "error: model document nests too deeply\n")
+
+
+def test_a_fault_in_the_program_is_not_posed_as_a_domain_error(monkeypatch):
+    # Only OSError, ValueError (ModelError among them) and BudgetExceededError
+    # print as "error: ..."; any other exception keeps its traceback.
+    def fault(text):
+        raise RuntimeError("closure reduction decreased the objective")
+
+    monkeypatch.setattr(sg.cli, "parse_model", fault)
+    with pytest.raises(RuntimeError, match="closure reduction"):
+        main(["validate", "--model", "example1"])
+
+
 def test_oracle_check_refuses_an_empty_random_draw(capsys):
     for count in ("0", "-1"):
         code, out, err = run(

@@ -151,7 +151,10 @@ def test_greedy_seeds_change_no_result_and_examine_fewer_subsets(pool):
             digest.update(repr(record).encode())
             examined += result.subsets_examined
     assert digest.hexdigest() == POOL_SOLVES_SHA256
-    assert examined == 15020 < 32665  # 32,665 from a singleton incumbent
+    # 32,665 from a singleton incumbent and 15,020 from the greedy
+    # questionnaires alone. A proper closure of the full space beats them on 8
+    # of these solves, and 6 of those examine fewer subsets.
+    assert examined == 14792 < 15020
 
 
 def test_solve_exact_constant_model_prefers_singletons():
@@ -485,6 +488,25 @@ def test_heuristic_returns_the_closure_floor_where_it_binds():
                 binding += 1
                 proper += len(floor) < num_symbols**n
     assert binding >= 5 and proper >= 1
+
+
+def test_floor_refuses_a_closure_scored_below_the_full_space(pool):
+    # Shrinking a questionnaire only grows each truthful subset, so no true
+    # score puts the closure below the full space; a stub that counts members
+    # does, on a pool model whose closure is proper.
+    m, n = next((m, n) for m in pool for n in (1, 2) if len(_closure(m, n)) < m.num_symbols**n)
+    seqs, scale, beats, _, covers = sg.equilibrium.packed_scorer(m, n)
+
+    def size(members, _):
+        return members.bit_count()
+
+    with pytest.raises(RuntimeError) as info:
+        next(sg.equilibrium._floor_questionnaires(m, beats, size, covers))
+    assert str(info.value) == (
+        "closure reduction decreased the objective "
+        f"({Fraction(len(seqs), scale)} -> {Fraction(len(_closure(m, n)), scale)}); "
+        "this contradicts the dominance argument"
+    )
 
 
 def test_solve_heuristic_never_calls_the_scan_based_objective(example, monkeypatch):

@@ -853,6 +853,21 @@ REFUSALS = {
     "table given as a string": (
         _parse_tiny(utility={"t": "1234"}), "utility['t']: expected 2 rows"
     ),
+    # json.loads would keep the last value of a repeated key.
+    "repeated field": (
+        lambda: sg.parse_model(json.dumps(TINY)[:-1] + ', "alphabet": ["0", "1"]}'),
+        "duplicate key 'alphabet'",
+    ),
+    "repeated prior key": (
+        lambda: sg.parse_model(json.dumps(TINY).replace('"t": "1"', '"t": "1/2", "t": "1"')),
+        "duplicate key 't'",
+    ),
+    "repeated utility key": (
+        lambda: sg.parse_model(
+            json.dumps(TINY).replace('"t": [[', '"t": [["1", "1"], ["1", "1"]], "t": [[')
+        ),
+        "duplicate key 't'",
+    ),
 }
 
 
