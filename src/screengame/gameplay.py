@@ -28,7 +28,6 @@ from math import prod
 from operator import getitem, itemgetter, mul
 
 from .model import (
-    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     Model,
     Seq,
@@ -36,6 +35,7 @@ from .model import (
     _check_sequences,
     _check_type,
     _count_sequences,
+    _within_budget,
     check_space,
     enumerate_sequences,
 )
@@ -139,8 +139,7 @@ def recovery_report(
     n = strategy.n
     _check_sequences(model, image, "image")
     payoffs = model.num_types * _count_sequences(model, n, enum_budget) * len(image)
-    if payoffs > enum_budget:
-        raise BudgetExceededError("played-out scan", payoffs, enum_budget)
+    _within_budget("played-out scan", payoffs, enum_budget)
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
     space = [range(model.num_symbols)] * n
@@ -268,13 +267,10 @@ def cross_check_equivalence(
         check_space(model, n, subset_budget, "exhaustive cross-check (use strategies='random')")
     # One type's k^(2n) first, so a huge horizon is refused before k^(2n) is built.
     space = _check_pairs(model, n, enum_budget, "cross-check payoff table")
-    totals = model.num_types * space * space
-    if totals > enum_budget:
-        raise BudgetExceededError("cross-check payoff table", totals, enum_budget)
+    _within_budget("cross-check payoff table", model.num_types * space * space, enum_budget)
     # A draw plays only its member truths, so count * T * k^n bounds its scans.
-    scans = count * model.num_types * space
-    if strategies == "random" and scans > enum_budget:
-        raise BudgetExceededError("random cross-check", scans, enum_budget)
+    if strategies == "random":
+        _within_budget("random cross-check", count * model.num_types * space, enum_budget)
     id_sets = None if strategies == "all" else _image_id_sets(space, count, seed)
     scored = _scored_image_sets(model, n, id_sets, enum_budget)
     scale, _ = model.prior_weights

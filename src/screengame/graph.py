@@ -18,13 +18,13 @@ from itertools import product
 from operator import itemgetter, or_
 
 from .model import (
-    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     HONEST,
     Model,
     _EITHER,
     _check_pairs,
     _top_bit_masks,
+    _within_budget,
     check_space,
     classify_type,
 )
@@ -67,14 +67,11 @@ class SenderGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically ordered."""
-        out = []
-        for u, mask in enumerate(self.adjacency):
-            rest = mask >> (u + 1) << (u + 1)
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                out.append((u, v))
-                rest &= rest - 1
-        return out
+        return [
+            (u, v)
+            for u, mask in enumerate(self.adjacency)
+            for v in _mask_to_members(mask >> (u + 1) << (u + 1))
+        ]
 
 
 def build_sender_graph(
@@ -172,8 +169,7 @@ def max_independent_set(
         return IndependentSetResult(members, len(members), False)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if graph.vertex_count > mis_budget:
-        raise BudgetExceededError("exact independent set", graph.vertex_count, mis_budget)
+    _within_budget("exact independent set", graph.vertex_count, mis_budget)
 
     adjacency = graph.adjacency
     rest = everyone = (1 << graph.vertex_count) - 1

@@ -414,10 +414,14 @@ def check_space(model: Model, n: int, budget: int, what: str) -> int:
     k = model.num_symbols
     if n > max(budget.bit_length(), 64):
         raise BudgetExceededError(what, f"{k}^{n}", budget)
-    count = k**n
-    if count > budget:
-        raise BudgetExceededError(what, count, budget)
-    return count
+    return _within_budget(what, k**n, budget)
+
+
+def _within_budget(what: str, cost: int, budget: int) -> int:
+    """`cost`, or BudgetExceededError naming `what` when it is over `budget`: the one rule."""
+    if cost > budget:
+        raise BudgetExceededError(what, cost, budget)
+    return cost
 
 
 def _label_separator(model: Model) -> str:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -240,6 +241,36 @@ def test_usage_errors_exit_two(capsys):
         main(["solve"])  # --model is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# The budget flags each subcommand reads, in the parser's subcommand order.
+BUDGET_FLAGS = {
+    "example": (),
+    "validate": (),
+    "graph": ("enum", "mis"),
+    "solve": ("enum", "subset"),
+    "oracle-check": ("enum", "subset"),
+    "bounds": ("enum", "mis", "subset"),
+    "asymptotic": ("enum", "mis"),
+    "simulate": ("enum", "subset"),
+}
+
+
+def test_help_lists_each_subcommands_budget_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == list(BUDGET_FLAGS)
+    for command, budgets in BUDGET_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # Each flag's help follows its metavar, on the same line or the next.
+        listed = dict(re.findall(r"^  --(\w+)-budget [A-Z_]+\s+(.*)$", out, re.M))
+        assert listed == {budget: sg.cli._BUDGET_HELP[budget] for budget in budgets}, command
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):

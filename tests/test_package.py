@@ -1,10 +1,11 @@
-"""Package-wide rules: a stdlib-only runtime, one name per budget, a documented API that runs."""
+"""Package rules: stdlib only, one refusal rule and one name per budget, a README API that runs."""
 
 from __future__ import annotations
 
 import ast
 import inspect
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,18 @@ def test_the_package_imports_only_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
         assert imported <= sys.stdlib_module_names, (path.name, imported - sys.stdlib_module_names)
+
+
+def test_only_model_builds_a_budget_refusal():
+    # Every budget refuses by model's one rule; its k^n form is the only other refusal.
+    built = Counter(
+        path.name
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "BudgetExceededError"
+    )
+    assert built == {"model.py": 2}
 
 
 def test_each_budget_keyword_is_named_after_its_flag():
