@@ -24,8 +24,10 @@ from .model import (
     Model,
     ModelError,
     BudgetExceededError,
-    Seq,
-    _label_separator,
+    _format_members,
+    _format_sequences,
+    _parse_members,
+    _parse_sequence,
     check_space,
     classify_type,
     enumerate_sequences,
@@ -118,31 +120,6 @@ def _load_model(spec: str) -> tuple[Model, str]:
     return model, digest
 
 
-def _parse_sequence(model: Model, text: str, n: int | None = None) -> Seq:
-    if "," in text:
-        labels = text.split(",")
-    elif not _label_separator(model):
-        labels = list(text)
-    else:
-        raise ModelError(
-            f"sequence {text!r}: separate multi-character symbol labels with commas"
-        )
-    seq = tuple(model.symbol_index(lab) for lab in labels)
-    if n is not None and len(seq) != n:
-        raise ModelError(f"sequence {text!r} has length {len(seq)}, expected {n}")
-    return seq
-
-
-def _parse_members(model: Model, text: str, n: int | None = None) -> list[Seq]:
-    return [_parse_sequence(model, part, n) for part in text.split(";") if part]
-
-
-def _seq_labels(model: Model, seqs) -> list[str]:
-    """Each sequence as `format_sequence` writes it; the separator is chosen once."""
-    join, alphabet = _label_separator(model).join, model.alphabet
-    return [join([alphabet[s] for s in seq]) for seq in seqs]
-
-
 # Option flags are None unless given, so an unset one keeps the library default.
 def _given(args, *names: str) -> dict:
     """The given flags among `names`, keyed by name: each flag's name is its library keyword."""
@@ -168,7 +145,7 @@ def _cmd_validate(args, model: Model) -> tuple[dict | None, int]:
         "types": {
             label: classify_type(model, t) for t, label in enumerate(model.types)
         },
-        "prior": {label: p for label, p in zip(model.types, model.prior)},
+        "prior": dict(zip(model.types, model.prior)),
         "valid": True,
     }
     return payload, 0
@@ -192,7 +169,7 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     graph = union_graph(graphs) if args.union else graphs[0]
     seqs = enumerate_sequences(model, args.n, **enum)  # vertex v is seqs[v]
     if args.export:
-        sys.stdout.write(export_dot(graph, _seq_labels(model, seqs)))
+        sys.stdout.write(export_dot(graph, _format_sequences(model, seqs)))
         return None, 0
     payload = {
         "provenance": graph.provenance,
@@ -204,7 +181,7 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
         result = max_independent_set(graph, mode=alpha, **_given(args, "mis_budget"))
         payload["alpha"] = result.size
         payload["alpha_certified"] = result.certified
-        payload["independent_set"] = _seq_labels(model, [seqs[v] for v in result.members])
+        payload["independent_set"] = _format_sequences(model, [seqs[v] for v in result.members])
     return payload, 0
 
 
@@ -228,13 +205,11 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
         "rate": extraction_rate(result.optimum, args.n),
         "maximizer_count": result.maximizer_count,
         "maximizers_complete": result.maximizers_complete,
-        "maximizers": [
-            ";".join(_seq_labels(model, members)) for members in result.maximizers
-        ],
+        "maximizers": [_format_members(model, members) for members in result.maximizers],
         "designated": {
-            "members": _seq_labels(model, designated.members),
+            "members": _format_sequences(model, designated.members),
             "truthful": {
-                label: _seq_labels(model, part)
+                label: _format_sequences(model, part)
                 for label, part in zip(model.types, designated.truthful)
             },
         },
@@ -262,7 +237,7 @@ def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
     }
     if not result.agreed:
         payload["mismatches"] = [
-            f"{';'.join(_seq_labels(model, members))}: played {played}, formula {formula}"
+            f"{_format_members(model, members)}: played {played}, formula {formula}"
             for members, played, formula in result.mismatches[:10]
         ]
     return payload, 0 if result.agreed else 1
@@ -276,9 +251,7 @@ def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
     payload = {
         "n": args.n,
         "alpha_union": bounds.alpha_union,
-        "alpha_per_type": {
-            label: a for label, a in zip(model.types, bounds.alpha_per_type)
-        },
+        "alpha_per_type": dict(zip(model.types, bounds.alpha_per_type)),
         "weighted_alpha": bounds.weighted_alpha,
         "lower_certified": bounds.lower_certified,
         "upper_certified": bounds.upper_certified,
@@ -296,9 +269,7 @@ def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
     report = asymptotic_bounds(model, args.n_max, **_given(args, "mis_budget", "enum_budget"))
     payload = {
         "n_max": report.n_max,
-        "alpha_per_type": {
-            label: a for label, a in zip(model.types, report.alpha_per_type)
-        },
+        "alpha_per_type": dict(zip(model.types, report.alpha_per_type)),
         "best_type": model.types[report.best_type],
         "union_floor": report.union_floor,
         "alphas": list(report.alphas),
@@ -345,22 +316,20 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         "n": n,
         "type": args.type,
         "strategy_origin": origin,
-        "image": _seq_labels(model, strategy.image),
+        "image": _format_sequences(model, strategy.image),
         "truth": format_sequence(model, truth),
         "policy": outcome.policy,
-        "options": _seq_labels(model, outcome.options),
+        "options": _format_sequences(model, outcome.options),
         "decoded": format_sequence(model, outcome.decoded),
         "reported": format_sequence(model, outcome.reported),
         "recovered": outcome.recovered,
         "utility": outcome.utility,
         "worst_case_value": report.value,
         "robust": {
-            label: _seq_labels(model, robust)
+            label: _format_sequences(model, robust)
             for label, robust in zip(model.types, report.robust)
         },
-        "best_response_multiplicity": {
-            label: m for label, m in zip(model.types, report.multiplicities)
-        },
+        "best_response_multiplicity": dict(zip(model.types, report.multiplicities)),
     }
     return payload, 0
 

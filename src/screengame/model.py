@@ -40,7 +40,7 @@ _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 _MODEL_FIELDS = ("alphabet", "types", "prior", "utility")
 
-_RESERVED = ",;=\n\r"  # separators of the CLI's sequences, member lists and machine reports
+_RESERVED = ",;=\n\r"  # separators of sequence text (`_parse_sequence`) and machine reports
 _RESERVED_CHARS = frozenset(_RESERVED)
 
 
@@ -92,12 +92,17 @@ def _parse_rational(value: object) -> Fraction:
     raise ModelError(f"expected an integer or p/q string, got {type(value).__name__}")
 
 
+def _in_order(value, field: str, expected: str = "a list or a tuple") -> list | tuple:
+    """`value` if it is a list or a tuple: a set has no order, a str or bytes no entries."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{field}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _by_type(table, types: tuple[str, ...], field: str, entry: str) -> list | tuple:
     """`table` in type order: a list must have one entry per type, a map name each type exactly."""
     if not isinstance(table, dict):
-        if not isinstance(table, (list, tuple)):  # a set has no order, a str or bytes no entries
-            raise ModelError(f"{field}: expected a list or a map, got {type(table).__name__}")
-        if len(table) != len(types):
+        if len(_in_order(table, field, "a list or a map")) != len(types):
             raise ModelError(f"{field}: expected {len(types)} entries, got {len(table)}")
         return table
     missing = [t for t in types if t not in table]
@@ -139,11 +144,11 @@ class Model:
         for label, p in zip(self.types, self.prior):
             if type(p) is not int and not isinstance(p, Fraction):
                 raise ModelError(f"prior[{label!r}]: {exact} {type(p).__name__}")
-            if p < 0:
+            if p.numerator < 0:  # the sign of its weight in `prior_weights`
                 raise ModelError(f"prior[{label!r}] is negative")
-        total = sum(self.prior, Fraction(0))
-        if total != 1:
-            raise ModelError(f"prior not normalized: sum is {total}")
+        scale, weights = self.prior_weights
+        if sum(weights) != scale:
+            raise ModelError(f"prior not normalized: sum is {Fraction(sum(weights), scale)}")
         k = len(self.alphabet)
         if len(self.utility) != len(self.types):
             raise ModelError("utility must provide a table for every type")
@@ -164,18 +169,18 @@ class Model:
     ) -> Model:
         """Build a model from plain tables, coercing entries to exact rationals.
 
-        `prior` and `utility` may be keyed by type label or given as lists in
-        type order. A JSON integer comes from `parse_model` as its text and is
-        read by the same rule as a string. There is one build: each distinct
-        literal is parsed once, and every entry spelled by it shares its one
-        Fraction. Only a refused document is scanned again, in document order
-        and once per distinct string literal, so that the error names its
-        first defective entry.
+        `alphabet` and `types` are lists or tuples; `prior` and `utility` may
+        be keyed by type label or given as lists in type order. A JSON integer
+        comes from `parse_model` as its text and is read as a string is. There
+        is one build: each distinct literal is parsed once, and every entry
+        spelled by it shares its one Fraction. Only a refused document is
+        scanned again, in document order and once per distinct string literal,
+        so that the error names its first defective entry.
         """
-        types_t = tuple(types)
+        types_t = tuple(_in_order(types, "types"))
         prior_seq = _by_type(prior, types_t, "prior", "entry")
         utility_seq = _by_type(utility, types_t, "utility", "table")
-        k = len(alphabet)
+        k = len(_in_order(alphabet, "alphabet"))
 
         def has_k(value) -> bool:
             return isinstance(value, (list, tuple)) and len(value) == k
@@ -311,17 +316,13 @@ def parse_model(text: str) -> Model:
     unknown = [f for f in doc if f not in _MODEL_FIELDS]
     if unknown:
         raise ModelError(f"unknown field {unknown[0]!r}")
-    alphabet = doc["alphabet"]
-    types = doc["types"]
-    if not isinstance(alphabet, list) or not all(type(s) is str for s in alphabet):
-        raise ModelError("alphabet must be a list of strings")
-    if not isinstance(types, list) or not all(type(s) is str for s in types):
-        raise ModelError("types must be a list of strings")
-    if not isinstance(doc["prior"], dict):
-        raise ModelError("prior must be a map from type label to rational")
-    if not isinstance(doc["utility"], dict):
-        raise ModelError("utility must be a map from type label to matrix")
-    return Model.from_tables(alphabet, types, doc["prior"], doc["utility"])
+    for field in ("alphabet", "types"):
+        if not isinstance(doc[field], list) or not all(type(s) is str for s in doc[field]):
+            raise ModelError(f"{field} must be a list of strings")
+    for field, entry in (("prior", "rational"), ("utility", "matrix")):
+        if not isinstance(doc[field], dict):
+            raise ModelError(f"{field} must be a map from type label to {entry}")
+    return Model.from_tables(**doc)
 
 
 def _json_block(brackets: str, items, pad: str) -> str:
@@ -429,8 +430,38 @@ def _label_separator(model: Model) -> str:
     return "" if all(len(lab) == 1 for lab in model.alphabet) else ","
 
 
+def _format_sequences(model: Model, seqs) -> list[str]:
+    """Each sequence as its labels joined by `_label_separator`, which is chosen once."""
+    join, alphabet = _label_separator(model).join, model.alphabet
+    return [join([alphabet[s] for s in seq]) for seq in seqs]
+
+
 def format_sequence(model: Model, seq: Seq) -> str:
-    return _label_separator(model).join([model.alphabet[s] for s in seq])
+    return _format_sequences(model, [seq])[0]
+
+
+def _format_members(model: Model, seqs) -> str:
+    return ";".join(_format_sequences(model, seqs))
+
+
+def _parse_sequence(model: Model, text: str, n: int | None = None) -> Seq:
+    """The sequence `format_sequence` writes as `text`; commas also split one-character labels."""
+    if "," in text:
+        labels = text.split(",")
+    elif not _label_separator(model):
+        labels = list(text)
+    elif text in model.alphabet:
+        labels = [text]  # a single label is a length-1 sequence
+    else:
+        raise ModelError(f"sequence {text!r}: separate multi-character symbol labels with commas")
+    seq = tuple(model.symbol_index(lab) for lab in labels)
+    if n is not None and len(seq) != n:
+        raise ModelError(f"sequence {text!r} has length {len(seq)}, expected {n}")
+    return seq
+
+
+def _parse_members(model: Model, text: str, n: int | None = None) -> list[Seq]:
+    return [_parse_sequence(model, part, n) for part in text.split(";") if part]
 
 
 def _check_sequences(model: Model, seqs, name: str) -> None:

@@ -176,7 +176,7 @@ def asymptotic_bounds(
     # Horizon 1 is within the budget, so these numbers are certified.
     one_letter = finite_bounds(model, 1, mis_budget=mis_budget, enum_budget=enum_budget)
     alpha1 = one_letter.alpha_per_type
-    played = [t for t in range(model.num_types) if model.prior[t] > 0]
+    played = [t for t, weight in enumerate(model.prior_weights[1]) if weight > 0]
     best_type = max(played, key=lambda t: (alpha1[t], -t))
     alphas = [alpha1[best_type]] + [
         max_independent_set(

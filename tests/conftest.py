@@ -36,6 +36,20 @@ def make_random_model(rng: random.Random, num_symbols: int, num_types: int) -> s
     return sg.Model.from_tables(alphabet, types, prior, utility)
 
 
+# Labels the JSON encoder escapes or passes through, and literals spelled off
+# their canonical form.
+ODD_DOC = {
+    "alphabet": ['q"x', "b\\s", "t\tb", "c\x01"],
+    "types": ["l\u2028s", "\u00e9t\u00e9"],
+    "prior": {"l\u2028s": "+1/4", "\u00e9t\u00e9": " 6/8 "},
+    "utility": {
+        "l\u2028s": [
+            [2, "-1", "0/3", "1"], ["1/2", 3, "-0", "4/8"], [0, 0, "7", "-5/3"], [1, "2", 3, "+4"]
+        ],
+        "\u00e9t\u00e9": [["-2", 1, 1, 1], [0, "9/3", 0, 0], [1, 1, 1, 1], ["1/7", "-2/7", 0, 2]],
+    },
+}
+
 # "X6": two deceptive types, the seventh draw of
 # make_random_model(rng, rng.choice((2, 3)), 2) from Random(21). For b, a
 # report y weakly beats the truth x exactly when y contains x as a 0/1 set, so

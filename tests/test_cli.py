@@ -13,22 +13,10 @@ import pytest
 import screengame as sg
 from screengame.cli import main
 
-from conftest import X6, make_random_model
+from conftest import ODD_DOC, X6, make_random_model
 
 EXAMPLE1_DIGEST = "145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738"
-# Labels the JSON encoder escapes or passes through, and literals spelled off
-# their canonical form; the digest is that of the canonical document.
-ODD_DOC = {
-    "alphabet": ['q"x', "b\\s", "t\tb", "c\x01"],
-    "types": ["l\u2028s", "\u00e9t\u00e9"],
-    "prior": {"l\u2028s": "+1/4", "\u00e9t\u00e9": " 6/8 "},
-    "utility": {
-        "l\u2028s": [
-            [2, "-1", "0/3", "1"], ["1/2", 3, "-0", "4/8"], [0, 0, "7", "-5/3"], [1, "2", 3, "+4"]
-        ],
-        "\u00e9t\u00e9": [["-2", 1, 1, 1], [0, "9/3", 0, 0], [1, 1, 1, 1], ["1/7", "-2/7", 0, 2]],
-    },
-}
+# The digest of the canonical document for conftest.ODD_DOC.
 ODD_DIGEST = "376cb2a67d2c60ac9e8a21e467e88d951d4bdf5a7800c500ae1819792b519e84"
 # make_random_model(random.Random(16), 16, 3): 768 entries over 7 literals.
 BIG_DIGEST = "5f5be84ba3bfa03dfd67acaf954a5da734225026aba73ece75132aa010431d6c"
@@ -231,6 +219,32 @@ def test_simulate_given_members(capsys):
     assert "strategy_origin: given" in out
     assert "recovered: true" in out
     assert "utility: 1" in out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_simulate_reads_back_the_sequences_solve_prints(capsys, tmp_path, n):
+    # With a two-character label, sequences are comma-joined, and at n = 1
+    # each member is a single label.
+    doc = {
+        "alphabet": ["ab", "c"], "types": ["h", "d"], "prior": {"h": "1/3", "d": "2/3"},
+        "utility": {"h": [["1", "0"], ["0", "1"]], "d": [["1", "2"], ["0", "0"]]},
+    }
+    path = tmp_path / "ab-c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    model = ("--model", str(path), "--format", "machine")
+    code, out, _ = run(capsys, "solve", *model, "--n", str(n))
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.splitlines())
+    members = [fields[f"designated.members.{i}"] for i in range(2**n)]
+    assert fields["maximizers.0"] == ";".join(members)
+    for truth, fallback in itertools.product(members, repeat=2):
+        argv = ("--truth", truth, "--members", fields["maximizers.0"], "--fallback", fallback)
+        code, out, err = run(capsys, "simulate", *model, "--type", "d", *argv)
+        assert (code, err) == (0, "")
+        assert f"truth={truth}" in out.splitlines()
+        assert [f"image.{i}={m}" for i, m in enumerate(members)] == [
+            line for line in out.splitlines() if line.startswith("image.") and "count" not in line
+        ]
 
 
 def test_usage_errors_exit_two(capsys):

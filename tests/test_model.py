@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import screengame as sg
-from screengame.cli import _parse_sequence as parse_sequence
-from screengame.model import ModelSyntaxError
+from screengame.model import ModelSyntaxError, _format_members, _parse_members
+from screengame.model import _parse_sequence as parse_sequence
 
-from conftest import GRID, make_random_model, model_pool, sequence_utility
+from conftest import GRID, ODD_DOC, make_random_model, model_pool, sequence_utility
 
 
 def test_example_shape(example):
@@ -337,6 +337,28 @@ def test_format_sequence(example):
     )
     assert sg.format_sequence(m, (0, 1)) == "lo,hi"
     assert sg.format_sequence(example, (2, 0)) == "20"
+
+
+# JSON-escaped labels, and labels of mixed lengths where one is a prefix of another.
+SPELLED = [
+    sg.Model.from_tables(**ODD_DOC),
+    sg.Model.from_tables(["ab", "c", "a", "b"], ["t"], ["1"], [[[1, 0, 0, 0]] * 4]),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_reader_reads_back_every_sequence_the_writer_writes(pool, n):
+    for model in [*pool, *SPELLED]:
+        if model.num_symbols**n > 81:
+            continue
+        seqs = sg.enumerate_sequences(model, n)
+        for seq in seqs:
+            text = sg.format_sequence(model, seq)
+            assert parse_sequence(model, text) == parse_sequence(model, text, n) == seq
+        # Every list of at most two members, in either order, and the whole space.
+        lists = [[], *([s] for s in seqs), *itertools.product(seqs, repeat=2), seqs, seqs[::-1]]
+        for members in lists:
+            assert _parse_members(model, _format_members(model, members), n) == list(members)
 
 
 def test_parse_serialize_roundtrip_example(example):
@@ -841,6 +863,34 @@ REFUSALS = {
     "utility given as a frozenset": (
         lambda: sg.Model.from_tables(["0", "1"], ["t"], ["1"], frozenset([((1, 0), (0, 1))])),
         "utility: expected a list or a map, got frozenset",
+    ),
+    # Labels are read by the same rule: a set alphabet was read in hash order,
+    # so row i of each table named a different symbol from run to run.
+    "alphabet given as a set": (
+        lambda: sg.Model.from_tables({"x", "y", "z"}, ["t"], ["1"], [[[1, 0, 0]] * 3]),
+        "alphabet: expected a list or a tuple, got set",
+    ),
+    "alphabet given as bytes": (
+        lambda: sg.Model.from_tables(b"01", ["t"], ["1"], [TABLE]),
+        "alphabet: expected a list or a tuple, got bytes",
+    ),
+    # A string would be read as its characters: the types a and b.
+    "types given as a string": (
+        lambda: sg.Model.from_tables(["0", "1"], "ab", ["1/2", "1/2"], [TABLE] * 2),
+        "types: expected a list or a tuple, got str",
+    ),
+    "types given as a frozenset": (
+        lambda: sg.Model.from_tables(["0", "1"], frozenset("a"), ["1"], [TABLE]),
+        "types: expected a list or a tuple, got frozenset",
+    ),
+    # The prior is checked on integers, with the messages of the Fraction checks.
+    "negative prior": (
+        lambda: sg.Model(("0", "1"), ("a", "b", "c"), (2, Fraction(-1, 2), -1), (IDENTITY,) * 3),
+        "prior['b'] is negative",
+    ),
+    "unnormalized prior": (
+        lambda: sg.Model(("0", "1"), ("a", "b"), (Fraction(1, 2), Fraction(1, 3)), (IDENTITY,) * 2),
+        "prior not normalized: sum is 5/6",
     ),
     # The first two have k items of k characters, so a check of lengths
     # alone would read each as the table [[1, 2], [3, 4]].

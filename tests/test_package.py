@@ -1,4 +1,5 @@
-"""Package rules: stdlib only, one refusal rule and one name per budget, a README API that runs."""
+"""Package rules: stdlib only, one refusal rule and one name per budget, one sequence codec,
+a README API that runs."""
 
 from __future__ import annotations
 
@@ -38,6 +39,26 @@ def test_only_model_builds_a_budget_refusal():
         and ast.unparse(node.func).rsplit(".", 1)[-1] == "BudgetExceededError"
     )
     assert built == {"model.py": 2}
+
+
+def test_only_model_spells_sequences():
+    # One codec writes and reads sequence text: only model.py names the separator
+    # rule or joins or splits on , and ;.
+    spelled = {
+        path.name
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "_label_separator"
+        or isinstance(node, ast.alias) and node.name == "_label_separator"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("join", "split")
+        and any(
+            isinstance(c, ast.Constant) and c.value in (",", ";")
+            for c in (node.func.value, *node.args)
+        )
+    }
+    assert spelled == {"model.py"}
 
 
 def test_each_budget_keyword_is_named_after_its_flag():
