@@ -255,27 +255,29 @@ def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
         "weighted_alpha": bounds.weighted_alpha,
         "lower_certified": bounds.lower_certified,
         "upper_certified": bounds.upper_certified,
-        "lower_rate": bounds.lower_rate,
-        "upper_rate": bounds.upper_rate,
+        "lower_rate": extraction_rate(bounds.alpha_union, args.n),
+        "upper_rate": extraction_rate(bounds.weighted_alpha, args.n),
     }
     if bounds.achieved is not None:
         payload["achieved"] = bounds.achieved
-        payload["achieved_rate"] = bounds.achieved_rate
+        payload["achieved_rate"] = extraction_rate(bounds.achieved, args.n)
         payload["achieved_certified"] = bounds.achieved_certified
     return payload, 0
 
 
 def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
     report = asymptotic_bounds(model, args.n_max, **_given(args, "mis_budget", "enum_budget"))
+    alphas = report.alphas
+    at = report.certified_floor_at
     payload = {
         "n_max": report.n_max,
         "alpha_per_type": dict(zip(model.types, report.alpha_per_type)),
         "best_type": model.types[report.best_type],
         "union_floor": report.union_floor,
-        "alphas": list(report.alphas),
-        "capacity_estimates": list(report.capacity_estimates),
-        "certified_floor": report.certified_floor,
-        "certified_floor_at": report.certified_floor_at,
+        "alphas": list(alphas),
+        "capacity_estimates": [extraction_rate(a, h) for h, a in enumerate(alphas, 1)],
+        "certified_floor": extraction_rate(alphas[at - 1], at),
+        "certified_floor_at": at,
         "fekete": [
             f"{w.m}+{w.n}: {w.alpha_m}*{w.alpha_n}<={w.alpha_sum} "
             f"{'ok' if w.holds else 'VIOLATED'}"

@@ -42,14 +42,15 @@ UNION = "union"
 class SenderGraph:
     """Undirected graph on all length-n sequences, adjacency as bitmasks.
 
-    `build_sender_graph` and `union_graph` mark their graphs symmetric under permuting the
-    letter positions (payoffs sum per letter); hand-built graphs are searched without it.
+    `build_sender_graph` and `union_graph` mark their graphs with the alphabet size k: such a
+    graph is symmetric under permuting the letter positions (payoffs sum per letter). Hand-built
+    graphs, marked 0, are searched without it.
     """
 
     n: int  # sequence length
     adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of the v-th sequence
     provenance: str  # sender type label, or UNION
-    _symmetric = False  # not a field, so replace() and the constructor leave it unset
+    _letters = 0  # not a field, so replace() and the constructor leave it unset
 
     def __post_init__(self) -> None:
         limit = 1 << len(self.adjacency)
@@ -94,12 +95,12 @@ def build_sender_graph(
     else:
         adjacency = tuple(_top_bit_masks(model, type_id, n, (_EITHER,))[0])
     graph = SenderGraph(n, adjacency, model.types[type_id])
-    object.__setattr__(graph, "_symmetric", True)
+    object.__setattr__(graph, "_letters", model.num_symbols)
     return graph
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
-    """Edge union of graphs over the same sequence space, marked symmetric when all inputs are."""
+    """Edge union of graphs over the same sequence space, keeping their mark when all share it."""
     if not graphs:
         raise ValueError("union of zero graphs")
     first = graphs[0]
@@ -107,7 +108,8 @@ def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGr
         raise ValueError("cannot union graphs over different sequence spaces")
     adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
     union = SenderGraph(first.n, adjacency, UNION)
-    object.__setattr__(union, "_symmetric", all(g._symmetric for g in graphs))
+    if all(g._letters == first._letters for g in graphs):
+        object.__setattr__(union, "_letters", first._letters)
     return union
 
 
@@ -187,8 +189,8 @@ def max_independent_set(
         return IndependentSetResult(_mask_to_members(chosen), ceiling, True)
     best_mask = _swap_descent(adjacency, chosen)
     best_size = best_mask.bit_count()
-    n = graph.n if graph._symmetric else 1
-    words = list(product(range(round(graph.vertex_count ** (1 / n))), repeat=n))
+    n = graph.n if graph._letters else 1
+    words = list(product(range(graph._letters or graph.vertex_count), repeat=n))
     letters: dict[tuple, list[int]] = {}
     nodes = 0
     stack = [(0, 0, everyone, (tuple(range(n)),))]

@@ -92,9 +92,11 @@ def _parse_rational(value: object) -> Fraction:
     raise ModelError(f"expected an integer or p/q string, got {type(value).__name__}")
 
 
-def _in_order(value, field: str, expected: str = "a list or a tuple") -> list | tuple:
-    """`value` if it is a list or a tuple: a set has no order, a str or bytes no entries."""
-    if not isinstance(value, (list, tuple)):
+def _in_order(
+    value, field: str, expected: str = "a list or a tuple", kinds=(list, tuple)
+) -> list | tuple:
+    """`value` if it is one of `kinds`: a set has no order, a str or bytes no entries."""
+    if not isinstance(value, kinds):
         raise ModelError(f"{field}: expected {expected}, got {type(value).__name__}")
     return value
 
@@ -124,6 +126,13 @@ class Model:
     utility: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [type][report][truth]
 
     def __post_init__(self) -> None:
+        # Tuples only: a set has no order, and a list makes the model unhashable.
+        for field in _MODEL_FIELDS:
+            _in_order(getattr(self, field), field, "a tuple", tuple)
+        for label, table in zip(self.types, self.utility):
+            _in_order(table, f"utility[{label!r}]", "a tuple", tuple)
+            for i, row in enumerate(table):
+                _in_order(row, f"utility[{label!r}] row {i}", "a tuple", tuple)
         if len(self.alphabet) < 2:
             raise ModelError("alphabet must contain at least 2 symbols")
         if not self.types:

@@ -3,8 +3,8 @@
 The rate of a length-n strategy is the n-th root of its worst-case recovery
 value. Independent sets sandwich it: a set independent in every type's graph
 is reported truthfully by everyone, while no type can contribute more than
-the independence number of its own graph. All comparisons are made on the
-exact values; roots are taken only for display.
+the independence number of its own graph. Results hold exact values only;
+`extraction_rate` takes a root where the CLI displays a rate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def extraction_rate(value: Fraction | int, n: int) -> float:
 
 @dataclass(frozen=True)
 class RateBounds:
-    """Sandwich for the optimal length-n rate, exact values plus root views."""
+    """Sandwich for the optimal length-n recovery value, exact: the rates are their n-th roots."""
 
     n: int
     alpha_union: int  # independent set size in the union graph (floor)
@@ -50,20 +50,6 @@ class RateBounds:
     lower_certified: bool  # alpha_union is the exact independence number
     upper_certified: bool  # every per-type size is exact
     achieved_certified: bool  # achieved is the proven optimum
-
-    @property
-    def lower_rate(self) -> float:
-        return extraction_rate(self.alpha_union, self.n)
-
-    @property
-    def upper_rate(self) -> float:
-        return extraction_rate(self.weighted_alpha, self.n)
-
-    @property
-    def achieved_rate(self) -> float | None:
-        if self.achieved is None:
-            return None
-        return extraction_rate(self.achieved, self.n)
 
 
 def finite_bounds(
@@ -138,16 +124,14 @@ class FeketeWitness:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Long-horizon picture built from one-letter graphs and a best type."""
+    """Long-horizon picture from one-letter graphs and a best type, in exact values."""
 
     n_max: int
     alpha_per_type: tuple[int, ...]  # one-letter independence numbers
     best_type: int  # argmax of those over types of positive prior, ties to the lowest id
     union_floor: int  # one-letter union independence number
-    alphas: tuple[int, ...]  # best type's numbers at horizons 1..n_max
-    capacity_estimates: tuple[float, ...]  # n-th roots of those, display only
-    certified_floor: float  # largest root attained, a proven lower bound
-    certified_floor_at: int  # horizon attaining it
+    alphas: tuple[int, ...]  # best type's numbers at horizons 1..n_max: h-th roots are floors
+    certified_floor_at: int  # horizon of the largest root, ties to the first
     fekete_witnesses: tuple[FeketeWitness, ...]  # all pairs m <= n, m+n <= n_max
 
 
@@ -163,7 +147,7 @@ def asymptotic_bounds(
     The one-letter union independence number is a floor for every horizon
     (products of one-letter independent sets stay independent), while the
     per-letter growth of the best single type's independence numbers is a
-    ceiling target; its n-th roots are reported for n = 1..n_max together
+    ceiling target; its numbers are reported for n = 1..n_max together
     with supermultiplicativity witnesses. The best type is chosen among the
     types of positive prior: one of prior 0 recovers nothing in the value,
     so its roots would be no floor.
@@ -185,9 +169,8 @@ def asymptotic_bounds(
         ).size
         for h in range(2, n_max + 1)
     ]
-    estimates = tuple(extraction_rate(a, k + 1) for k, a in enumerate(alphas))
-    # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h),
-    # never by comparing the float views; first horizon wins ties.
+    # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h);
+    # first horizon wins ties.
     floor_h = 1
     for h in range(2, n_max + 1):
         if alphas[h - 1] ** floor_h > alphas[floor_h - 1] ** h:
@@ -212,8 +195,6 @@ def asymptotic_bounds(
         best_type=best_type,
         union_floor=one_letter.alpha_union,
         alphas=tuple(alphas),
-        capacity_estimates=estimates,
-        certified_floor=estimates[floor_h - 1],
         certified_floor_at=floor_h,
         fekete_witnesses=tuple(witnesses),
     )

@@ -151,7 +151,7 @@ def test_criterion_5_product_floor_and_growth_laws(example, pool):
 
         report = sg.asymptotic_bounds(example, 4)
         assert report.best_type == example.type_index("h")
-        assert report.capacity_estimates == (3.0, 3.0, 3.0, 3.0)
+        assert report.alphas == (3, 9, 27, 81)  # every root is exactly 3
         d = example.type_index("d")
         for n in range(1, 5):
             graph = sg.build_sender_graph(example, d, n)

@@ -188,6 +188,47 @@ def test_asymptotic_report(capsys):
     assert "fekete_all_hold: true" in out
 
 
+# The CI's zero-prior model: type b, of prior 0, has the larger one-letter number.
+ZERO_PRIOR = sg.Model.from_tables(
+    ["0", "1"], ["a", "b"], ["1", "0"], [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+)
+
+
+@pytest.mark.parametrize("name", ["example1", "X6", "P156", "zero-prior"])
+def test_each_printed_rate_is_the_root_of_a_printed_exact_value(capsys, tmp_path, pool, name):
+    # Results hold exact values and the CLI takes every root: each rate line
+    # is the root of an exact line, and the floor's horizon is the exact
+    # argmax of the roots, ties to the first.
+    spec = name
+    if name != "example1":
+        model = {"X6": X6, "P156": pool[156], "zero-prior": ZERO_PRIOR}[name]
+        spec = tmp_path / "model.json"
+        spec.write_text(sg.serialize_model(model), encoding="utf-8")
+
+    def fields(*argv) -> dict:
+        code, out, _ = run(capsys, *argv, "--model", str(spec), "--format", "machine")
+        assert code == 0
+        return dict(line.split("=", 1) for line in out.splitlines())
+
+    def root(exact: str, h: int) -> str:
+        return format(sg.extraction_rate(Fraction(exact), h), ".12g")
+
+    for n in (1, 2, 3):
+        f = fields("bounds", "--n", str(n), "--solve")
+        assert f["lower_rate"] == root(f["alpha_union"], n)
+        assert f["upper_rate"] == root(f["weighted_alpha"], n)
+        assert f["achieved_rate"] == root(f["achieved"], n)
+    f = fields("asymptotic", "--n-max", "5")
+    alphas = [int(f[f"alphas.{i}"]) for i in range(int(f["alphas.count"]))]
+    estimates = [f[f"capacity_estimates.{i}"] for i in range(int(f["capacity_estimates.count"]))]
+    assert estimates == [root(a, h) for h, a in enumerate(alphas, 1)]
+    at = int(f["certified_floor_at"])
+    assert f["certified_floor"] == root(alphas[at - 1], at)
+    # a^(1/g) against b^(1/h) is a^h against b^g: smaller before the floor, at most after it.
+    assert all(alphas[g - 1] ** at < alphas[at - 1] ** g for g in range(1, at))
+    assert all(alphas[g - 1] ** at <= alphas[at - 1] ** g for g in range(at, len(alphas) + 1))
+
+
 def test_simulate_solved_strategy(capsys):
     code, out, _ = run(
         capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "2"

@@ -508,9 +508,9 @@ def test_orbital_search_pins_p156_and_x6_central_binomials():
         assert sg.max_independent_set(g, mis_budget=2**n).size == math.comb(n, n // 2)
 
 
-def marked_symmetric(g: sg.SenderGraph) -> sg.SenderGraph:
-    """`g` marked as the builders mark theirs, so the exact search uses position symmetry."""
-    object.__setattr__(g, "_symmetric", True)
+def marked_symmetric(g: sg.SenderGraph, k: int) -> sg.SenderGraph:
+    """`g` marked as the builders mark theirs on k letters, so the search uses position symmetry."""
+    object.__setattr__(g, "_letters", k)
     return g
 
 
@@ -531,7 +531,9 @@ def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
         pair = tuple(sorted((orbit[u], orbit[v])))
         if joined.setdefault(pair, rng.random() < p):
             edges.append((u, v))
-    return marked_symmetric(sg.SenderGraph(n, graph_from_edges(len(words), edges).adjacency, "test"))
+    return marked_symmetric(
+        sg.SenderGraph(n, graph_from_edges(len(words), edges).adjacency, "test"), k
+    )
 
 
 def test_orbital_search_matches_the_search_without_symmetry():
@@ -655,14 +657,15 @@ def test_only_graphs_from_the_builders_keep_position_symmetry():
         ["0", "1", "2", "3"], ["h"], ["1"], [[[int(r == x) for x in range(4)] for r in range(4)]]
     )
     built = sg.build_sender_graph(honest, 0, 2)  # 16 vertices, no edges
-    # The mark is not a field: equality and repr ignore it.
+    # The mark is the alphabet size, and not a field: equality and repr ignore it.
     twin = sg.SenderGraph(2, built.adjacency, built.provenance)
     assert (built, repr(built)) == (twin, repr(twin))
+    assert (built._letters, twin._letters, sg.union_graph([built, built])._letters) == (4, 0, 4)
     adjacencies = random_sixteen_vertex_adjacencies(200)
     # Searched by orbits, as if built, some of these graphs get a wrong alpha ...
     plain = [sg.max_independent_set(sg.SenderGraph(1, a, "test")).size for a in adjacencies]
     assert any(
-        sg.max_independent_set(marked_symmetric(sg.SenderGraph(2, a, "test"))).size != alpha
+        sg.max_independent_set(marked_symmetric(sg.SenderGraph(2, a, "test"), 4)).size != alpha
         for a, alpha in zip(adjacencies, plain)
     )
     # ... so a union with a hand-built graph, or a copy with new edges, is searched plainly.
@@ -670,7 +673,7 @@ def test_only_graphs_from_the_builders_keep_position_symmetry():
         union = sg.union_graph([built, sg.SenderGraph(2, adjacency, "test")])
         copy = dataclasses.replace(built, adjacency=adjacency)
         for g in (union, copy):
-            assert g.adjacency == adjacency
+            assert (g.adjacency, g._letters) == (adjacency, 0)
             assert sg.max_independent_set(g).size == alpha
     # A union of built graphs keeps the symmetry, and with it the P156 pin.
     g = sg.build_sender_graph(model_pool()[156], 0, 5)

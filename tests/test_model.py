@@ -779,6 +779,32 @@ REFUSALS = {
         lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), (IDENTITY[:1],)),
         "utility['t']: expected a 2x2 matrix",
     ),
+    # Tuples only, checked first: a set alphabet has no order, and a list makes
+    # the model unhashable and unequal to its tuple twin.
+    "set alphabet in a direct build": (
+        lambda: sg.Model({"0", "1"}, ("t",), (Fraction(1),), (IDENTITY,)),
+        "alphabet: expected a tuple, got set",
+    ),
+    "list types in a direct build": (
+        lambda: sg.Model(("0", "1"), ["t"], (Fraction(1),), (IDENTITY,)),
+        "types: expected a tuple, got list",
+    ),
+    "list prior in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), [0.5], (IDENTITY,)),
+        "prior: expected a tuple, got list",
+    ),
+    "list utility in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), [IDENTITY]),
+        "utility: expected a tuple, got list",
+    ),
+    "list table in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), ([*IDENTITY],)),
+        "utility['t']: expected a tuple, got list",
+    ),
+    "list row in a direct build": (
+        lambda: sg.Model(("0", "1"), ("t",), (Fraction(1),), ((IDENTITY[0], [*IDENTITY[1]]),)),
+        "utility['t'] row 1: expected a tuple, got list",
+    ),
     "empty sequence": (
         lambda: sg.simulate(EXAMPLE, sg.ReceiverStrategy(0, {(): ()}, ()), 0, ()),
         "truth: sequences must have length >= 1",

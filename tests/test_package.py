@@ -1,5 +1,5 @@
 """Package rules: stdlib only, one refusal rule and one name per budget, one sequence codec,
-a README API that runs."""
+roots only where a rate is displayed, a README API that runs."""
 
 from __future__ import annotations
 
@@ -59,6 +59,31 @@ def test_only_model_spells_sequences():
         )
     }
     assert spelled == {"model.py"}
+
+
+def test_roots_are_taken_only_where_the_cli_displays_a_rate():
+    # Results hold exact values: the one true division and the one float() are
+    # extraction_rate's root, and only the CLI, which displays rates, calls it.
+    inexact, callers = Counter(), set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and (path.name, func.name) == ("rate.py", "extraction_rate")
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            call = ast.unparse(node.func).rsplit(".", 1)[-1] if isinstance(node, ast.Call) else ""
+            divides = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            if divides or call == "float":
+                where = "extraction_rate" if id(node) in inside else f"{path.name}:{node.lineno}"
+                inexact[where] += 1
+            if call == "extraction_rate":
+                callers.add(path.name)
+    assert inexact == {"extraction_rate": 2}
+    assert callers == {"cli.py"}
 
 
 def test_each_budget_keyword_is_named_after_its_flag():

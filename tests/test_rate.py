@@ -39,9 +39,9 @@ def test_finite_bounds_example_one_letter(example):
     assert bounds.lower_certified
     assert bounds.upper_certified
     assert bounds.achieved_certified
-    assert bounds.lower_rate == 1.0
-    assert bounds.achieved_rate == pytest.approx(4 / 3)
-    assert bounds.upper_rate == pytest.approx(5 / 3)
+    assert sg.extraction_rate(bounds.alpha_union, bounds.n) == 1.0
+    assert sg.extraction_rate(bounds.achieved, bounds.n) == 4 / 3
+    assert sg.extraction_rate(bounds.weighted_alpha, bounds.n) == 5 / 3
 
 
 def test_finite_bounds_example_two_letters(example):
@@ -51,7 +51,7 @@ def test_finite_bounds_example_two_letters(example):
     assert bounds.weighted_alpha == Fraction(11, 3)
     assert bounds.achieved == 3
     assert bounds.achieved_certified
-    assert bounds.achieved_rate == pytest.approx(3**0.5)
+    assert sg.extraction_rate(bounds.achieved, bounds.n) == 3**0.5
 
 
 def test_bounds_sandwich_the_optimum():
@@ -67,7 +67,7 @@ def test_bounds_sandwich_the_optimum():
 def test_bounds_without_solve_have_no_achieved_rate(example):
     bounds = sg.finite_bounds(example, 2)
     assert bounds.achieved is None
-    assert bounds.achieved_rate is None
+    assert not hasattr(bounds, "achieved_rate")  # a rate is a root, taken only for display
     assert not bounds.achieved_certified
 
 
@@ -171,10 +171,8 @@ def test_asymptotic_example_golden(example):
     assert report.alpha_per_type == (3, 1)
     assert report.best_type == example.type_index("h")
     assert report.union_floor == 1
-    assert report.alphas == (3, 9, 27)
-    assert report.capacity_estimates == (3.0, pytest.approx(3.0), pytest.approx(3.0))
-    assert report.certified_floor == 3.0
-    assert report.certified_floor_at == 1
+    assert report.alphas == (3, 9, 27)  # every root is exactly 3
+    assert (report.certified_floor_at, report.alphas[0]) == (1, 3)
     witnesses = [
         (w.m, w.n, w.alpha_m, w.alpha_n, w.alpha_sum) for w in report.fekete_witnesses
     ]
@@ -185,10 +183,9 @@ def test_asymptotic_example_golden(example):
 def test_asymptotic_deceptive_only_model_is_flat():
     report = sg.asymptotic_bounds(only_deceptive_model(), 4)
     assert report.alpha_per_type == (1,)
-    assert report.alphas == (1, 1, 1, 1)
-    assert report.capacity_estimates == (1.0, 1.0, 1.0, 1.0)
+    assert report.alphas == (1, 1, 1, 1)  # every root is exactly 1
     assert report.union_floor == 1
-    assert report.certified_floor == 1.0
+    assert (report.certified_floor_at, report.alphas[0]) == (1, 1)
     assert all(w.holds for w in report.fekete_witnesses)
 
 
@@ -216,10 +213,11 @@ def test_asymptotic_best_type_has_positive_prior():
     )
     report = sg.asymptotic_bounds(m, 3)
     assert report.alpha_per_type == (1, 2)
-    assert (report.best_type, report.alphas, report.certified_floor) == (0, (1, 1, 1), 1.0)
+    assert (report.best_type, report.alphas, report.certified_floor_at) == (0, (1, 1, 1), 1)
     assert report.union_floor == 1
     achieved = sg.finite_bounds(m, 3, solve=True).achieved
-    assert achieved == 1 and report.certified_floor <= sg.extraction_rate(achieved, 3)
+    # The floor's root alphas[0]^(1/1) is at most achieved^(1/3): compared exactly.
+    assert achieved == 1 and report.alphas[0] ** 3 <= achieved
 
 
 def test_asymptotic_floor_moves_to_the_horizon_with_the_largest_root():
@@ -228,11 +226,10 @@ def test_asymptotic_floor_moves_to_the_horizon_with_the_largest_root():
     m = sg.Model.from_tables(["0", "1"], ["b"], {"b": 1}, {"b": [[-2, -1], [-2, 1]]})
     report = sg.asymptotic_bounds(m, 4)
     assert report.alphas == (1, 2, 3, 6)
-    assert (report.certified_floor_at, report.certified_floor) == (4, 6**0.25)
+    assert (report.certified_floor_at, report.alphas[3]) == (4, 6)
     report = sg.asymptotic_bounds(m, 6)
     assert report.alphas == (1, 2, 3, 6, 10, 20)
-    assert report.certified_floor_at == 6
-    assert report.certified_floor == pytest.approx(20 ** (1 / 6))
+    assert (report.certified_floor_at, report.alphas[5]) == (6, 20)
 
 
 def test_x6_is_its_named_draw_and_type_b_recovers_the_central_binomials():
