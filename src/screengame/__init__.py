@@ -50,7 +50,6 @@ from .gameplay import (
 )
 from .rate import (
     AsymptoticReport,
-    FeketeWitness,
     RateBounds,
     asymptotic_bounds,
     extraction_rate,
@@ -65,7 +64,6 @@ __all__ = [
     "CrossCheckResult",
     "EXAMPLE1_TEXT",
     "EquilibriumResult",
-    "FeketeWitness",
     "HONEST",
     "IndependentSetResult",
     "Model",

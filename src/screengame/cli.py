@@ -31,7 +31,6 @@ from .model import (
     check_space,
     classify_type,
     enumerate_sequences,
-    format_sequence,
     parse_model,
     serialize_model,
 )
@@ -269,8 +268,14 @@ def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
     report = asymptotic_bounds(model, args.n_max, **_given(args, "mis_budget", "enum_budget"))
     alphas = report.alphas
     at = report.certified_floor_at
+    # Supermultiplicativity at every pair m <= n with m + n <= n_max, each (line, holds).
+    fekete = []
+    for m in range(1, args.n_max):
+        for n in range(m, args.n_max - m + 1):
+            a, b, ab = alphas[m - 1], alphas[n - 1], alphas[m + n - 1]
+            fekete.append((f"{m}+{n}: {a}*{b}<={ab}", ab >= a * b))
     payload = {
-        "n_max": report.n_max,
+        "n_max": args.n_max,
         "alpha_per_type": dict(zip(model.types, report.alpha_per_type)),
         "best_type": model.types[report.best_type],
         "union_floor": report.union_floor,
@@ -278,12 +283,8 @@ def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
         "capacity_estimates": [extraction_rate(a, h) for h, a in enumerate(alphas, 1)],
         "certified_floor": extraction_rate(alphas[at - 1], at),
         "certified_floor_at": at,
-        "fekete": [
-            f"{w.m}+{w.n}: {w.alpha_m}*{w.alpha_n}<={w.alpha_sum} "
-            f"{'ok' if w.holds else 'VIOLATED'}"
-            for w in report.fekete_witnesses
-        ],
-        "fekete_all_hold": all(w.holds for w in report.fekete_witnesses),
+        "fekete": [f"{line} {'ok' if holds else 'VIOLATED'}" for line, holds in fekete],
+        "fekete_all_hold": all(holds for _, holds in fekete),
     }
     return payload, 0
 
@@ -314,16 +315,18 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
     outcome = simulate(
         model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"), **enum
     )
+    shown = [truth, outcome.decoded, outcome.reported]  # in range: skip format_sequence's check
+    truth_text, decoded, reported = _format_sequences(model, shown)
     payload = {
         "n": n,
         "type": args.type,
         "strategy_origin": origin,
         "image": _format_sequences(model, strategy.image),
-        "truth": format_sequence(model, truth),
+        "truth": truth_text,
         "policy": outcome.policy,
         "options": _format_sequences(model, outcome.options),
-        "decoded": format_sequence(model, outcome.decoded),
-        "reported": format_sequence(model, outcome.reported),
+        "decoded": decoded,
+        "reported": reported,
         "recovered": outcome.recovered,
         "utility": outcome.utility,
         "worst_case_value": report.value,

@@ -55,8 +55,9 @@ TIE_POLICIES = (ADVERSARIAL, LEXICOGRAPHIC, RANDOM)
 class ReceiverStrategy:
     """A committed decoding map: reports in `mapping` decode to its value, others to `fallback`.
 
-    Every decoded sequence has length `n`, and `fallback` is one of them, so
-    the image is never empty and holds exactly what `decode` can return.
+    Every sequence in `mapping`, reported or decoded, has length `n`, and
+    `fallback` is a decoded one, so the image is never empty and holds
+    exactly what `decode` can return.
     """
 
     n: int
@@ -64,11 +65,10 @@ class ReceiverStrategy:
     fallback: Seq
 
     def __post_init__(self):
-        for decoded in self.mapping.values():
-            if len(decoded) != self.n:
-                raise ValueError(
-                    f"decoded sequence {decoded} has length {len(decoded)}, not {self.n}"
-                )
+        for reported, decoded in self.mapping.items():
+            for name, seq in (("reported sequence", reported), ("decoded sequence", decoded)):
+                if len(seq) != self.n:
+                    raise ValueError(f"{name} {seq} has length {len(seq)}, not {self.n}")
         if self.fallback not in self.image:
             raise ValueError("fallback must be a questionnaire member")
 

@@ -431,6 +431,8 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
 
 def export_dot(graph: SenderGraph, labels: list[str]) -> str:
     """Deterministic Graphviz rendering: vertices, labeled `labels[v]`, then edges, ascending."""
+    if len(labels) != graph.vertex_count:
+        raise ValueError(f"{len(labels)} labels for {graph.vertex_count} vertices")
     name = f"sender_{graph.provenance}_n{graph.n}"
     safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
     lines = [f"graph {safe} {{"]

@@ -446,6 +446,7 @@ def _format_sequences(model: Model, seqs) -> list[str]:
 
 
 def format_sequence(model: Model, seq: Seq) -> str:
+    _check_sequences(model, [seq], "sequence")
     return _format_sequences(model, [seq])[0]
 
 

@@ -112,27 +112,14 @@ def finite_bounds(
 
 
 @dataclass(frozen=True)
-class FeketeWitness:
-    type_id: int
-    m: int
-    n: int
-    alpha_m: int
-    alpha_n: int
-    alpha_sum: int  # independence number at horizon m + n
-    holds: bool  # alpha_sum >= alpha_m * alpha_n
-
-
-@dataclass(frozen=True)
 class AsymptoticReport:
     """Long-horizon picture from one-letter graphs and a best type, in exact values."""
 
-    n_max: int
     alpha_per_type: tuple[int, ...]  # one-letter independence numbers
     best_type: int  # argmax of those over types of positive prior, ties to the lowest id
     union_floor: int  # one-letter union independence number
     alphas: tuple[int, ...]  # best type's numbers at horizons 1..n_max: h-th roots are floors
     certified_floor_at: int  # horizon of the largest root, ties to the first
-    fekete_witnesses: tuple[FeketeWitness, ...]  # all pairs m <= n, m+n <= n_max
 
 
 def asymptotic_bounds(
@@ -147,8 +134,8 @@ def asymptotic_bounds(
     The one-letter union independence number is a floor for every horizon
     (products of one-letter independent sets stay independent), while the
     per-letter growth of the best single type's independence numbers is a
-    ceiling target; its numbers are reported for n = 1..n_max together
-    with supermultiplicativity witnesses. The best type is chosen among the
+    ceiling target; its numbers are reported for n = 1..n_max, and the CLI
+    checks their supermultiplicativity. The best type is chosen among the
     types of positive prior: one of prior 0 recovers nothing in the value,
     so its roots would be no floor.
     """
@@ -175,26 +162,10 @@ def asymptotic_bounds(
     for h in range(2, n_max + 1):
         if alphas[h - 1] ** floor_h > alphas[floor_h - 1] ** h:
             floor_h = h
-
-    witnesses = [
-        FeketeWitness(
-            type_id=best_type,
-            m=m,
-            n=n,
-            alpha_m=alphas[m - 1],
-            alpha_n=alphas[n - 1],
-            alpha_sum=alphas[m + n - 1],
-            holds=alphas[m + n - 1] >= alphas[m - 1] * alphas[n - 1],
-        )
-        for m in range(1, n_max)
-        for n in range(m, n_max - m + 1)
-    ]
     return AsymptoticReport(
-        n_max=n_max,
         alpha_per_type=alpha1,
         best_type=best_type,
         union_floor=one_letter.alpha_union,
         alphas=tuple(alphas),
         certified_floor_at=floor_h,
-        fekete_witnesses=tuple(witnesses),
     )

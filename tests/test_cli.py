@@ -188,6 +188,137 @@ def test_asymptotic_report(capsys):
     assert "fekete_all_hold: true" in out
 
 
+# Every line of `asymptotic --n-max 4` but timing_ms; {model} is X6's file
+# path. The fekete lines come from alphas, one per pair m <= n with m + n <= 4.
+ASYMPTOTIC_GOLDEN = {
+    ("example1", "plain"): """\
+command: asymptotic
+model: example1
+digest: 145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738
+n_max: 4
+alpha_per_type:
+  h: 3
+  d: 1
+best_type: h
+union_floor: 1
+alphas:
+  - 3
+  - 9
+  - 27
+  - 81
+capacity_estimates:
+  - 3
+  - 3
+  - 3
+  - 3
+certified_floor: 3
+certified_floor_at: 1
+fekete:
+  - 1+1: 3*3<=9 ok
+  - 1+2: 3*9<=27 ok
+  - 1+3: 3*27<=81 ok
+  - 2+2: 9*9<=81 ok
+fekete_all_hold: true
+""",
+    ("example1", "machine"): """\
+command=asymptotic
+model=example1
+digest=145323e7165a1bd4862143c9299c4305b39d91d0c3bbb79cc045dfb499b2b738
+n_max=4
+alpha_per_type.h=3
+alpha_per_type.d=1
+best_type=h
+union_floor=1
+alphas.count=4
+alphas.0=3
+alphas.1=9
+alphas.2=27
+alphas.3=81
+capacity_estimates.count=4
+capacity_estimates.0=3
+capacity_estimates.1=3
+capacity_estimates.2=3
+capacity_estimates.3=3
+certified_floor=3
+certified_floor_at=1
+fekete.count=4
+fekete.0=1+1: 3*3<=9 ok
+fekete.1=1+2: 3*9<=27 ok
+fekete.2=1+3: 3*27<=81 ok
+fekete.3=2+2: 9*9<=81 ok
+fekete_all_hold=true
+""",
+    ("X6", "plain"): """\
+command: asymptotic
+model: {model}
+digest: 0354c299b5a710375e6737ea6cad8a076f3a008d7617207353d4c74e93119232
+n_max: 4
+alpha_per_type:
+  a: 1
+  b: 1
+best_type: a
+union_floor: 1
+alphas:
+  - 1
+  - 1
+  - 1
+  - 1
+capacity_estimates:
+  - 1
+  - 1
+  - 1
+  - 1
+certified_floor: 1
+certified_floor_at: 1
+fekete:
+  - 1+1: 1*1<=1 ok
+  - 1+2: 1*1<=1 ok
+  - 1+3: 1*1<=1 ok
+  - 2+2: 1*1<=1 ok
+fekete_all_hold: true
+""",
+    ("X6", "machine"): """\
+command=asymptotic
+model={model}
+digest=0354c299b5a710375e6737ea6cad8a076f3a008d7617207353d4c74e93119232
+n_max=4
+alpha_per_type.a=1
+alpha_per_type.b=1
+best_type=a
+union_floor=1
+alphas.count=4
+alphas.0=1
+alphas.1=1
+alphas.2=1
+alphas.3=1
+capacity_estimates.count=4
+capacity_estimates.0=1
+capacity_estimates.1=1
+capacity_estimates.2=1
+capacity_estimates.3=1
+certified_floor=1
+certified_floor_at=1
+fekete.count=4
+fekete.0=1+1: 1*1<=1 ok
+fekete.1=1+2: 1*1<=1 ok
+fekete.2=1+3: 1*1<=1 ok
+fekete.3=2+2: 1*1<=1 ok
+fekete_all_hold=true
+""",
+}
+
+
+@pytest.mark.parametrize("name, fmt", list(ASYMPTOTIC_GOLDEN))
+def test_asymptotic_golden(capsys, tmp_path, name, fmt):
+    spec = "example1"
+    if name == "X6":
+        spec = tmp_path / "x6.json"
+        spec.write_text(sg.serialize_model(X6), encoding="utf-8")
+    code, out, _ = run(capsys, "asymptotic", "--model", str(spec), "--n-max", "4", "--format", fmt)
+    assert code == 0
+    assert stable_lines(out) == ASYMPTOTIC_GOLDEN[name, fmt].format(model=spec).splitlines()
+
+
 # The CI's zero-prior model: type b, of prior 0, has the larger one-letter number.
 ZERO_PRIOR = sg.Model.from_tables(
     ["0", "1"], ["a", "b"], ["1", "0"], [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]

@@ -181,6 +181,9 @@ def test_strategies_refuse_bad_decoded_sequences(example):
     # The first is refused when the map is built, the others by both readers.
     with pytest.raises(ValueError, match=r"decoded sequence \(0, 0\) has length 2, not 1"):
         sg.ReceiverStrategy(1, {(0,): (0, 0), (1,): (0,), (2,): (0,)}, (0,))
+    # A report key of another length could never be reported, and was ignored.
+    with pytest.raises(ValueError, match=r"reported sequence \(0, 0\) has length 2, not 1"):
+        sg.ReceiverStrategy(1, {(0, 0): (1,)}, (1,))
     seqs = sg.enumerate_sequences(example, 2)
     for strategy, truth, symbol in (
         (sg.ReceiverStrategy(1, {(0,): (0,), (1,): (7,), (2,): (0,)}, (0,)), (0,), 7),

@@ -366,6 +366,14 @@ def test_export_dot_is_frozen_and_deterministic(example):
     assert sg.export_dot(union, labels).startswith("graph sender_union_n1 {")
 
 
+def test_export_dot_refuses_a_label_count_other_than_the_vertex_count(example):
+    # One label for three vertices wrote edges to v1 and v2 but no node line for them.
+    g = sg.build_sender_graph(example, 1, 1)
+    for labels in (["0"], ["0", "1", "2", "3"]):
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 3 vertices"):
+            sg.export_dot(g, labels)
+
+
 def test_export_dot_escapes_backslashes_and_quotes():
     labels = ['say "hi"', "back\\slash"]
     m = sg.Model.from_tables(labels, ["t"], {"t": 1}, {"t": [[1, 0], [0, 1]]})

@@ -337,6 +337,10 @@ def test_format_sequence(example):
     )
     assert sg.format_sequence(m, (0, 1)) == "lo,hi"
     assert sg.format_sequence(example, (2, 0)) == "20"
+    # An id outside the alphabet is refused, not read from the end or raised as IndexError.
+    for seq, symbol in (((-1, 0), -1), ((5,), 5)):
+        with pytest.raises(ValueError, match=f"sequence: symbol id {symbol} out of range"):
+            sg.format_sequence(example, seq)
 
 
 # JSON-escaped labels, and labels of mixed lengths where one is a prefix of another.
