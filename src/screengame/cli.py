@@ -19,7 +19,6 @@ from functools import cache
 from pathlib import Path
 
 from .model import (
-    DEFAULT_ENUMERATION_BUDGET,
     EXAMPLE1_TEXT,
     Model,
     ModelError,
@@ -28,7 +27,6 @@ from .model import (
     _format_sequences,
     _parse_members,
     _parse_sequence,
-    check_space,
     classify_type,
     enumerate_sequences,
     parse_model,
@@ -178,7 +176,7 @@ def _cmd_graph(args, model: Model) -> tuple[dict | None, int]:
     }
     if alpha != "skip":
         result = max_independent_set(graph, mode=alpha, **_given(args, "mis_budget"))
-        payload["alpha"] = result.size
+        payload["alpha"] = len(result.members)
         payload["alpha_certified"] = result.certified
         payload["independent_set"] = _format_sequences(model, [seqs[v] for v in result.members])
     return payload, 0
@@ -198,7 +196,7 @@ def _cmd_solve(args, model: Model) -> tuple[dict | None, int]:
     designated = result.designated
     payload = {
         "n": args.n,
-        "mode": result.mode,
+        "mode": args.mode,
         "certified": result.certified,
         "objective": result.optimum,
         "rate": extraction_rate(result.optimum, args.n),
@@ -227,19 +225,20 @@ def _cmd_oracle_check(args, model: Model) -> tuple[dict | None, int]:
         _refuse(args, "--strategies all", "subset_budget")
     options = _given(args, "count", "seed", "subset_budget", "enum_budget")
     result = cross_check_equivalence(model, args.n, strategies=args.strategies, **options)
+    agreed = not result.mismatches
     payload = {
         "n": args.n,
         "strategies": args.strategies,
         "image_sets_checked": result.image_sets_checked,
         "types": model.num_types,
-        "agreed": result.agreed,
+        "agreed": agreed,
     }
-    if not result.agreed:
+    if not agreed:
         payload["mismatches"] = [
             f"{_format_members(model, members)}: played {played}, formula {formula}"
             for members, played, formula in result.mismatches[:10]
         ]
-    return payload, 0 if result.agreed else 1
+    return payload, 0 if agreed else 1
 
 
 def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
@@ -267,7 +266,11 @@ def _cmd_bounds(args, model: Model) -> tuple[dict | None, int]:
 def _cmd_asymptotic(args, model: Model) -> tuple[dict | None, int]:
     report = asymptotic_bounds(model, args.n_max, **_given(args, "mis_budget", "enum_budget"))
     alphas = report.alphas
-    at = report.certified_floor_at
+    # The largest root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h); ties to the first.
+    at = 1
+    for h, a in enumerate(alphas[1:], 2):
+        if a**at > alphas[at - 1] ** h:
+            at = h
     # Supermultiplicativity at every pair m <= n with m + n <= n_max, each (line, holds).
     fekete = []
     for m in range(1, args.n_max):
@@ -308,13 +311,12 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         )
         strategy = canonical_strategy(solved.designated.members)
         origin = "solved"
-    # Both scans are priced before either runs: simulate's k^n report search
-    # here, then the played-out scan inside recovery_report, before simulate.
-    check_space(model, n, enum.get("enum_budget", DEFAULT_ENUMERATION_BUDGET), "report search")
-    report = recovery_report(model, strategy, **enum)
+    # Each reader prices its own scan before running it: simulate's k^n report
+    # search first, then recovery_report's played-out scan.
     outcome = simulate(
         model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"), **enum
     )
+    report = recovery_report(model, strategy, **enum)
     shown = [truth, outcome.decoded, outcome.reported]  # in range: skip format_sequence's check
     truth_text, decoded, reported = _format_sequences(model, shown)
     payload = {
@@ -323,11 +325,11 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         "strategy_origin": origin,
         "image": _format_sequences(model, strategy.image),
         "truth": truth_text,
-        "policy": outcome.policy,
+        "policy": args.policy,
         "options": _format_sequences(model, outcome.options),
         "decoded": decoded,
         "reported": reported,
-        "recovered": outcome.recovered,
+        "recovered": outcome.decoded == truth,
         "utility": outcome.utility,
         "worst_case_value": report.value,
         "robust": {

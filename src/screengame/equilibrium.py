@@ -77,7 +77,6 @@ def truthful_subset(model: Model, members, type_id: int) -> tuple[Seq, ...]:
 class Questionnaire:
     """One evaluated questionnaire with its per-type truthful subsets."""
 
-    n: int
     members: tuple[Seq, ...]  # ascending
     truthful: tuple[tuple[Seq, ...], ...]  # per type id
     objective: Fraction
@@ -88,7 +87,7 @@ def evaluate_questionnaire(model: Model, members) -> Questionnaire:
     parts = tuple(truthful_subset(model, mem, t) for t in range(model.num_types))
     scale, weights = model.prior_weights
     objective = Fraction(sum(map(mul, weights, map(len, parts))), scale)
-    return Questionnaire(len(mem[0]), mem, parts, objective)
+    return Questionnaire(mem, parts, objective)
 
 
 def packed_scorer(model: Model, n: int, enum_budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -173,9 +172,7 @@ def _floor_questionnaires(model: Model, beats: list[int], score, covers: list):
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    n: int
-    mode: str  # "exact" or "heuristic"
-    certified: bool  # True when the optimum is proven, not just attained
+    certified: bool  # True from the exact search, whose optimum is proven, not just attained
     optimum: Fraction
     maximizers: tuple[tuple[Seq, ...], ...]  # lexicographic, capped
     maximizer_count: int  # found; a lower bound unless maximizers_complete
@@ -289,8 +286,6 @@ def solve_exact(
     )
     designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(maximizers[0])])
     return EquilibriumResult(
-        n=n,
-        mode="exact",
         certified=True,
         optimum=Fraction(best, scale),
         maximizers=member_sets,
@@ -378,8 +373,6 @@ def solve_heuristic(
         current, current_value = floor, floor_value
     designated = evaluate_questionnaire(model, [seqs[v] for v in _mask_to_members(current)])
     return EquilibriumResult(
-        n=n,
-        mode="heuristic",
         certified=False,
         optimum=Fraction(current_value, scale),
         maximizers=(designated.members,),

@@ -133,13 +133,15 @@ def recovery_report(
     so robust sets follow sequence order. A truth's best responses are the
     reports decoding to its winners; the product of their counts over truths
     is the multiplicity, since best responses choose independently. Its k^n
-    sequences and T * k^n * |image| payoffs are refused past `enum_budget`.
+    sequences and T * k^n * |image| payoffs are refused past `enum_budget`,
+    and then a report key naming a symbol outside the model.
     """
     image = strategy.image
     n = strategy.n
     _check_sequences(model, image, "image")
     payoffs = model.num_types * _count_sequences(model, n, enum_budget) * len(image)
     _within_budget("played-out scan", payoffs, enum_budget)
+    _check_sequences(model, strategy.mapping, "report")
     seqs = enumerate_sequences(model, n, enum_budget=enum_budget)
     reach = Counter(map(strategy.decode, seqs))  # reports per decoded outcome
     space = [range(model.num_symbols)] * n
@@ -156,12 +158,9 @@ def recovery_report(
 
 @dataclass(frozen=True)
 class SimulationOutcome:
-    truth: Seq
-    policy: str
     options: tuple[Seq, ...]  # optimal decoded outcomes available to the sender
-    decoded: Seq  # the outcome the sender settled on
+    decoded: Seq  # the outcome the sender settled on: the truth is recovered iff it is this
     reported: Seq  # lexicographically least report achieving it
-    recovered: bool
     utility: Fraction
 
 
@@ -182,7 +181,8 @@ def simulate(
     Policies: adversarial picks an option differing from the truth whenever
     one exists (least such), lexicographic picks the least option, random
     draws from a generator seeded per (seed, type, truth) so concurrent calls
-    replay identically.
+    replay identically. Every argument is checked before either scan, the
+    strategy's report keys last.
     """
     truth = tuple(truth)
     n = len(truth)
@@ -194,6 +194,9 @@ def simulate(
     _check_sequences(model, [truth], "truth")
     _check_type(model, type_id)
     _check_sequences(model, image, "image")
+    if policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {policy!r}")
+    _check_sequences(model, strategy.mapping, "report")
     scale, _ = model.scaled_utility[type_id]
     (totals,) = _payoffs(model, type_id, zip(truth), image)
     best_total, options = _best_response(totals, image)
@@ -202,33 +205,26 @@ def simulate(
         decoded = min(lying) if lying else options[0]
     elif policy == LEXICOGRAPHIC:
         decoded = min(options)
-    elif policy == RANDOM:
+    else:  # RANDOM
         stream_seed = seed
         for part in (type_id, len(truth), *truth):
             stream_seed = stream_seed * 1000003 + part + 1
         decoded = random.Random(stream_seed).choice(options)
-    else:
-        raise ValueError(f"unknown tie policy {policy!r}")
     # decoded is in the image, so some report reaches it; the least one is kept.
     reports = itertools.product(range(model.num_symbols), repeat=n)
     reported = next(y for y in reports if strategy.decode(y) == decoded)
     return SimulationOutcome(
-        truth=truth,
-        policy=policy,
         options=tuple(options),
         decoded=decoded,
         reported=reported,
-        recovered=decoded == truth,
         utility=Fraction(best_total, n * scale),
     )
 
 
 @dataclass(frozen=True)
 class CrossCheckResult:
-    n: int
     image_sets_checked: int
-    agreed: bool
-    mismatches: tuple[tuple[tuple[Seq, ...], Fraction, Fraction], ...]
+    mismatches: tuple[tuple[tuple[Seq, ...], Fraction, Fraction], ...]  # empty when they agreed
 
 
 def cross_check_equivalence(
@@ -282,7 +278,7 @@ def cross_check_equivalence(
             mismatches.append((members, Fraction(played, scale), Fraction(formula, scale)))
     if strategies == "all":  # from depth-first order to size, then combination order
         mismatches.sort(key=lambda mismatch: (len(mismatch[0]), mismatch[0]))
-    return CrossCheckResult(n, checked, not mismatches, tuple(mismatches))
+    return CrossCheckResult(checked, tuple(mismatches))
 
 
 def _image_id_sets(space: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:

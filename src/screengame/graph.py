@@ -125,8 +125,7 @@ def check_mis_budget(model: Model, horizons, mis_budget: int = DEFAULT_EXACT_MIS
 
 @dataclass(frozen=True)
 class IndependentSetResult:
-    members: tuple[int, ...]  # vertex ids, ascending
-    size: int
+    members: tuple[int, ...]  # vertex ids, ascending; their count is the set's size
     certified: bool  # True only for the exact search
     nodes: int = 0  # branch-and-bound nodes visited; 0 in greedy mode or when proved by a cover
 
@@ -168,7 +167,7 @@ def max_independent_set(
     """
     if mode == "greedy":
         members = _mask_to_members(_greedy_independent_set(graph.adjacency))
-        return IndependentSetResult(members, len(members), False)
+        return IndependentSetResult(members, False)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     _within_budget("exact independent set", graph.vertex_count, mis_budget)
@@ -186,7 +185,7 @@ def max_independent_set(
     if chosen.bit_count() < ceiling:
         chosen = _greedy_independent_set(adjacency)
     if chosen.bit_count() == ceiling:
-        return IndependentSetResult(_mask_to_members(chosen), ceiling, True)
+        return IndependentSetResult(_mask_to_members(chosen), True)
     best_mask = _swap_descent(adjacency, chosen)
     best_size = best_mask.bit_count()
     n = graph.n if graph._letters else 1
@@ -250,7 +249,7 @@ def max_independent_set(
         else:
             stack.append((current | bit, size + 1, cand & ~closed, _refine(blocks, words[pivot])))
         stack.append((current, size, cand & ~orbit, blocks))
-    return IndependentSetResult(_mask_to_members(best_mask), best_size, True, nodes)
+    return IndependentSetResult(_mask_to_members(best_mask), True, nodes)
 
 
 def _orbit(letters: dict, words: list, blocks: tuple, v: int) -> int:

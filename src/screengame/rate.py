@@ -42,7 +42,6 @@ def extraction_rate(value: Fraction | int, n: int) -> float:
 class RateBounds:
     """Sandwich for the optimal length-n recovery value, exact: the rates are their n-th roots."""
 
-    n: int
     alpha_union: int  # independent set size in the union graph (floor)
     alpha_per_type: tuple[int, ...]  # per-type independent set sizes
     weighted_alpha: Fraction  # prior-weighted sum of per-type sizes (ceiling)
@@ -77,14 +76,15 @@ def finite_bounds(
     union = union_graph(graphs)
     certified = union.vertex_count <= mis_budget  # every graph has one vertex per sequence
     if certified:
-        per_type = [max_independent_set(g, mis_budget=mis_budget).size for g in graphs]
+        alpha = lambda g: len(max_independent_set(g, mis_budget=mis_budget).members)
+        per_type = list(map(alpha, graphs))
         # A union with no edge beyond one type's graph has that type's number.
         same = [size for g, size in zip(graphs, per_type) if g.adjacency == union.adjacency]
-        union_alpha = same[0] if same else max_independent_set(union, mis_budget=mis_budget).size
+        union_alpha = same[0] if same else alpha(union)
     else:
         everyone = (1 << union.vertex_count) - 1
         per_type = [len(_cover_classes(g.adjacency, everyone, False)) for g in graphs]
-        union_alpha = max_independent_set(union, mode="greedy").size
+        union_alpha = len(max_independent_set(union, mode="greedy").members)
     scale, weights = model.prior_weights
     weighted = Fraction(sum(map(mul, weights, per_type)), scale)
 
@@ -100,7 +100,6 @@ def finite_bounds(
             achieved = solve_heuristic(model, n, enum_budget=enum_budget).optimum
 
     return RateBounds(
-        n=n,
         alpha_union=union_alpha,
         alpha_per_type=tuple(per_type),
         weighted_alpha=weighted,
@@ -119,7 +118,6 @@ class AsymptoticReport:
     best_type: int  # argmax of those over types of positive prior, ties to the lowest id
     union_floor: int  # one-letter union independence number
     alphas: tuple[int, ...]  # best type's numbers at horizons 1..n_max: h-th roots are floors
-    certified_floor_at: int  # horizon of the largest root, ties to the first
 
 
 def asymptotic_bounds(
@@ -135,9 +133,9 @@ def asymptotic_bounds(
     (products of one-letter independent sets stay independent), while the
     per-letter growth of the best single type's independence numbers is a
     ceiling target; its numbers are reported for n = 1..n_max, and the CLI
-    checks their supermultiplicativity. The best type is chosen among the
-    types of positive prior: one of prior 0 recovers nothing in the value,
-    so its roots would be no floor.
+    picks their largest root and checks their supermultiplicativity. The
+    best type is chosen among the types of positive prior: one of prior 0
+    recovers nothing in the value, so its roots would be no floor.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -149,23 +147,13 @@ def asymptotic_bounds(
     alpha1 = one_letter.alpha_per_type
     played = [t for t, weight in enumerate(model.prior_weights[1]) if weight > 0]
     best_type = max(played, key=lambda t: (alpha1[t], -t))
-    alphas = [alpha1[best_type]] + [
-        max_independent_set(
-            build_sender_graph(model, best_type, h, enum_budget=enum_budget),
-            mis_budget=mis_budget,
-        ).size
-        for h in range(2, n_max + 1)
-    ]
-    # Pick the best root by exact comparison (a^(1/h) > b^(1/g) iff a^g > b^h);
-    # first horizon wins ties.
-    floor_h = 1
+    alphas = [alpha1[best_type]]
     for h in range(2, n_max + 1):
-        if alphas[h - 1] ** floor_h > alphas[floor_h - 1] ** h:
-            floor_h = h
+        graph = build_sender_graph(model, best_type, h, enum_budget=enum_budget)
+        alphas.append(len(max_independent_set(graph, mis_budget=mis_budget).members))
     return AsymptoticReport(
         alpha_per_type=alpha1,
         best_type=best_type,
         union_floor=one_letter.alpha_union,
         alphas=tuple(alphas),
-        certified_floor_at=floor_h,
     )

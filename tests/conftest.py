@@ -118,7 +118,7 @@ def fekete_check(model: sg.Model, type_id: int, m: int, n: int) -> bool:
     """Supermultiplicativity: alpha at horizon m + n reaches alpha(m) * alpha(n)."""
 
     def alpha(h: int) -> int:
-        return sg.max_independent_set(sg.build_sender_graph(model, type_id, h)).size
+        return len(sg.max_independent_set(sg.build_sender_graph(model, type_id, h)).members)
 
     return alpha(m + n) >= alpha(m) * alpha(n)
 

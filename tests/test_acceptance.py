@@ -72,7 +72,7 @@ def test_criterion_2_played_recovery_equals_formula(pool):
                         model, n, strategies="random", count=50, seed=idx
                     )
                     assert result.image_sets_checked == 50
-                assert result.agreed, result.mismatches[:3]
+                assert not result.mismatches, result.mismatches[:3]
                 image_sets += result.image_sets_checked
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0
@@ -131,13 +131,13 @@ def test_criterion_5_product_floor_and_growth_laws(example, pool):
             graphs = [
                 sg.build_sender_graph(model, t, 1) for t in range(model.num_types)
             ]
-            base = sg.max_independent_set(sg.union_graph(graphs)).size
+            base = len(sg.max_independent_set(sg.union_graph(graphs)).members)
             for n in (2, 3):
                 graphs_n = [
                     sg.build_sender_graph(model, t, n)
                     for t in range(model.num_types)
                 ]
-                alpha_n = sg.max_independent_set(sg.union_graph(graphs_n)).size
+                alpha_n = len(sg.max_independent_set(sg.union_graph(graphs_n)).members)
                 assert alpha_n >= base**n
                 floors += 1
 
@@ -155,7 +155,7 @@ def test_criterion_5_product_floor_and_growth_laws(example, pool):
         d = example.type_index("d")
         for n in range(1, 5):
             graph = sg.build_sender_graph(example, d, n)
-            assert sg.max_independent_set(graph).size == 1
+            assert len(sg.max_independent_set(graph).members) == 1
         gate.note = (
             f"{floors} product floors, {witnesses} growth witnesses, "
             "example pins best type and flat deceptive graphs"
@@ -185,7 +185,7 @@ def test_criterion_6_honest_identity_and_adversarial_play(example, pool):
                     played = tuple(
                         truth
                         for truth in seqs
-                        if sg.simulate(model, strategy, t, truth).recovered
+                        if sg.simulate(model, strategy, t, truth).decoded == truth
                     )
                     assert played == robust
         assert honest_checked >= 5

@@ -79,6 +79,7 @@ def test_solve_machine_golden(capsys):
         capsys, "solve", "--model", "example1", "--n", "1", "--format", "machine"
     )
     assert code == 0
+    assert "mode=exact" in out.splitlines()
     assert "objective=4/3" in out
     assert "maximizers.count=2" in out
     assert "maximizers.0=0;2" in out
@@ -319,6 +320,21 @@ def test_asymptotic_golden(capsys, tmp_path, name, fmt):
     assert stable_lines(out) == ASYMPTOTIC_GOLDEN[name, fmt].format(model=spec).splitlines()
 
 
+@pytest.mark.parametrize("n_max, floor", [(4, "1.56508458007"), (6, "1.64754897244")])
+def test_asymptotic_floor_is_at_the_horizon_of_the_largest_root(capsys, tmp_path, n_max, floor):
+    # X6's type b alone: its numbers 1, 2, 3, 6, 10, 20 put the largest root
+    # at the last horizon, 6^(1/4) at --n-max 4 and 20^(1/6) at --n-max 6.
+    b = sg.Model.from_tables(["0", "1"], ["b"], {"b": 1}, {"b": [[-2, -1], [-2, 1]]})
+    spec = tmp_path / "b.json"
+    spec.write_text(sg.serialize_model(b), encoding="utf-8")
+    argv = ("asymptotic", "--model", str(spec), "--n-max", str(n_max), "--format", "machine")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [f"certified_floor={floor}", f"certified_floor_at={n_max}"] == [
+        line for line in out.splitlines() if line.startswith("certified_floor")
+    ]
+
+
 # The CI's zero-prior model: type b, of prior 0, has the larger one-letter number.
 ZERO_PRIOR = sg.Model.from_tables(
     ["0", "1"], ["a", "b"], ["1", "0"], [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
@@ -391,6 +407,26 @@ def test_simulate_given_members(capsys):
     assert "strategy_origin: given" in out
     assert "recovered: true" in out
     assert "utility: 1" in out
+
+
+@pytest.mark.parametrize(
+    "policy, decoded, recovered",
+    [("adversarial", "12", "false"), ("lexicographic", "00", "true"), ("random", "00", "true")],
+)
+def test_simulate_prints_the_policy_and_whether_the_truth_is_recovered(
+    capsys, policy, decoded, recovered
+):
+    # At truth 00 of the image {00, 12} the deceptive type is indifferent
+    # between both members, so the policy picks the outcome.
+    code, out, _ = run(
+        capsys, "simulate", "--model", "example1", "--type", "d", "--truth", "00",
+        "--members", "00;12", "--policy", policy, "--format", "machine",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert f"policy={policy}" in lines
+    assert f"decoded={decoded}" in lines
+    assert f"recovered={recovered}" in lines
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -876,21 +912,32 @@ def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch,
         main([*argv, "--model", "example1", "--enum-budget", str(2 * 3**14)])
 
 
-def test_simulate_prices_the_played_out_scan_before_its_report_search(capsys, monkeypatch):
-    # Two members at n=7 cost the scan 2 * 3^7 * 2 payoffs. One budget short
-    # of that, the refusal comes before simulate runs; at it, the scan runs
-    # and simulate is reached.
-    def fail(*args, **kwargs):
-        raise AssertionError("the report search began")
+def test_simulate_prices_each_scan_before_it_runs(capsys, monkeypatch):
+    # simulate prices its k^n report search, then recovery_report its
+    # T * k^n * |image| played-out scan; the first over the budget is refused.
+    simulate = ("simulate", "--model", "example1", "--type", "d")
+    n13 = ("--truth", "0" * 13, "--members", "0000000000000;1111111111111")
+    for argv, refusal in (
+        (n13, "report search: requested 1594323 exceeds budget 1000000"),
+        ((*n13, "--enum-budget", "2000000"),
+         "played-out scan: requested 6377292 exceeds budget 2000000"),
+        (("--truth", "000000", "--members", "000000;111111", "--enum-budget", "2000"),
+         "played-out scan: requested 2916 exceeds budget 2000"),
+    ):
+        assert run(capsys, *simulate, *argv) == (1, "", f"error: {refusal}\n")
 
-    monkeypatch.setattr(sg.cli, "simulate", fail)
-    argv = ("simulate", "--model", "example1", "--type", "d", "--truth", "0" * 7,
-            "--members", "0000000;1111111")
+    # Two members at n=7 cost the scan 2 * 3^7 * 2 payoffs. One budget short
+    # of that, the refusal comes before the scan runs; at it, the scan runs.
+    def fail(*args, **kwargs):
+        raise AssertionError("the played-out scan began")
+
+    monkeypatch.setattr(sg.gameplay, "enumerate_sequences", fail)
+    argv = (*simulate, "--truth", "0" * 7, "--members", "0000000;1111111")
     payoffs = 2 * 3**7 * 2
     code, out, err = run(capsys, *argv, "--enum-budget", str(payoffs - 1))
     assert (code, out) == (1, "")
     assert f"played-out scan: requested {payoffs} exceeds budget {payoffs - 1}" in err
-    with pytest.raises(AssertionError, match="the report search began"):
+    with pytest.raises(AssertionError, match="the played-out scan began"):
         main([*argv, "--enum-budget", str(payoffs)])
 
 

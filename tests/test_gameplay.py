@@ -199,13 +199,22 @@ def test_strategies_refuse_bad_decoded_sequences(example):
     assert table.image == ((2, 1),)
 
 
+def test_strategies_refuse_report_keys_past_the_alphabet(example):
+    # A report key naming symbol 7 of a three-letter alphabet can never be
+    # reported; recovery_report scored such a map 4/3 instead of refusing it.
+    strategy = sg.ReceiverStrategy(1, {(7,): (0,), (0,): (0,), (2,): (2,)}, (0,))
+    with pytest.raises(ValueError, match="report: symbol id 7 out of range"):
+        sg.recovery_report(example, strategy)
+    with pytest.raises(ValueError, match="report: symbol id 7 out of range"):
+        sg.simulate(example, strategy, 1, (0,))
+
+
 def test_simulate_adversarial_tie_break(example):
     d = example.type_index("d")
     outcome = sg.simulate(example, naive_strategy(example), d, (2,))
     assert outcome.options == ((0,), (1,))
     assert outcome.decoded == (0,)
     assert outcome.reported == (0,)
-    assert not outcome.recovered
     assert outcome.utility == 1
 
 
@@ -215,7 +224,6 @@ def test_simulate_policies_agree_when_optimum_is_unique(example):
     for policy in sg.TIE_POLICIES:
         outcome = sg.simulate(example, naive, h, (1,), policy=policy)
         assert outcome.decoded == (1,)
-        assert outcome.recovered
 
 
 def test_adversarial_lies_where_lexicographic_would_not():
@@ -226,10 +234,8 @@ def test_adversarial_lies_where_lexicographic_would_not():
     adversarial = sg.simulate(m, strategy, 0, (0,))
     assert adversarial.options == ((0,), (1,))
     assert adversarial.decoded == (1,)
-    assert not adversarial.recovered
     friendly = sg.simulate(m, strategy, 0, (0,), policy="lexicographic")
     assert friendly.decoded == (0,)
-    assert friendly.recovered
 
 
 def test_simulate_random_policy_is_seed_deterministic(example):
@@ -252,7 +258,6 @@ def test_simulate_reports_least_preimage(example):
     assert outcome.decoded == (2,)
     # report 0 already decodes to 2, so it is the canonical report
     assert outcome.reported == (0,)
-    assert outcome.recovered
     assert outcome.utility == 1
 
 
@@ -304,12 +309,11 @@ def test_honest_types_always_recover_under_the_naive_strategy():
 def test_cross_check_example_all_subsets(example):
     result = sg.cross_check_equivalence(example, 1)
     assert result.image_sets_checked == 7
-    assert result.agreed
     assert result.mismatches == ()
 
     result = sg.cross_check_equivalence(example, 2)
     assert result.image_sets_checked == 511
-    assert result.agreed
+    assert result.mismatches == ()
 
 
 def test_batched_routes_equal_the_public_functions():
@@ -389,18 +393,18 @@ def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sg.gameplay, "_join", walk_join(stays, joins))
             for mode in ({}, random_mode):
-                assert sg.cross_check_equivalence(example, 1, **mode).agreed
-                assert not sg.cross_check_equivalence(example, 2, **mode).agreed
+                assert not sg.cross_check_equivalence(example, 1, **mode).mismatches
+                assert sg.cross_check_equivalence(example, 2, **mode).mismatches
     # A join that skips the earlier members when j joins keeps them
     # recovered whatever j's report pays them; example1 shows it at n = 1.
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_join", walk_join(lambda paid, own: True, gt))
         for mode in ({}, random_mode):
-            assert not sg.cross_check_equivalence(example, 1, **mode).agreed
+            assert sg.cross_check_equivalence(example, 1, **mode).mismatches
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "_join", walk_join(lt, gt))
         for mode in ({}, random_mode):
-            assert sg.cross_check_equivalence(example, 2, **mode).agreed
+            assert not sg.cross_check_equivalence(example, 2, **mode).mismatches
 
     # The cross-check never plays `_best_response`; simulate's options, the
     # multiplicities and recovery_report's robust sets do. An argmax that
@@ -421,8 +425,8 @@ def test_cross_check_catches_broken_tie_rules(example, monkeypatch):
         assert sg.simulate(example, naive, d, (2,)).options == ((0,),)
         assert sg.recovery_report(example, naive).multiplicities == (1, 1)
         assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ((0, 0),))
-        assert sg.cross_check_equivalence(example, 2).agreed
-        assert sg.cross_check_equivalence(example, 2, **random_mode).agreed
+        assert not sg.cross_check_equivalence(example, 2).mismatches
+        assert not sg.cross_check_equivalence(example, 2, **random_mode).mismatches
     assert sg.simulate(example, naive, d, (2,)).options == ((0,), (1,))
     assert sg.recovery_report(example, naive).multiplicities == (1, 2)
     assert sg.recovery_report(example, tied).robust == (((0, 0), (1, 2)), ())
@@ -638,7 +642,7 @@ def test_prior_weights_are_exact_and_a_zero_prior_counts_nothing():
     assert m.prior_weights == (30, (5, 9, 16, 0))
     zero_type_recovers = False
     for n in (1, 2):
-        assert sg.cross_check_equivalence(m, n, strategies="all").agreed
+        assert not sg.cross_check_equivalence(m, n, strategies="all").mismatches
         seqs = sg.enumerate_sequences(m, n)
         for _ in range(8):
             members = rng.sample(seqs, rng.randint(1, len(seqs)))
@@ -745,7 +749,6 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(sg.gameplay, "packed_scorer", skewed_scorer)
         result = sg.cross_check_equivalence(example, 1)
-        assert result.agreed is False
         assert result.mismatches == (
             (target, Fraction(4, 3), Fraction(4, 3) + Fraction(1, scale)),
         )
@@ -767,9 +770,8 @@ def test_cross_check_catches_a_disagreement(example, monkeypatch, capsys):
         with monkeypatch.context() as patch:
             patch.setattr(sg.gameplay, "_join", dropping_recovered_truth)
             result = sg.cross_check_equivalence(example, 1, **mode)
-            assert result.agreed is False
             assert result.mismatches == ((target, Fraction(1, 3), Fraction(4, 3)),)
-        assert sg.cross_check_equivalence(example, 1, **mode).agreed
+        assert not sg.cross_check_equivalence(example, 1, **mode).mismatches
 
 
 def test_cross_check_random_mode(example):
@@ -777,7 +779,7 @@ def test_cross_check_random_mode(example):
         example, 2, strategies="random", count=25, seed=5
     )
     assert result.image_sets_checked == 25
-    assert result.agreed
+    assert not result.mismatches
 
 
 def test_cross_check_random_mode_refuses_an_empty_draw(example, monkeypatch):
@@ -823,7 +825,7 @@ def test_cross_check_draws_each_image_set_as_it_is_scored(example, monkeypatch):
     monkeypatch.setattr(sg.gameplay.random, "Random", CountingRandom)
     monkeypatch.setattr(sg.gameplay, "_join", spy)
     result = sg.cross_check_equivalence(example, 2, strategies="random", count=5)
-    assert result.image_sets_checked == 5 and result.agreed
+    assert result.image_sets_checked == 5 and not result.mismatches
     # Each draw is folded before the next is drawn.
     assert at_each_join[0] == 1 and len(drawn) == 5
     assert at_each_join == sorted(at_each_join) and set(at_each_join) == {1, 2, 3, 4, 5}

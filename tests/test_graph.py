@@ -79,7 +79,7 @@ def test_deceptive_one_letter_graph_is_a_triangle(example):
 def test_honest_one_letter_graph_is_empty(example):
     g = sg.build_sender_graph(example, example.type_index("h"), 1)
     assert g.edge_count == 0
-    assert sg.max_independent_set(g).size == 3
+    assert len(sg.max_independent_set(g).members) == 3
 
 
 def test_honest_types_skip_the_kernel_for_the_same_adjacency():
@@ -157,7 +157,7 @@ def test_deceptive_two_letter_graph_is_complete(example):
         assert g.adjacency[u] >> v & 1
     assert g.edge_count == 36
     result = sg.max_independent_set(g)
-    assert result.size == 1 and result.certified
+    assert len(result.members) == 1 and result.certified
     assert result.members == (0,)
 
 
@@ -249,7 +249,7 @@ def test_union_is_edge_union(example):
     assert u.provenance == "union"
     assert u.edges() == gd.edges()
     assert u.vertex_count == gd.vertex_count
-    assert sg.max_independent_set(u).size == 1
+    assert len(sg.max_independent_set(u).members) == 1
 
 
 def test_union_requires_matching_spaces(example):
@@ -266,9 +266,9 @@ def test_union_alpha_never_exceeds_member_alphas():
         if m.num_types < 2:
             continue
         graphs = [sg.build_sender_graph(m, t, 1) for t in range(m.num_types)]
-        union = sg.max_independent_set(sg.union_graph(graphs)).size
+        union = len(sg.max_independent_set(sg.union_graph(graphs)).members)
         for g in graphs:
-            assert union <= sg.max_independent_set(g).size
+            assert union <= len(sg.max_independent_set(g).members)
 
 
 def test_exact_independent_set_matches_bruteforce():
@@ -280,8 +280,7 @@ def test_exact_independent_set_matches_bruteforce():
                 g = sg.build_sender_graph(m, t, n)
                 result = sg.max_independent_set(g)
                 assert result.certified
-                assert result.size == brute_alpha(g)
-                assert result.size == len(result.members)
+                assert len(result.members) == brute_alpha(g)
                 for u, v in itertools.combinations(result.members, 2):
                     assert not g.adjacency[u] >> v & 1
 
@@ -300,7 +299,7 @@ def test_greedy_is_maximal_but_uncertified():
         greedy = sg.max_independent_set(g, mode="greedy")
         exact = sg.max_independent_set(g)
         assert not greedy.certified
-        assert greedy.size <= exact.size
+        assert len(greedy.members) <= len(exact.members)
         chosen = set(greedy.members)
         for u, v in itertools.combinations(greedy.members, 2):
             assert not g.adjacency[u] >> v & 1
@@ -324,10 +323,10 @@ def test_product_construction_floor():
         if m.num_symbols != 3:
             continue
         graphs1 = [sg.build_sender_graph(m, t, 1) for t in range(m.num_types)]
-        a1 = sg.max_independent_set(sg.union_graph(graphs1)).size
+        a1 = len(sg.max_independent_set(sg.union_graph(graphs1)).members)
         for n in (2, 3):
             graphs = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
-            an = sg.max_independent_set(sg.union_graph(graphs)).size
+            an = len(sg.max_independent_set(sg.union_graph(graphs)).members)
             assert an >= a1**n
         seen += 1
     assert seen >= 5
@@ -338,9 +337,9 @@ def test_supermultiplicative_growth_single_type():
         if m.num_symbols > 3:
             continue
         t = m.num_types - 1
-        a1 = sg.max_independent_set(sg.build_sender_graph(m, t, 1)).size
-        a2 = sg.max_independent_set(sg.build_sender_graph(m, t, 2)).size
-        a3 = sg.max_independent_set(sg.build_sender_graph(m, t, 3)).size
+        a1 = len(sg.max_independent_set(sg.build_sender_graph(m, t, 1)).members)
+        a2 = len(sg.max_independent_set(sg.build_sender_graph(m, t, 2)).members)
+        a3 = len(sg.max_independent_set(sg.build_sender_graph(m, t, 3)).members)
         assert a2 >= a1 * a1
         assert a3 >= a1 * a2
 
@@ -400,7 +399,7 @@ def test_exact_engine_matches_bruteforce_on_structured_and_dense_graphs():
     for g in graphs:
         result = sg.max_independent_set(g)
         assert result.certified
-        assert result.size == len(result.members) == brute_alpha(g)
+        assert len(result.members) == brute_alpha(g)
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
         assert list(result.members) == sorted(set(result.members))
@@ -423,7 +422,7 @@ def test_clique_cover_bounds_are_first_fit_partitions():
                     assert len(_cover_classes(g.adjacency, cand, True)) == first_fit_cover(
                         g.adjacency, cand, reversed(up)
                     )
-                alpha = sg.max_independent_set(g).size
+                alpha = len(sg.max_independent_set(g).members)
                 assert len(_cover_classes(g.adjacency, full, False)) >= alpha
                 assert len(_cover_classes(g.adjacency, full, True)) >= alpha
 
@@ -435,10 +434,10 @@ def test_search_node_count_is_golden():
     m = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))][1]
     g = sg.build_sender_graph(m, 1, 4)
     assert sg.max_independent_set(g, mode="greedy") == sg.IndependentSetResult(
-        (53, 71, 77, 79), 4, False, 0
+        (53, 71, 77, 79), False, 0
     )
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (6, 23)
+    assert (len(result.members), result.nodes) == (6, 23)
     assert sg.max_independent_set(g) == result
 
 
@@ -447,7 +446,7 @@ def test_propagation_cut_node_count_is_golden():
     # alone leave 13 nodes; the propagation ceiling cuts it to 7.
     g = sg.build_sender_graph(model_pool()[156], 0, 4)
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (32, 7)
+    assert (len(result.members), result.nodes) == (32, 7)
 
 
 def test_search_node_and_alpha_totals_over_the_pool_are_golden():
@@ -461,7 +460,7 @@ def test_search_node_and_alpha_totals_over_the_pool_are_golden():
     results = [sg.max_independent_set(g) for g in graphs]
     assert len(graphs) == 666
     assert sum(r.nodes for r in results) == 867
-    assert sum(r.size for r in results) == 2452
+    assert sum(len(r.members) for r in results) == 2452
     # A graph settled with no node must carry its proof: an independent set
     # as large as a clique partition, here the reference first-fit one.
     settled = [(g, r) for g, r in zip(graphs, results) if not r.nodes]
@@ -470,7 +469,7 @@ def test_search_node_and_alpha_totals_over_the_pool_are_golden():
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
         full = (1 << g.vertex_count) - 1
-        assert result.size == len(result.members) == first_fit_cover(
+        assert len(result.members) == first_fit_cover(
             g.adjacency, full, range(g.vertex_count)
         )
 
@@ -486,7 +485,7 @@ def test_edgeless_graphs_are_certified_without_the_search(example, monkeypatch):
         g = sg.build_sender_graph(example, honest, n, enum_budget=3 ** (2 * n))
         assert g.edge_count == 0
         result = sg.max_independent_set(g, mis_budget=3**n)
-        assert result == sg.IndependentSetResult(tuple(range(3**n)), 3**n, True, 0)
+        assert result == sg.IndependentSetResult(tuple(range(3**n)), True, 0)
 
 
 def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
@@ -510,10 +509,10 @@ def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
 def test_orbital_search_pins_p156_and_x6_central_binomials():
     g = sg.build_sender_graph(model_pool()[156], 0, 5)
     result = sg.max_independent_set(g)
-    assert (result.size, result.nodes) == (80, 177)
+    assert (len(result.members), result.nodes) == (80, 177)
     for n in range(1, 11):
         g = sg.build_sender_graph(X6, 1, n, enum_budget=4**n)
-        assert sg.max_independent_set(g, mis_budget=2**n).size == math.comb(n, n // 2)
+        assert len(sg.max_independent_set(g, mis_budget=2**n).members) == math.comb(n, n // 2)
 
 
 def marked_symmetric(g: sg.SenderGraph, k: int) -> sg.SenderGraph:
@@ -560,7 +559,7 @@ def test_orbital_search_matches_the_search_without_symmetry():
     for g in graphs:
         plain = sg.max_independent_set(sg.SenderGraph(1, g.adjacency, "test"))
         result = sg.max_independent_set(g)
-        assert result.size == plain.size
+        assert len(result.members) == len(plain.members)
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
         searched.append(result.nodes > 0 and plain.nodes > 0)
@@ -655,7 +654,8 @@ def test_hand_built_graphs_are_searched_without_position_symmetry():
     # certified alpha. A hand-built graph must be searched plainly.
     for adjacency in random_sixteen_vertex_adjacencies(2000):
         result = sg.max_independent_set(sg.SenderGraph(2, adjacency, "test"))
-        assert result.size == sg.max_independent_set(sg.SenderGraph(1, adjacency, "test")).size
+        plain = sg.max_independent_set(sg.SenderGraph(1, adjacency, "test"))
+        assert len(result.members) == len(plain.members)
         chosen = sum(1 << v for v in result.members)
         assert all(not adjacency[v] & chosen for v in result.members)
 
@@ -671,9 +671,10 @@ def test_only_graphs_from_the_builders_keep_position_symmetry():
     assert (built._letters, twin._letters, sg.union_graph([built, built])._letters) == (4, 0, 4)
     adjacencies = random_sixteen_vertex_adjacencies(200)
     # Searched by orbits, as if built, some of these graphs get a wrong alpha ...
-    plain = [sg.max_independent_set(sg.SenderGraph(1, a, "test")).size for a in adjacencies]
+    size = lambda g: len(sg.max_independent_set(g).members)
+    plain = [size(sg.SenderGraph(1, a, "test")) for a in adjacencies]
     assert any(
-        sg.max_independent_set(marked_symmetric(sg.SenderGraph(2, a, "test"), 4)).size != alpha
+        size(marked_symmetric(sg.SenderGraph(2, a, "test"), 4)) != alpha
         for a, alpha in zip(adjacencies, plain)
     )
     # ... so a union with a hand-built graph, or a copy with new edges, is searched plainly.
@@ -682,11 +683,11 @@ def test_only_graphs_from_the_builders_keep_position_symmetry():
         copy = dataclasses.replace(built, adjacency=adjacency)
         for g in (union, copy):
             assert (g.adjacency, g._letters) == (adjacency, 0)
-            assert sg.max_independent_set(g).size == alpha
+            assert size(g) == alpha
     # A union of built graphs keeps the symmetry, and with it the P156 pin.
     g = sg.build_sender_graph(model_pool()[156], 0, 5)
     result = sg.max_independent_set(sg.union_graph([g, g]))
-    assert (result.size, result.nodes) == (80, 177)
+    assert (len(result.members), result.nodes) == (80, 177)
     assert sg.max_independent_set(dataclasses.replace(g)).nodes > 177
 
 
@@ -755,9 +756,9 @@ def test_perfect_matchings_reduce_without_branching():
     start = time.perf_counter()
     result = sg.max_independent_set(matching(1200), mis_budget=1200)
     assert time.perf_counter() - start < 1.0
-    assert (result.size, result.nodes) == (600, 0)
+    assert (len(result.members), result.nodes) == (600, 0)
     result = sg.max_independent_set(matching(2400), mis_budget=2400)
-    assert result.size == 1200
+    assert len(result.members) == 1200
     assert result.members == tuple(range(0, 2400, 2))
 
 
@@ -783,7 +784,7 @@ def test_exact_engine_matches_networkx_on_boosted_sparse_graphs():
         h.add_edges_from(g.edges())
         expected = nx.max_weight_clique(nx.complement(h), weight=None)[1]
         result = sg.max_independent_set(g)
-        assert result.size == expected
+        assert len(result.members) == expected
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
         nodes.append(result.nodes)
