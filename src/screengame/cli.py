@@ -311,12 +311,8 @@ def _cmd_simulate(args, model: Model) -> tuple[dict | None, int]:
         )
         strategy = canonical_strategy(solved.designated.members)
         origin = "solved"
-    # Each reader prices its own scan before running it: simulate's k^n report
-    # search first, then recovery_report's played-out scan.
-    outcome = simulate(
-        model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"), **enum
-    )
     report = recovery_report(model, strategy, **enum)
+    outcome = simulate(model, strategy, type_id, truth, policy=args.policy, **_given(args, "seed"))
     shown = [truth, outcome.decoded, outcome.reported]  # in range: skip format_sequence's check
     truth_text, decoded, reported = _format_sequences(model, shown)
     payload = {

@@ -172,7 +172,6 @@ def simulate(
     *,
     policy: str = ADVERSARIAL,
     seed: int = 0,
-    enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SimulationOutcome:
     """Play one round: the sender reports optimally, ties broken per policy.
 
@@ -181,13 +180,14 @@ def simulate(
     Policies: adversarial picks an option differing from the truth whenever
     one exists (least such), lexicographic picks the least option, random
     draws from a generator seeded per (seed, type, truth) so concurrent calls
-    replay identically. Every argument is checked before either scan, the
+    replay identically. The least report decoding to the outcome is read off
+    the map, with no walk of the sequence space: the least key mapped to it
+    or, for the fallback, the first sequence that is no key, if that comes
+    first. Every argument is checked before the image is priced, the
     strategy's report keys last.
     """
     truth = tuple(truth)
     n = len(truth)
-    # The report is located by scanning the whole sequence space.
-    check_space(model, n, enum_budget, "report search")
     if n != strategy.n:
         raise ValueError(f"truth length {n} differs from the strategy's {strategy.n}")
     image = strategy.image
@@ -210,13 +210,15 @@ def simulate(
         for part in (type_id, len(truth), *truth):
             stream_seed = stream_seed * 1000003 + part + 1
         decoded = random.Random(stream_seed).choice(options)
-    # decoded is in the image, so some report reaches it; the least one is kept.
-    reports = itertools.product(range(model.num_symbols), repeat=n)
-    reported = next(y for y in reports if strategy.decode(y) == decoded)
+    # decoded is in the image, so some key reaches it; the least report is kept.
+    reports = [y for y, z in strategy.mapping.items() if z == decoded]
+    if decoded == strategy.fallback:  # the first non-key: at most |mapping| + 1 steps, or none
+        space = itertools.product(range(model.num_symbols), repeat=n)
+        reports += itertools.islice((y for y in space if y not in strategy.mapping), 1)
     return SimulationOutcome(
         options=tuple(options),
         decoded=decoded,
-        reported=reported,
+        reported=min(reports),
         utility=Fraction(best_total, n * scale),
     )
 

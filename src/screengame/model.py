@@ -402,8 +402,6 @@ def enumerate_sequences(
 
 def _count_sequences(model: Model, n: int, enum_budget: int) -> int:
     """k^n, refused as `enumerate_sequences` refuses it, but with no sequence built."""
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
     return check_space(model, n, enum_budget, "sequence enumeration")
 
 
@@ -420,7 +418,10 @@ def check_space(model: Model, n: int, budget: int, what: str) -> int:
     Since k >= 2, k^n > budget once n > budget.bit_length(). Horizons past
     that and past 64 letters are refused without building k^n, and the
     refusal writes the count as "k^n"; shorter ones write it out in full.
+    A horizon below 1 is refused by its length first, whatever the budget.
     """
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
     k = model.num_symbols
     if n > max(budget.bit_length(), 64):
         raise BudgetExceededError(what, f"{k}^{n}", budget)

@@ -517,7 +517,7 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         "--members", "0,0;1,1", "--enum-budget", "8",
     )
     assert code == 1
-    assert "report search: requested 9 exceeds budget 8" in err
+    assert "sequence enumeration: requested 9 exceeds budget 8" in err
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"alphabet": ["0"]}', encoding="utf-8")
@@ -803,7 +803,7 @@ FORWARDED_FLAGS = [
     (
         (*SIMULATE_D, "--members", "0;2", "--seed", "9", "--enum-budget", "99"),
         "simulate",
-        {"policy": "adversarial", "seed": 9, "enum_budget": 99},
+        {"policy": "adversarial", "seed": 9},
     ),
     (
         (*SIMULATE_D, "--members", "0;2", "--enum-budget", "99"),
@@ -852,7 +852,7 @@ def test_given_flags_are_forwarded_and_unset_ones_are_not(
         (("bounds", "--enum-budget", "0"), "sequence enumeration"),
         (("asymptotic", "--mis-budget", "0"), "exact independent set"),
         ((*SIMULATE_D, "--subset-budget", "0"), "questionnaire search"),
-        ((*SIMULATE_D, "--members", "0;2", "--enum-budget", "0"), "report search"),
+        ((*SIMULATE_D, "--members", "0;2", "--enum-budget", "0"), "sequence enumeration"),
         ((*GRAPH_D, "--mis-budget", "0"), "exact independent set"),
         ((*GRAPH_D, "--alpha", "skip", "--enum-budget", "0"), "sequence enumeration"),
     ],
@@ -913,12 +913,12 @@ def test_all_pairs_builds_are_priced_before_the_kernel_runs(capsys, monkeypatch,
 
 
 def test_simulate_prices_each_scan_before_it_runs(capsys, monkeypatch):
-    # simulate prices its k^n report search, then recovery_report its
-    # T * k^n * |image| played-out scan; the first over the budget is refused.
+    # recovery_report prices its k^n sequences, then its T * k^n * |image|
+    # played-out scan; the first over the budget is refused.
     simulate = ("simulate", "--model", "example1", "--type", "d")
     n13 = ("--truth", "0" * 13, "--members", "0000000000000;1111111111111")
     for argv, refusal in (
-        (n13, "report search: requested 1594323 exceeds budget 1000000"),
+        (n13, "sequence enumeration: requested 1594323 exceeds budget 1000000"),
         ((*n13, "--enum-budget", "2000000"),
          "played-out scan: requested 6377292 exceeds budget 2000000"),
         (("--truth", "000000", "--members", "000000;111111", "--enum-budget", "2000"),
@@ -939,6 +939,40 @@ def test_simulate_prices_each_scan_before_it_runs(capsys, monkeypatch):
     assert f"played-out scan: requested {payoffs} exceeds budget {payoffs - 1}" in err
     with pytest.raises(AssertionError, match="the played-out scan began"):
         main([*argv, "--enum-budget", str(payoffs)])
+
+
+def test_simulate_never_plays_a_strategy_the_played_out_scan_refuses(capsys, monkeypatch):
+    # recovery_report is the one reader that prices a scan, so it runs first
+    # and a strategy it refuses is never played.
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(sg.cli, "simulate", fail)
+    argv = (
+        "simulate", "--model", "example1", "--type", "d", "--truth", "0" * 13,
+        "--members", "0000000000000;1111111111111", "--enum-budget", "2000000",
+    )
+    refusal = "played-out scan: requested 6377292 exceeds budget 2000000"
+    assert run(capsys, *argv) == (1, "", f"error: {refusal}\n")
+
+
+SHORT_HORIZONS = [
+    ("solve", "--n", "-1", "--subset-budget", "-5"),
+    ("graph", "--type", "d", "--n", "-1", "--mis-budget", "-1"),
+    ("oracle-check", "--n", "-1", "--subset-budget", "-1"),
+    ("solve", "--n", "0", "--subset-budget", "0"),
+    ("graph", "--type", "d", "--n", "0", "--mis-budget", "0"),
+    ("oracle-check", "--n", "0", "--subset-budget", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", SHORT_HORIZONS, ids=map(" ".join, SHORT_HORIZONS))
+def test_a_horizon_below_one_is_refused_by_its_length_under_any_budget(capsys, argv):
+    # Every gate refuses n < 1 before it prices k^n, which would be a fraction
+    # for n < 0 and 1 for n = 0.
+    n = argv[argv.index("--n") + 1]
+    code, out, err = run(capsys, *argv, "--model", "example1")
+    assert (code, out, err) == (1, "", f"error: sequence length must be >= 1, got {n}\n")
 
 
 def test_integers_past_the_decimal_limit_print_in_hex(capsys, example):

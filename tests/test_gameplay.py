@@ -266,11 +266,50 @@ def test_simulate_rejects_unknown_policy(example):
         sg.simulate(example, naive_strategy(example), 0, (0,), policy="upbeat")
 
 
-def test_simulate_refuses_a_space_over_the_enumeration_budget(example):
-    strategy = sg.canonical_strategy([(0, 0), (1, 1)])
-    with pytest.raises(sg.BudgetExceededError, match="report search") as info:
-        sg.simulate(example, strategy, 0, (1, 1), enum_budget=8)
-    assert (info.value.requested, info.value.budget) == (9, 8)
+def test_simulate_reads_the_least_report_off_the_map(pool):
+    # The least report decoding to the outcome, as a walk of the whole space
+    # in lexicographic order finds it, for random maps over each model's
+    # spaces of up to 81 sequences: partial and total, several keys per value,
+    # and fallbacks reached first by a key or by a sequence that is no key.
+    rng = random.Random(50)
+    plays = total_maps = fallback_plays = unmapped = 0
+    for m in pool[:24]:
+        k = m.num_symbols
+        for n in range(1, 5):
+            if k**n > 81:
+                break
+            seqs = sg.enumerate_sequences(m, n)
+            for _ in range(4):
+                total = rng.random() < 0.25
+                keys = seqs if total else rng.sample(seqs, rng.randint(1, len(seqs)))
+                values = rng.sample(seqs, rng.randint(1, min(4, len(seqs))))
+                mapping = {y: rng.choice(values) for y in keys}
+                strategy = sg.ReceiverStrategy(n, mapping, rng.choice(list(mapping.values())))
+                total_maps += total
+                for t in range(m.num_types):
+                    for truth in rng.sample(seqs, min(5, len(seqs))):
+                        for policy in sg.TIE_POLICIES:
+                            out = sg.simulate(m, strategy, t, truth, policy=policy, seed=7)
+                            walk = itertools.product(range(k), repeat=n)
+                            assert out.reported == next(
+                                y for y in walk if strategy.decode(y) == out.decoded
+                            )
+                            plays += 1
+                            fallback_plays += out.decoded == strategy.fallback
+                            unmapped += out.reported not in mapping
+    assert plays > 5000 and total_maps > 50 and fallback_plays > unmapped > 500
+
+
+def test_simulate_answers_at_once_where_no_space_could_be_walked(example):
+    # 3^40 sequences: no walk of the space would end, but the report is a key.
+    strategy = sg.canonical_strategy([(0,) * 40, (1,) * 40])
+    start = time.perf_counter()
+    for t in range(example.num_types):
+        for truth in ((0,) * 40, (1,) * 40, (2,) * 40):
+            for policy in sg.TIE_POLICIES:
+                out = sg.simulate(example, strategy, t, truth, policy=policy)
+                assert out.reported == out.decoded and out.decoded in strategy.image
+    assert time.perf_counter() - start < 1
 
 
 def test_simulated_outcomes_are_realizable():
