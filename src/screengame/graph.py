@@ -44,7 +44,8 @@ class SenderGraph:
 
     `build_sender_graph` and `union_graph` mark their graphs with the alphabet size k: such a
     graph is symmetric under permuting the letter positions (payoffs sum per letter). Hand-built
-    graphs, marked 0, are searched without it.
+    graphs, marked 0, are searched without it. The builders' rows are loop-free and in range by
+    construction, so only hand-built graphs and `replace()` copies pay the row check.
     """
 
     n: int  # sequence length
@@ -57,6 +58,13 @@ class SenderGraph:
         for v, row in enumerate(self.adjacency):  # a self-loop would hang the clique covers
             if row >> v & 1 or not 0 <= row < limit:
                 raise ValueError(f"adjacency row {v} has a self-loop or a bit past the vertices")
+
+    @classmethod
+    def _built(cls, n: int, adjacency: tuple[int, ...], provenance: str, letters: int):
+        """A builder's graph, marked with `letters`, made without the row check it cannot fail."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(n=n, adjacency=adjacency, provenance=provenance, _letters=letters)
+        return graph
 
     @property
     def vertex_count(self) -> int:
@@ -94,9 +102,7 @@ def build_sender_graph(
         adjacency = (0,) * model.num_symbols**n
     else:
         adjacency = tuple(_top_bit_masks(model, type_id, n, (_EITHER,))[0])
-    graph = SenderGraph(n, adjacency, model.types[type_id])
-    object.__setattr__(graph, "_letters", model.num_symbols)
-    return graph
+    return SenderGraph._built(n, adjacency, model.types[type_id], model.num_symbols)
 
 
 def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGraph:
@@ -107,10 +113,8 @@ def union_graph(graphs: list[SenderGraph] | tuple[SenderGraph, ...]) -> SenderGr
     if any(g.n != first.n or g.vertex_count != first.vertex_count for g in graphs):
         raise ValueError("cannot union graphs over different sequence spaces")
     adjacency = tuple(reduce(or_, rows) for rows in zip(*(g.adjacency for g in graphs)))
-    union = SenderGraph(first.n, adjacency, UNION)
-    if all(g._letters == first._letters for g in graphs):
-        object.__setattr__(union, "_letters", first._letters)
-    return union
+    letters = first._letters if all(g._letters == first._letters for g in graphs) else 0
+    return SenderGraph._built(first.n, adjacency, UNION, letters)
 
 
 def check_mis_budget(model: Model, horizons, mis_budget: int = DEFAULT_EXACT_MIS_BUDGET) -> None:

@@ -51,6 +51,26 @@ class RateBounds:
     achieved_certified: bool  # achieved is the proven optimum
 
 
+def _letter_cover(model: Model, type_id: int) -> int:
+    """c_t: the smaller first-fit clique cover, in either order, of the letter graph S_t(1).
+
+    Letters i != j are joined when D[i][j] + D[j][i] >= 0, with D[r][c] = table[r][c] -
+    table[c][c] on the scaled integer table (r reported, c true), as in `_top_bit_masks`.
+    Two length-n sequences joined at every position where they differ gain in at least
+    one direction, so they are adjacent in the type's graph: S_t(1)'s strong power lies
+    inside G_t(n), whose independence number is therefore at most c_t^n. An honest type's
+    letter graph has no edge, and c_t = k.
+    """
+    _, table = model.scaled_utility[type_id]
+    k = model.num_symbols
+    adjacency = tuple(
+        sum(1 << j for j in range(k) if j != i and row[j] + table[j][i] >= row[i] + table[j][j])
+        for i, row in enumerate(table)
+    )
+    everyone = (1 << k) - 1
+    return min(len(_cover_classes(adjacency, everyone, order)) for order in (False, True))
+
+
 def finite_bounds(
     model: Model,
     n: int,
@@ -68,30 +88,50 @@ def finite_bounds(
     floor is a greedy independent set, which never overstates it. With
     `solve`, the achieved value comes from the exhaustive search, or from
     the heuristic (uncertified) when the space is over the subset budget.
+
+    Within the budget and past horizon 1, the one-letter numbers settle what they can
+    first. A maximum one-letter independent set I gives I^n, independent at n (where two
+    members differ, each letter loses both ways), so alpha(n) >= alpha(1)^n, while
+    `_letter_cover` caps alpha(n) at c_t^n. A type with alpha(1) = c_t has alpha(1)^n, and
+    the union, whose number is at most every type's, has alpha_U(1)^n when alpha_U(1) is
+    the least c_t. A horizon-n graph is built and searched only for a number left open;
+    an open union needs every type's graph, since it is their OR.
     """
-    graphs = [
-        build_sender_graph(model, t, n, enum_budget=enum_budget)
-        for t in range(model.num_types)
-    ]
-    union = union_graph(graphs)
-    certified = union.vertex_count <= mis_budget  # every graph has one vertex per sequence
+    count = _check_pairs(model, n, enum_budget, "sender graph")  # k^n: one vertex per sequence
+    certified = count <= mis_budget
+    types = range(model.num_types)
+    build = lambda t: build_sender_graph(model, t, n, enum_budget=enum_budget)
     if certified:
         alpha = lambda g: len(max_independent_set(g, mis_budget=mis_budget).members)
-        per_type = list(map(alpha, graphs))
-        # A union with no edge beyond one type's graph has that type's number.
-        same = [size for g, size in zip(graphs, per_type) if g.adjacency == union.adjacency]
-        union_alpha = same[0] if same else alpha(union)
+        per_type: list = [None] * model.num_types  # None: still open
+        union_alpha = None
+        if n > 1:
+            one = finite_bounds(model, 1, mis_budget=mis_budget, enum_budget=enum_budget)
+            covers = [_letter_cover(model, t) for t in types]
+            per_type = [a**n if a == c else None for a, c in zip(one.alpha_per_type, covers)]
+            if one.alpha_union == min(covers):
+                union_alpha = one.alpha_union**n
+        graphs = {t: build(t) for t in types if union_alpha is None or per_type[t] is None}
+        for t, g in graphs.items():
+            if per_type[t] is None:
+                per_type[t] = alpha(g)
+        if union_alpha is None:
+            union = union_graph(list(graphs.values()))
+            # A union with no edge beyond one type's graph has that type's number.
+            same = [per_type[t] for t, g in graphs.items() if g.adjacency == union.adjacency]
+            union_alpha = same[0] if same else alpha(union)
     else:
-        everyone = (1 << union.vertex_count) - 1
+        graphs = list(map(build, types))
+        everyone = (1 << count) - 1
         per_type = [len(_cover_classes(g.adjacency, everyone, False)) for g in graphs]
-        union_alpha = len(max_independent_set(union, mode="greedy").members)
+        union_alpha = len(max_independent_set(union_graph(graphs), mode="greedy").members)
     scale, weights = model.prior_weights
     weighted = Fraction(sum(map(mul, weights, per_type)), scale)
 
     achieved: Fraction | None = None
     achieved_certified = False
     if solve:
-        if union.vertex_count <= subset_budget:
+        if count <= subset_budget:
             achieved = solve_exact(  # the optimum alone: no maximizer is listed
                 model, n, report_cap=0, subset_budget=subset_budget, enum_budget=enum_budget
             ).optimum
@@ -135,7 +175,9 @@ def asymptotic_bounds(
     ceiling target; its numbers are reported for n = 1..n_max, and the CLI
     picks their largest root and checks their supermultiplicativity. The
     best type is chosen among the types of positive prior: one of prior 0
-    recovers nothing in the value, so its roots would be no floor.
+    recovers nothing in the value, so its roots would be no floor. A best type
+    whose one-letter number meets its letter cover has alpha(1)^h at every
+    horizon h (see `finite_bounds`), and no graph past horizon 1 is built.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -147,10 +189,14 @@ def asymptotic_bounds(
     alpha1 = one_letter.alpha_per_type
     played = [t for t, weight in enumerate(model.prior_weights[1]) if weight > 0]
     best_type = max(played, key=lambda t: (alpha1[t], -t))
-    alphas = [alpha1[best_type]]
-    for h in range(2, n_max + 1):
-        graph = build_sender_graph(model, best_type, h, enum_budget=enum_budget)
-        alphas.append(len(max_independent_set(graph, mis_budget=mis_budget).members))
+    a = alpha1[best_type]
+    if a == _letter_cover(model, best_type):
+        alphas = [a**h for h in range(1, n_max + 1)]
+    else:
+        alphas = [a]
+        for h in range(2, n_max + 1):
+            graph = build_sender_graph(model, best_type, h, enum_budget=enum_budget)
+            alphas.append(len(max_independent_set(graph, mis_budget=mis_budget).members))
     return AsymptoticReport(
         alpha_per_type=alpha1,
         best_type=best_type,

@@ -214,6 +214,20 @@ print(refused)
     assert sg.SenderGraph(1, (), "empty").vertex_count == 0
 
 
+def test_builders_skip_the_row_check_they_cannot_fail(example, monkeypatch):
+    checked = []
+    monkeypatch.setattr(sg.SenderGraph, "__post_init__", lambda g: checked.append(g.provenance))
+    built = [sg.build_sender_graph(example, t, 2) for t in range(2)]
+    union = sg.union_graph(built)
+    assert checked == []
+    assert (union.n, union.provenance, union._letters) == (2, "union", 3)
+    assert union.adjacency == built[1].adjacency  # h's graph has no edge
+    # Hand-built graphs and copies are still checked.
+    sg.SenderGraph(1, (0,), "hand")
+    dataclasses.replace(built[0], provenance="copy")
+    assert checked == ["hand", "copy"]
+
+
 def test_edge_rule_matches_direct_average_comparison():
     # Recompute adjacencies from raw Fraction averages, the long way: every
     # pair on spaces of up to 9 sequences, 100 sampled pairs on 27 to 81.

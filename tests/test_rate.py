@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ def only_deceptive_model():
         {"d": 1},
         {"d": [[1, 2, 1], [2, 1, 1], [0, 0, 0]]},
     )
+
+
+def sperner_model():
+    """X6's type b alone: y weakly beats x exactly when y contains x as a 0/1 set."""
+    return sg.Model.from_tables(["0", "1"], ["b"], {"b": 1}, {"b": [[-2, -1], [-2, 1]]})
 
 
 def test_extraction_rate_exact_roots():
@@ -157,13 +164,129 @@ def test_exact_searches_are_not_repeated(example, monkeypatch):
     monkeypatch.setattr(sg.rate, "max_independent_set", counting)
     single = only_deceptive_model()
     assert sg.finite_bounds(single, 2).alpha_union == 1
-    assert searched == [("d", 2)]  # the union is the one type's graph
+    assert searched == [("d", 1)]  # alpha(1) meets the letter cover, so nothing is open at 2
+    searched.clear()
+    assert sg.finite_bounds(sperner_model(), 2).alpha_union == 2
+    assert searched == [("b", 1), ("b", 2)]  # each union is the one type's graph
     searched.clear()
     assert sg.finite_bounds(example, 1).alpha_union == 1
     assert searched == [("h", 1), ("d", 1)]  # the union has only d's edges
     searched.clear()
     assert sg.asymptotic_bounds(example, 3).alphas == (3, 9, 27)
-    assert searched == [("h", 1), ("d", 1), ("h", 2), ("h", 3)]
+    assert searched == [("h", 1), ("d", 1)]  # h is honest: 3 letters, 3 cliques
+    searched.clear()
+    assert sg.asymptotic_bounds(sperner_model(), 3).alphas == (1, 2, 3)
+    assert searched == [("b", 1), ("b", 2), ("b", 3)]
+
+
+def test_one_letter_numbers_are_searched_under_the_callers_budget(example, monkeypatch):
+    budgets = []
+    solve = sg.rate.max_independent_set
+
+    def recording(graph, **kwargs):
+        budgets.append((graph.n, kwargs.get("mis_budget")))
+        return solve(graph, **kwargs)
+
+    monkeypatch.setattr(sg.rate, "max_independent_set", recording)
+    assert sg.finite_bounds(example, 2, mis_budget=9).upper_certified
+    assert sg.asymptotic_bounds(example, 2, mis_budget=9).alphas == (3, 9)
+    assert budgets == [(1, 9)] * 4  # h and d at horizon 1, twice; the unions are d's graphs
+    # 513 honest letters, past the default budget, close at n = 2 under a raised one.
+    k = 513
+    identity = [[int(r == x) for x in range(k)] for r in range(k)]
+    honest = sg.Model.from_tables([str(i) for i in range(k)], ["h"], ["1"], [identity])
+    bounds = sg.finite_bounds(honest, 2, mis_budget=k**2, enum_budget=k**4)
+    assert (bounds.alpha_per_type, bounds.alpha_union, bounds.upper_certified) == ((k**2,), k**2, True)
+
+
+def test_graphs_are_built_only_for_open_numbers(monkeypatch):
+    built = []
+    build = sg.rate.build_sender_graph
+
+    def counting(model, type_id, n, **kwargs):
+        built.append(n)
+        return build(model, type_id, n, **kwargs)
+
+    monkeypatch.setattr(sg.rate, "build_sender_graph", counting)
+    closed = sg.finite_bounds(only_deceptive_model(), 6, mis_budget=729)
+    assert (closed.alpha_per_type, closed.alpha_union, closed.upper_certified) == ((1,), 1, True)
+    assert built == [1]  # the one-letter graph only: none of 729 vertices
+    built.clear()
+    sperner = sg.finite_bounds(sperner_model(), 6)
+    assert (sperner.alpha_per_type, sperner.alpha_union, sperner.upper_certified) == ((20,), 20, True)
+    assert built == [1, 6]  # open: its horizon-6 graph, once
+
+
+def letter_graph_cover(model: sg.Model, type_id: int) -> int:
+    """Reference c_t from the raw Fractions: the smaller first-fit cover of S_t(1), both orders."""
+    u = model.utility[type_id]
+    k = model.num_symbols
+    gain = lambda r, x: u[r][x] - u[x][x]
+    adjacency = [
+        sum(1 << j for j in range(k) if j != i and gain(i, j) + gain(j, i) >= 0) for i in range(k)
+    ]
+    full = (1 << k) - 1
+    return min(first_fit_cover(adjacency, full, order) for order in (range(k), range(k)[::-1]))
+
+
+def exact_alpha(graph: sg.SenderGraph) -> int:
+    return len(sg.max_independent_set(graph, mis_budget=graph.vertex_count).members)
+
+
+def test_letter_cover_caps_every_type_and_union(pool):
+    # Searched directly, never through finite_bounds: alpha_t(n) <= c_t^n and
+    # alpha_U(n) <= min_t c_t^n, and alpha(1)^n is a floor for both. finite_bounds,
+    # which reads closed numbers off horizon 1, then finds the same numbers.
+    cases = 0
+    for m in pool:
+        covers = [sg.rate._letter_cover(m, t) for t in range(m.num_types)]
+        assert covers == [letter_graph_cover(m, t) for t in range(m.num_types)]
+        for n in range(1, 7):
+            if m.num_symbols**n > 81:
+                break
+            graphs = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+            alphas = [*map(exact_alpha, graphs), exact_alpha(sg.union_graph(graphs))]
+            if n == 1:
+                ones = alphas
+            ceilings = [c**n for c in covers] + [min(covers) ** n]
+            assert all(a**n <= got <= c for a, got, c in zip(ones, alphas, ceilings))
+            bounds = sg.finite_bounds(m, n)
+            assert [*bounds.alpha_per_type, bounds.alpha_union] == alphas
+            cases += len(alphas)
+    assert cases > 1000
+
+
+def test_closed_numbers_are_the_exact_search():
+    # Wherever alpha(1) meets the letter cover, the exact search at n finds alpha(1)^n.
+    path = Path(__file__).parent.parent / "perfbench" / "pool.json"
+    closed = 0
+    for entry in json.loads(path.read_text())["bounds"]:
+        m, n = sg.parse_model(json.dumps(entry["doc"])), entry["n"]
+        if m.num_symbols**n > 729:
+            continue
+        covers = [sg.rate._letter_cover(m, t) for t in range(m.num_types)]
+        ones = [sg.build_sender_graph(m, t, 1) for t in range(m.num_types)]
+        union_one = exact_alpha(sg.union_graph(ones))
+        for t, (graph, cover) in enumerate(zip(ones, covers)):
+            if exact_alpha(graph) == cover:
+                assert exact_alpha(sg.build_sender_graph(m, t, n)) == cover**n
+                closed += 1
+        if union_one == min(covers):
+            graphs = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+            assert exact_alpha(sg.union_graph(graphs)) == union_one**n
+            closed += 1
+    assert closed >= 163  # type graphs, honest ones included, and unions
+
+
+def test_letter_cover_goldens(example):
+    one_letter = lambda m: sg.finite_bounds(m, 1)
+    covers = lambda m: tuple(sg.rate._letter_cover(m, t) for t in range(m.num_types))
+    # example1 closes: h is honest (3 letters, no edge), and d's letter graph is complete.
+    assert (one_letter(example).alpha_per_type, covers(example)) == ((3, 1), (3, 1))
+    # X6's type a closes, its type b does not; P156 stays open.
+    assert (one_letter(X6).alpha_per_type, covers(X6)) == ((1, 1), (1, 2))
+    p156 = model_pool()[156]
+    assert (one_letter(p156).alpha_per_type, covers(p156)) == ((2,), (3,))
 
 
 def test_asymptotic_example_golden(example):
