@@ -142,15 +142,17 @@ def max_independent_set(
 ) -> IndependentSetResult:
     """Maximum independent set, certified in exact mode.
 
-    Exact mode first tries two proofs against the first-fit clique cover of
+    Exact mode first tries three proofs against the first-fit clique cover of
     the whole graph: an independent set meets each clique at most once, so
-    the first-fit set in id order, or else the greedy set, is maximum when it
-    is as large as the cover (an edgeless graph needs no cover). Only the
-    graphs these leave go to a deterministic branch and reduce on an explicit
-    stack, seeded with the greedy set after a (1,2)-swap descent. Each node first
-    takes every candidate of degree 0 or 1, or of degree 2 inside a
-    triangle, and drops its neighbours: they are pairwise adjacent, so some
-    maximum set takes it. It then cuts when a greedy clique cover of the
+    the first-fit set in id order, else the greedy set, else (on a builder's
+    graph at n > 1, if larger) the `_class_floor` of the root's orbits, is
+    maximum when it is as large as the cover (an edgeless graph needs no
+    cover). Only the graphs these leave go to a deterministic branch and
+    reduce on an explicit stack, seeded with the greedy set, or the class
+    floor where larger, after a (1,2)-swap descent. Each node first takes
+    every candidate of degree 0 or 1, or of degree 2 inside a triangle, and
+    drops its neighbours: they are pairwise adjacent, so some maximum set
+    takes it. It then cuts when a greedy clique cover of the
     candidates, grown from the lowest or from the highest id, cannot beat
     the incumbent. When the smaller cover misses by at most two cliques,
     unit propagation over its cliques may find that many conflicts and cut.
@@ -188,15 +190,21 @@ def max_independent_set(
         ceiling = len(_cover_classes(adjacency, everyone, False))
     if chosen.bit_count() < ceiling:
         chosen = _greedy_independent_set(adjacency)
+    n = graph.n if graph._letters else 1
+    words = list(product(range(graph._letters or graph.vertex_count), repeat=n))
+    letters: dict[tuple, list[int]] = {}
+    root = tuple(range(n))
+    if n > 1 and chosen.bit_count() < ceiling:
+        _orbit(letters, words, (root,), 0)  # fills letters[root], each vertex's class
+        floor = _class_floor(adjacency, letters[root])
+        if floor.bit_count() > chosen.bit_count():
+            chosen = floor
     if chosen.bit_count() == ceiling:
         return IndependentSetResult(_mask_to_members(chosen), True)
     best_mask = _swap_descent(adjacency, chosen)
     best_size = best_mask.bit_count()
-    n = graph.n if graph._letters else 1
-    words = list(product(range(graph._letters or graph.vertex_count), repeat=n))
-    letters: dict[tuple, list[int]] = {}
     nodes = 0
-    stack = [(0, 0, everyone, (tuple(range(n)),))]
+    stack = [(0, 0, everyone, (root,))]
     while stack:
         current, size, cand, blocks = stack.pop()
         nodes += 1
@@ -273,6 +281,19 @@ def _orbit(letters: dict, words: list, blocks: tuple, v: int) -> int:
             letters[b] = [masks[key] for key in keys]
         mask &= letters[b][v]
     return mask
+
+
+def _class_floor(adjacency: tuple[int, ...], classes) -> int:
+    """A union of whole classes, as a bitmask: an independent set whatever the classes are.
+
+    Takes the classes heaviest first, ties to the lowest vertex id, and keeps
+    each one with no edge inside it or to a class already kept.
+    """
+    chosen = 0
+    for cls in sorted(set(classes), key=lambda c: (-c.bit_count(), c & -c)):
+        if not reduce(or_, map(adjacency.__getitem__, _mask_to_members(cls))) & (chosen | cls):
+            chosen |= cls
+    return chosen
 
 
 def _refine(blocks: tuple, word: tuple) -> tuple:

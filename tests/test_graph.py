@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -10,11 +11,12 @@ import subprocess
 import sys
 import time
 from operator import or_
+from pathlib import Path
 
 import pytest
 
 import screengame as sg
-from screengame.graph import _cover_classes, _cover_conflicts, _swap_descent
+from screengame.graph import _class_floor, _cover_classes, _cover_conflicts, _swap_descent
 
 from conftest import (
     X6,
@@ -443,15 +445,23 @@ def test_clique_cover_bounds_are_first_fit_partitions():
 
 def test_search_node_count_is_golden():
     # Random(7) draws (3,2), (3,2), (4,2); the second model's type 1 at n=4
-    # has 81 vertices, a greedy set of 4 and independence number 6.
+    # has 81 vertices, a greedy set of 4 and independence number 6. A union
+    # of whole position classes reaches its cover of 6, so no node is searched.
     rng = random.Random(7)
-    m = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))][1]
-    g = sg.build_sender_graph(m, 1, 4)
+    models = [make_random_model(rng, k, types) for k, types in ((3, 2), (3, 2), (4, 2))]
+    g = sg.build_sender_graph(models[1], 1, 4)
     assert sg.max_independent_set(g, mode="greedy") == sg.IndependentSetResult(
         (53, 71, 77, 79), False, 0
     )
     result = sg.max_independent_set(g)
-    assert (len(result.members), result.nodes) == (6, 23)
+    assert (len(result.members), result.nodes) == (6, 0)
+    assert sg.max_independent_set(g) == result
+    # The third model's type 1 at n=3 (64 vertices, independence number 8)
+    # still branches: its greedy set has 4 members and its class floor 3,
+    # against a cover of 8.
+    g = sg.build_sender_graph(models[2], 1, 3)
+    result = sg.max_independent_set(g)
+    assert (len(result.members), result.nodes) == (8, 25)
     assert sg.max_independent_set(g) == result
 
 
@@ -473,12 +483,12 @@ def test_search_node_and_alpha_totals_over_the_pool_are_golden():
                 graphs += types + [sg.union_graph(types)]
     results = [sg.max_independent_set(g) for g in graphs]
     assert len(graphs) == 666
-    assert sum(r.nodes for r in results) == 867
+    assert sum(r.nodes for r in results) == 727
     assert sum(len(r.members) for r in results) == 2452
     # A graph settled with no node must carry its proof: an independent set
     # as large as a clique partition, here the reference first-fit one.
     settled = [(g, r) for g, r in zip(graphs, results) if not r.nodes]
-    assert len(settled) == 603
+    assert len(settled) == 608
     for g, result in settled:
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
@@ -523,7 +533,7 @@ def test_sender_graphs_and_unions_are_invariant_under_position_permutations():
 def test_orbital_search_pins_p156_and_x6_central_binomials():
     g = sg.build_sender_graph(model_pool()[156], 0, 5)
     result = sg.max_independent_set(g)
-    assert (len(result.members), result.nodes) == (80, 177)
+    assert (len(result.members), result.nodes) == (80, 171)
     for n in range(1, 11):
         g = sg.build_sender_graph(X6, 1, n, enum_budget=4**n)
         assert len(sg.max_independent_set(g, mis_budget=2**n).members) == math.comb(n, n // 2)
@@ -560,11 +570,11 @@ def orbit_blowup(rng: random.Random, k: int, n: int) -> sg.SenderGraph:
 def test_orbital_search_matches_the_search_without_symmetry():
     # Relabelled as one-letter sequences, a graph is searched with the
     # trivial group, so it proves alpha without the position symmetry.
-    # A set as large as a cover settles about half the graphs before either
-    # search starts, so the test counts the graphs both sides searched.
+    # A set as large as a cover settles more than half the graphs before
+    # either search starts, so the test counts the graphs both sides searched.
     rng = random.Random(113)
-    graphs = [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(120)]
-    for m in model_pool(80, seed=113):
+    graphs = [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(200)]
+    for m in model_pool(100, seed=113):
         for n in (2, 3, 4):
             if m.num_symbols**n <= 81:
                 types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
@@ -577,8 +587,8 @@ def test_orbital_search_matches_the_search_without_symmetry():
         chosen = sum(1 << v for v in result.members)
         assert all(not g.adjacency[v] & chosen for v in result.members)
         searched.append(result.nodes > 0 and plain.nodes > 0)
-    assert sum(searched[:120]) >= 60  # blow-ups
-    assert sum(searched[120:]) >= 80  # pool graphs
+    assert sum(searched[:200]) >= 60  # blow-ups
+    assert sum(searched[200:]) >= 80  # pool graphs
 
 
 def reducible(adjacency, cand: int) -> list[int]:
@@ -701,8 +711,83 @@ def test_only_graphs_from_the_builders_keep_position_symmetry():
     # A union of built graphs keeps the symmetry, and with it the P156 pin.
     g = sg.build_sender_graph(model_pool()[156], 0, 5)
     result = sg.max_independent_set(sg.union_graph([g, g]))
-    assert (len(result.members), result.nodes) == (80, 177)
-    assert sg.max_independent_set(dataclasses.replace(g)).nodes > 177
+    assert (len(result.members), result.nodes) == (80, 171)
+    assert sg.max_independent_set(dataclasses.replace(g)).nodes > 171
+
+
+def position_classes(k: int, n: int) -> list[int]:
+    """The masks of the k^n sequences grouped by their sorted letters, in first-seen order."""
+    masks: dict[tuple, int] = {}
+    for v, word in enumerate(itertools.product(range(k), repeat=n)):
+        key = tuple(sorted(word))
+        masks[key] = masks.get(key, 0) | 1 << v
+    return list(masks.values())
+
+
+def class_floor_cases(pool) -> list[tuple[sg.SenderGraph, int]]:
+    """Each type graph and union of the pool at 2 <= n, k^n <= 81, and 40 blow-ups, with its floor."""
+    graphs = []
+    for m in pool:
+        for n in (2, 3, 4):
+            if m.num_symbols**n <= 81:
+                types = [sg.build_sender_graph(m, t, n) for t in range(m.num_types)]
+                graphs += types + [sg.union_graph(types)]
+    rng = random.Random(131)
+    graphs += [orbit_blowup(rng, *rng.choice(((3, 4), (2, 5)))) for _ in range(40)]
+    return [(g, _class_floor(g.adjacency, position_classes(g._letters, g.n))) for g in graphs]
+
+
+def test_class_floor_is_an_independent_union_of_whole_position_classes(pool):
+    cases = class_floor_cases(pool)
+    assert len(cases) == 1639
+    for g, floor in cases:
+        assert all(not g.adjacency[v] & floor for v in range(g.vertex_count) if floor >> v & 1)
+        assert all(cls & floor in (0, cls) for cls in position_classes(g._letters, g.n))
+    # Marked symmetric without being so, a graph may get a wrong alpha from the
+    # orbital search, but the floor reads the rows, so every witness stays independent.
+    for adjacency in random_sixteen_vertex_adjacencies(2000):
+        floor = _class_floor(adjacency, position_classes(4, 2))
+        assert all(not adjacency[v] & floor for v in range(16) if floor >> v & 1)
+        result = sg.max_independent_set(marked_symmetric(sg.SenderGraph(2, adjacency, "test"), 4))
+        chosen = sum(1 << v for v in result.members)
+        assert all(not adjacency[v] & chosen for v in result.members)
+
+
+def test_class_floor_is_at_most_the_independence_number(pool):
+    nx = pytest.importorskip("networkx")  # an oracle only; the package never imports it
+    alphas = {}
+    for g, floor in class_floor_cases(pool):
+        if g.adjacency not in alphas:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.vertex_count))
+            h.add_edges_from(g.edges())
+            alphas[g.adjacency] = (
+                nx.max_weight_clique(nx.complement(h), weight=None)[1] if g.edge_count else g.vertex_count
+            )
+        assert floor.bit_count() <= alphas[g.adjacency]
+
+
+def test_class_floor_goldens_on_the_bounds_tail():
+    # The bounds-pool graphs that set the benchmark's p90, at their stored n:
+    # the class floor settles three at the root and cuts the others' search.
+    path = Path(__file__).parent.parent / "perfbench" / "pool.json"
+    pool = {entry["name"]: entry for entry in json.loads(path.read_text())["bounds"]}
+    expected = {
+        ("bounds-small-k5n3b1-3", "b"): (27, 1),
+        ("bounds-small-k5n3b1-3", "union"): (6, 0),
+        ("bounds-small-k5n3b0-34", "b"): (12, 1),
+        ("bounds-small-k5n3b1-21", "b"): (12, 14),
+        ("bounds-medium-k3n5b2-1", "a"): (96, 1),
+    }
+    got = {}
+    for name, label in expected:
+        entry = pool[name]
+        m = sg.parse_model(json.dumps(entry["doc"]))
+        types = [sg.build_sender_graph(m, t, entry["n"]) for t in range(m.num_types)]
+        g = sg.union_graph(types) if label == "union" else types[m.type_index(label)]
+        result = sg.max_independent_set(g)
+        got[name, label] = (len(result.members), result.nodes)
+    assert got == expected
 
 
 def induced(adjacency, cand: int) -> sg.SenderGraph:
